@@ -621,14 +621,19 @@ def _parse_offer_body(body: dict, where: str, world: WorldModel) -> ServiceOffer
     exclusive_group = entry.get("exclusiveGroup")
     if exclusive_group is not None and not isinstance(exclusive_group, str):
         raise DocumentInvalidError(f"{where}.exclusiveGroup: expected a string")
+    # selection's cost bound needs non-negative prices; negative CO2 is meaningless
+    amounts = {key: _decimal(entry, key, where) for key in ("unitPrice", "co2PerUnit")}
+    for key, amount in amounts.items():
+        if amount < 0:
+            raise DocumentInvalidError(f"{where}.{key}: must not be negative")
     return ServiceOffer(
         offer_id=_string(entry, "offerId", where),
         provider_id=_string(entry, "providerId", where),
         request_id=_string(entry, "requestId", where),
         covered_cap_keys=tuple(covered),
         provided_capabilities=provided,
-        unit_price=_decimal(entry, "unitPrice", where),
-        co2_per_unit=_decimal(entry, "co2PerUnit", where),
+        unit_price=amounts["unitPrice"],
+        co2_per_unit=amounts["co2PerUnit"],
         delivery_date=_timestamp(entry, "deliveryDate", where),
         certifications=frozenset(certifications),
         nda_accepted=bool(entry.get("ndaAccepted", False)),

@@ -4,8 +4,9 @@ An offer is admissible when it envelopes every covered capability
 requirement (match degree EXACT or PLUGIN) and satisfies all tender bounds.
 Selection picks a set of admissible, unexpired offers covering every
 requested capability key exactly once, never mixing mutually exclusive
-offers, at minimal total cost. Money and CO2 use exact decimal arithmetic;
-all bound comparisons are inclusive.
+offers, at minimal total cost; the search is exact for any number of
+offers. Money and CO2 use exact decimal arithmetic; all bound comparisons
+are inclusive.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ COVERING_DEGREES = (MatchDegree.EXACT, MatchDegree.PLUGIN)
 
 #: how quantity is assigned to combined offers (see Award.quantity_allocation)
 FULL_QUANTITY_PER_OFFER = "full-quantity-per-offer"
-
-#: exact search is used up to this many admissible candidates
-EXACT_SEARCH_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ class Award:
     request_id: str
     selected_offers: tuple[ServiceOffer, ...]
     total_cost: Decimal
-    strategy: str  # "exact" | "greedy"
+    strategy: str  # always "exact": selection is an exact, optimal search
     quantity_allocation: str = FULL_QUANTITY_PER_OFFER
 
     def offer_ids(self) -> tuple[str, ...]:
@@ -113,13 +111,8 @@ def evaluate_offer(
     request: ServiceRequest,
     offer: ServiceOffer,
     world: WorldModel,
-    accept_intersect: bool = False,
 ) -> Admissibility:
-    """Check one offer against the request's capability and tender criteria.
-
-    ``accept_intersect`` widens capability coverage to INTERSECT matches;
-    the default keeps the strict full-envelope rule.
-    """
+    """Check one offer against the request's capability and tender criteria."""
     if offer.request_id != request.request_id:
         raise UnknownCapKeyError(
             f"offer {offer.offer_id!r} answers request {offer.request_id!r}, "
@@ -135,7 +128,6 @@ def evaluate_offer(
                 "provided capability"
             )
 
-    accepted = COVERING_DEGREES + ((MatchDegree.INTERSECT,) if accept_intersect else ())
     violations: list[Violation] = []
     for cap_key in offer.covered_cap_keys:
         result = match_capabilities(
@@ -143,7 +135,7 @@ def evaluate_offer(
             offer.provided_capabilities[cap_key],
             world,
         )
-        if result.degree not in accepted:
+        if result.degree not in COVERING_DEGREES:
             violations.append(
                 Violation(
                     "capabilityCoverage",
@@ -194,115 +186,81 @@ def select_offers(
     offers,
     now: datetime,
     world: WorldModel,
-    accept_intersect: bool = False,
 ) -> Award:
     """Cost-minimal covering combination of admissible, unexpired offers.
 
-    Exact search up to EXACT_SEARCH_LIMIT candidates, greedy above; ties on
-    cost break toward the lexicographically smallest offer-id set.
+    The search is exact for any number of offers. It prunes on cost, so unit
+    prices must be non-negative (offer documents reject negative ones). Cost
+    ties break toward the lexicographically smallest sorted offer-id tuple;
+    the award lists its offers in offer-id order.
     """
     candidates = [
         offer
         for offer in sorted(offers, key=lambda o: o.offer_id)
         if (offer.valid_until is None or offer.valid_until >= now)
-        and evaluate_offer(request, offer, world, accept_intersect).admissible
+        and evaluate_offer(request, offer, world).admissible
     ]
-    keys = frozenset(request.cap_keys())
+    keys = sorted(set(request.cap_keys()))
     if not keys:
         raise NoFeasibleCombinationError("request has no capability keys")
 
-    if len(candidates) <= EXACT_SEARCH_LIMIT:
-        chosen = _exact_cover(keys, candidates)
-        strategy = "exact"
-    else:
-        chosen = _greedy_cover(keys, candidates)
-        strategy = "greedy"
+    chosen = _least_cost_cover(keys, candidates)
     if chosen is None:
         raise NoFeasibleCombinationError(
-            f"no admissible combination covers {sorted(keys)}"
+            f"no admissible combination covers {keys}"
         )
     total = Decimal(request.tender.quantity) * sum(
         (offer.unit_price for offer in chosen), Decimal(0)
     )
     return Award(
         request_id=request.request_id,
-        selected_offers=tuple(chosen),
+        selected_offers=chosen,
         total_cost=total,
-        strategy=strategy,
+        strategy="exact",
     )
 
 
-def _exact_cover(keys: frozenset[str], candidates: list[ServiceOffer]):
-    best: tuple[Decimal, tuple[str, ...], list[ServiceOffer]] | None = None
+def _least_cost_cover(
+    keys: list[str], candidates: list[ServiceOffer]
+) -> tuple[ServiceOffer, ...] | None:
+    """Least-cost exact cover of ``keys`` (Knuth's Algorithm X with a cost
+    bound): branch on the lowest uncovered key, over the offers covering it
+    that overlap no covered key and reuse no exclusive group."""
+    bit = {key: 1 << i for i, key in enumerate(keys)}
+    full = (1 << len(keys)) - 1
+    covering: list[list[tuple[ServiceOffer, int]]] = [[] for _ in keys]
+    for offer in candidates:
+        mask = 0
+        for key in offer.covered_cap_keys:
+            mask |= bit[key]
+        for i in range(len(keys)):
+            if mask >> i & 1:
+                covering[i].append((offer, mask))
+    best: tuple[Decimal, tuple[str, ...], tuple[ServiceOffer, ...]] | None = None
 
-    def walk(index: int, covered: frozenset[str], groups: frozenset[str],
-             cost: Decimal, chosen: list[ServiceOffer]) -> None:
+    def walk(covered: int, groups: frozenset[str], cost: Decimal,
+             chosen: list[ServiceOffer]) -> None:
         nonlocal best
         if best is not None and cost > best[0]:
+            return  # strict, so equal-cost covers still reach the tie-break
+        if covered == full:
+            picked = tuple(sorted(chosen, key=lambda o: o.offer_id))
+            ids = tuple(offer.offer_id for offer in picked)
+            if best is None or (cost, ids) < best[:2]:
+                best = (cost, ids, picked)
             return
-        if covered == keys:
-            key = (cost, tuple(offer.offer_id for offer in chosen))
-            if best is None or (cost, key[1]) < (best[0], best[1]):
-                best = (cost, key[1], list(chosen))
-            return
-        if index >= len(candidates):
-            return
-        # coverage feasibility prune: every missing key needs a remaining offer
-        missing = keys - covered
-        remaining = set()
-        for offer in candidates[index:]:
-            remaining.update(offer.covered_cap_keys)
-        if not missing <= remaining:
-            return
-        offer = candidates[index]
-        covered_by_offer = frozenset(offer.covered_cap_keys)
-        if (
-            not (covered_by_offer & covered)
-            and (offer.exclusive_group is None or offer.exclusive_group not in groups)
-        ):
+        lowest = (~covered & (covered + 1)).bit_length() - 1
+        for offer, mask in covering[lowest]:
+            group = offer.exclusive_group
+            if mask & covered or group in groups:
+                continue
             chosen.append(offer)
-            walk(
-                index + 1,
-                covered | covered_by_offer,
-                groups | ({offer.exclusive_group} if offer.exclusive_group else frozenset()),
-                cost + offer.unit_price,
-                chosen,
-            )
+            walk(covered | mask, (groups | {group}) if group else groups,
+                 cost + offer.unit_price, chosen)
             chosen.pop()
-        walk(index + 1, covered, groups, cost, chosen)
 
-    walk(0, frozenset(), frozenset(), Decimal(0), [])
+    walk(0, frozenset(), Decimal(0), [])
     return None if best is None else best[2]
-
-
-def _greedy_cover(keys: frozenset[str], candidates: list[ServiceOffer]):
-    covered: frozenset[str] = frozenset()
-    groups: frozenset[str] = frozenset()
-    chosen: list[ServiceOffer] = []
-    pool = list(candidates)
-    while covered != keys:
-        best_offer = None
-        best_rate: Decimal | None = None
-        for offer in pool:
-            covered_by_offer = frozenset(offer.covered_cap_keys)
-            if covered_by_offer & covered:
-                continue  # exactly-once coverage
-            if offer.exclusive_group is not None and offer.exclusive_group in groups:
-                continue
-            new = covered_by_offer - covered
-            if not new:
-                continue
-            rate = offer.unit_price / Decimal(len(new))
-            if best_rate is None or rate < best_rate:
-                best_rate, best_offer = rate, offer
-        if best_offer is None:
-            return None
-        chosen.append(best_offer)
-        pool.remove(best_offer)
-        covered |= frozenset(best_offer.covered_cap_keys)
-        if best_offer.exclusive_group is not None:
-            groups |= {best_offer.exclusive_group}
-    return chosen
 
 
 def form_contract(award: Award, accepted_at: datetime) -> Contract:

@@ -39,13 +39,6 @@ def unit_base(unit: str) -> str:
     return entry[0]
 
 
-def unit_scale(unit: str) -> Fraction:
-    entry = UNIT_TABLE.get(unit)
-    if entry is None:
-        raise UnknownUnitError(f"unit {unit!r} is not in the scale table")
-    return entry[1]
-
-
 def canonicalize_unit(value: int | Decimal | Fraction, unit: str) -> tuple[int | Decimal, str]:
     """Rescale ``value`` from ``unit`` into the base unit of its dimension."""
     base, scale = UNIT_TABLE.get(unit, (None, None))
@@ -125,12 +118,6 @@ def literal_matches(datatype: str, value: Literal) -> bool:
     if datatype == "boolean":
         return isinstance(value, bool)
     return False
-
-
-def coerce_literal(datatype: str, value: Literal, where: str = "value") -> Literal:
-    if not literal_matches(datatype, value):
-        raise TypeMismatchError(f"{where}: {value!r} is not a {datatype} literal")
-    return value
 
 
 def format_literal(value: Literal) -> str:

@@ -6,6 +6,7 @@ PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 3. State machine closure over all 17 x 9 pairs, < 1 s
 4. Transport equivalence + exactly-one-response fuzz over >= 10^4 requests
 5. Offer selection equals the exhaustive minimum on >= 500 random instances
+   of 1-10 offers plus >= 200 of 21-60 offers
 6. Two-step scenario over TCP with feasibility rerouting, < 5 s
 7. Criteria 1, 5 and 6 produce byte-identical machine output when repeated
 """
@@ -346,9 +347,10 @@ def _market_world() -> WorldModel:
     )
 
 
-def _market_instance(rng: random.Random, world: WorldModel):
+def _market_instance(rng: random.Random, world: WorldModel,
+                     max_keys: int = 4, offer_counts: tuple[int, int] = (1, 10)):
     trivial = parse_expression("Work", world)
-    keys = [f"k{i}" for i in range(rng.randint(1, 4))]
+    keys = [f"k{i}" for i in range(rng.randint(1, max_keys))]
     request = ServiceRequest(
         request_id="req-r",
         required_capabilities=tuple((k, trivial) for k in keys),
@@ -362,7 +364,7 @@ def _market_instance(rng: random.Random, world: WorldModel):
         response_deadline=parse_timestamp("2026-08-20T00:00:00Z"),
     )
     offers = []
-    for index in range(rng.randint(1, 10)):
+    for index in range(rng.randint(*offer_counts)):
         covered = tuple(rng.sample(keys, rng.randint(1, len(keys))))
         offers.append(
             ServiceOffer(
@@ -392,7 +394,9 @@ def _exhaustive_minimum(request, offers, world):
     ]
     keys = sorted(request.cap_keys())
     best = None
-    for r in range(len(admissible) + 1):
+    # every offer covers at least one key and a cover uses each key once,
+    # so no cover has more offers than there are keys
+    for r in range(min(len(admissible), len(keys)) + 1):
         for subset in itertools.combinations(admissible, r):
             covered = [k for o in subset for k in o.covered_cap_keys]
             groups = [o.exclusive_group for o in subset if o.exclusive_group]
@@ -412,8 +416,9 @@ def _criterion_5_lines(seed: int) -> tuple[list[str], int, int]:
     lines = []
     violations = 0
     solved = 0
-    for _ in range(500):
-        request, offers = _market_instance(rng, world)
+    shapes = [{}] * 500 + [{"max_keys": 3, "offer_counts": (21, 60)}] * 200
+    for shape in shapes:
+        request, offers = _market_instance(rng, world, **shape)
         expected = _exhaustive_minimum(request, offers, world)
         try:
             award = select_offers(request, offers, NOW, world)
@@ -443,9 +448,9 @@ def test_criterion_5_market_optimality():
     started = time.monotonic()
     lines, solved, violations = _criterion_5_lines(seed=2025)
     elapsed = time.monotonic() - started
-    ok = len(lines) == 500 and violations == 0
-    _report(5, ok, f"500 instances ({solved} solvable), "
-                   f"{violations} deviations, {elapsed:.1f} s")
+    ok = len(lines) == 700 and violations == 0
+    _report(5, ok, f"700 instances, 200 of them with 21-60 offers "
+                   f"({solved} solvable), {violations} deviations, {elapsed:.1f} s")
 
 
 # --------------------------------------------------------------------------

@@ -169,6 +169,17 @@ def test_request_validation_rules(base_world):
         request_from_doc(backwards, base_world)
 
 
+@pytest.mark.parametrize("field", ["unitPrice", "co2PerUnit"])
+def test_offer_negative_amount_rejected(base_world, field):
+    doc = offer_doc()
+    doc[field] = Decimal("-0.01")
+    with pytest.raises(DocumentInvalidError) as excinfo:
+        offer_from_doc(doc, base_world)
+    assert field in str(excinfo.value)
+    doc[field] = Decimal(0)
+    assert offer_from_doc(doc, base_world)
+
+
 def test_offer_with_bad_expression(base_world):
     doc = offer_doc()
     doc["providedCapabilities"] = {"cap-drill": "Drilling and (depth <= fast)"}

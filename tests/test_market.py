@@ -105,8 +105,6 @@ def test_intersect_coverage_is_inadmissible(base_world, request_two_caps):
     result = evaluate_offer(request_two_caps, offer, base_world)
     assert not result.admissible
     assert [v.criterion for v in result.violations] == ["capabilityCoverage"]
-    # the documented extension accepts INTERSECT when switched on
-    assert evaluate_offer(request_two_caps, offer, base_world, accept_intersect=True).admissible
 
 
 def test_every_tender_criterion_is_reported(base_world, request_two_caps):
@@ -221,8 +219,8 @@ def test_select_quantity_scales_total(base_world, request_two_caps):
     assert award.total_cost == Decimal("30.0")
 
 
-def test_greedy_breaks_rate_ties_by_offer_id(base_world, request_two_caps):
-    # 21 candidates forces greedy; two drill offers at the same price
+def test_select_breaks_cost_ties_by_offer_id(base_world, request_two_caps):
+    # 22 candidates; two drill offers at the same price
     fillers = [
         make_offer(base_world, f"z-{i:02d}", ("cap-drill",), "9")
         for i in range(19)
@@ -233,18 +231,55 @@ def test_greedy_breaks_rate_ties_by_offer_id(base_world, request_two_caps):
     award = select_offers(
         request_two_caps, fillers + [tied_b, tied_a, screw], NOW, base_world
     )
-    assert award.strategy == "greedy"
-    assert "a-tied" in award.offer_ids()
+    assert award.offer_ids() == ("a-tied", "m-screw")
+    assert award.total_cost == Decimal("7.0")
 
 
-def test_greedy_above_candidate_limit(base_world, request_two_caps):
+def test_select_takes_cheapest_of_many_drill_offers(base_world, request_two_caps):
     offers = [
         make_offer(base_world, f"o-{i:02d}", ("cap-drill",), str(4 + (i % 3)))
         for i in range(20)
     ] + [make_offer(base_world, "o-screw", ("cap-screw",), "3.0")]
     award = select_offers(request_two_caps, offers, NOW, base_world)
-    assert award.strategy == "greedy"
-    assert award.total_cost == Decimal("7.0")  # cheapest drill (4) + screw (3)
+    assert award.offer_ids() == ("o-00", "o-screw")  # cheapest drill (4) + screw (3)
+    assert award.total_cost == Decimal("7.0")
+
+
+def test_select_finds_cover_among_many_candidates(base_world):
+    # 23 candidates; ab is the cheapest per key but leaves c coverable only
+    # by the overlapping bc, so every cover is a + bc + one d-only offer
+    trivial = parse_expression("Drilling", base_world)
+    request = ServiceRequest(
+        request_id="req-abcd",
+        required_capabilities=tuple((k, trivial) for k in "abcd"),
+        tender=TenderCriteria(
+            quantity=1,
+            max_unit_price=Decimal(10),
+            max_co2_per_unit=Decimal(10),
+            delivery_deadline=ts("2026-09-01T00:00:00"),
+        ),
+        submitted_at=ts("2026-08-01T00:00:00"),
+        response_deadline=ts("2026-08-20T00:00:00"),
+    )
+    priced = [("ab", "ab", 1), ("bc", "bc", 1), ("a", "a", 5)] + [
+        (f"d{i:02d}", "d", 1) for i in range(20)
+    ]
+    offers = [
+        ServiceOffer(
+            offer_id=offer_id,
+            provider_id="p",
+            request_id="req-abcd",
+            covered_cap_keys=tuple(keys),
+            provided_capabilities={k: trivial for k in keys},
+            unit_price=Decimal(price),
+            co2_per_unit=Decimal(1),
+            delivery_date=ts("2026-08-25T00:00:00"),
+        )
+        for offer_id, keys, price in priced
+    ]
+    award = select_offers(request, offers, NOW, base_world)
+    assert award.offer_ids() == ("a", "bc", "d00")
+    assert award.total_cost == Decimal(7)
 
 
 # --- form_contract -------------------------------------------------------------------
