@@ -331,7 +331,7 @@ class NormalForm:
         got = self.feasible.get(property_id)
         if got is not None:
             return got
-        return full_domain(world.property_def(property_id))
+        return world.domain(property_id)
 
 
 def full_domain(prop: PropertyDefinition) -> FeasibleSet:

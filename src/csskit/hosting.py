@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotFoundError, UnitMismatchError, UnknownUnitError
-from .expressions import NormalForm, normalize
+from .expressions import NormalForm
 from .model import Capability, Resource, SkillDescriptor, WorldModel
 from .skills import FeasibilityResult, SimulatedClock, SkillBehavior, SkillHost
 from .values import convert_between_units, format_literal, fraction_to_number, to_fraction
@@ -25,7 +25,7 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
                  descriptor: SkillDescriptor, execute_duration: float = 1.0):
         self._world = world
         self._descriptor = descriptor
-        self._nf: NormalForm = normalize(capability.expression, world)
+        self._nf: NormalForm = world.normal_form(capability)
         self._execute_duration = execute_duration
         # parameter -> property, from explicit mappings plus name equality
         self._param_to_property: dict[str, str] = {}

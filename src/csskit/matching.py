@@ -1,6 +1,6 @@
 """Compatibility of required vs provided capabilities.
 
-A match conjoins the two normal forms under closed-world closure (sibling
+A match compares the two normal forms under closed-world closure (sibling
 classes are disjoint, a class subsumes its descendants) and classifies how
 the two satisfying sets relate:
 
@@ -11,7 +11,14 @@ the two satisfying sets relate:
     DISJOINT  no common satisfying assignment
 
 Cost is linear in the number of constrained properties; every check is a
-per-property interval or member-set operation.
+per-property interval or member-set operation. The two subclass tests are
+made once per pair and serve both the class-disjoint check and containment.
+
+Ranking against a world normalizes the required side once and takes each
+candidate's normal form from the world, which keeps one per capability it
+owns; candidates whose class is disjoint from the required class are dropped
+before any per-property work. Expressions from callers (requests, offers,
+the CLI) are normalized per call and never kept.
 """
 
 from __future__ import annotations
@@ -115,7 +122,23 @@ def match_capabilities(
     required_nf = normalize(required, world)
     provided_nf = normalize(provided, world)
     tax = world.taxonomy
+    return _compare(
+        required_nf,
+        provided_nf,
+        world,
+        is_subclass_of(tax, required_nf.class_id, provided_nf.class_id),
+        is_subclass_of(tax, provided_nf.class_id, required_nf.class_id),
+    )
 
+
+def _compare(
+    required_nf: NormalForm,
+    provided_nf: NormalForm,
+    world: WorldModel,
+    required_below: bool,
+    provided_below: bool,
+) -> MatchResult:
+    """Classify two normal forms, given both subclass tests between their classes."""
     property_ids = sorted(set(required_nf.feasible) | set(provided_nf.feasible))
     per_property: dict[str, PropertyComparison] = {}
     for property_id in property_ids:
@@ -123,20 +146,15 @@ def match_capabilities(
         p = provided_nf.feasible_or_domain(property_id, world)
         per_property[property_id] = PropertyComparison(r, p, r.intersect(p))
 
-    conjunction = conjoin(required_nf, provided_nf, tax)
-    if conjunction is DISJOINT_CLASS or any(
+    if not (required_below or provided_below) or any(
         comparison.intersection.is_empty for comparison in per_property.values()
     ):
         return MatchResult(MatchDegree.DISJOINT, None, per_property)
 
-    required_in_provided = is_subclass_of(
-        tax, required_nf.class_id, provided_nf.class_id
-    ) and all(
+    required_in_provided = required_below and all(
         c.required.subset_of(c.provided) for c in per_property.values()
     )
-    provided_in_required = is_subclass_of(
-        tax, provided_nf.class_id, required_nf.class_id
-    ) and all(
+    provided_in_required = provided_below and all(
         c.provided.subset_of(c.required) for c in per_property.values()
     )
 
@@ -170,11 +188,20 @@ def rank_providers(
     """Non-disjoint candidates ordered by degree, then resource and capability id.
 
     ``candidates`` is an iterable of (resource_id, Capability); the result is a
-    list of (resource_id, capability_id, MatchResult).
+    list of (resource_id, capability_id, MatchResult), each result equal to
+    ``match_capabilities`` of the pair. The required side is normalized once,
+    and class-disjoint candidates are dropped before any per-property work.
     """
+    required_nf = normalize(required, world)
+    tax = world.taxonomy
     scored = []
     for resource_id, capability in candidates:
-        result = match_capabilities(required, capability.expression, world)
+        provided_nf = world.normal_form(capability)
+        required_below = is_subclass_of(tax, required_nf.class_id, provided_nf.class_id)
+        provided_below = is_subclass_of(tax, provided_nf.class_id, required_nf.class_id)
+        if not (required_below or provided_below):
+            continue
+        result = _compare(required_nf, provided_nf, world, required_below, provided_below)
         if result.degree is not MatchDegree.DISJOINT:
             scored.append((resource_id, capability.id, result))
     scored.sort(key=lambda item: (-item[2].degree.rank, item[0], item[1]))

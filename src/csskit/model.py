@@ -17,7 +17,7 @@ from .taxonomy import Taxonomy
 from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
 if TYPE_CHECKING:
-    from .expressions import CapabilityExpression
+    from .expressions import CapabilityExpression, FeasibleSet, NormalForm
     from .market import ServiceOffer
 
 STATE_MACHINE_PROFILE = "PACKML-17"
@@ -99,17 +99,45 @@ class Product:
 
 @dataclass(frozen=True)
 class WorldModel:
+    """A loaded production world plus the lookups derived from it.
+
+    Property, resource and product lookups are indexed when the world is
+    built; on duplicate ids the first entry wins, as in model order. Each
+    property's full domain, the validation report and the normal form of each
+    capability the world owns are computed on first use and then kept, so
+    building an invalid world never raises. The kept data is only correct
+    because the world is never mutated after load: derive a changed world
+    with ``dataclasses.replace``, which builds fresh lookups. Two threads
+    filling the same entry store equal values.
+    """
+
     taxonomy: Taxonomy
     property_defs: tuple[PropertyDefinition, ...] = ()
     resources: tuple[Resource, ...] = ()
     products: tuple[Product, ...] = ()
     service_catalog: tuple[ServiceOffer, ...] = ()
+    _properties: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _resources: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _products: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _capabilities: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _domains: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _normal_forms: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _report: ValidationReport | None = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "_properties", _first_by_id(self.property_defs))
+        object.__setattr__(self, "_resources", _first_by_id(self.resources))
+        object.__setattr__(self, "_products", _first_by_id(self.products))
+        object.__setattr__(
+            self, "_capabilities", _first_by_id(c for _, c in self.capabilities())
+        )
+        object.__setattr__(self, "_domains", {})
+        object.__setattr__(self, "_normal_forms", {})
 
     def property_def(self, property_id: str) -> PropertyDefinition | None:
-        for prop in self.property_defs:
-            if prop.id == property_id:
-                return prop
-        return None
+        return self._properties.get(property_id)
 
     def capabilities(self):
         """(resource, capability) pairs in model order."""
@@ -118,16 +146,32 @@ class WorldModel:
                 yield resource, capability
 
     def resource(self, resource_id: str) -> Resource | None:
-        for resource in self.resources:
-            if resource.id == resource_id:
-                return resource
-        return None
+        return self._resources.get(resource_id)
 
     def product(self, product_id: str) -> Product | None:
-        for product in self.products:
-            if product.id == product_id:
-                return product
-        return None
+        return self._products.get(product_id)
+
+    def domain(self, property_id: str) -> FeasibleSet:
+        """The unconstrained feasible set of a defined property."""
+        domain = self._domains.get(property_id)
+        if domain is None:
+            from .expressions import full_domain
+
+            domain = full_domain(self.property_def(property_id))
+            self._domains[property_id] = domain
+        return domain
+
+    def normal_form(self, capability: Capability) -> NormalForm:
+        """The capability's normal form; kept only when the world owns it."""
+        from .expressions import normalize
+
+        if self._capabilities.get(capability.id) is not capability:
+            return normalize(capability.expression, self)
+        nf = self._normal_forms.get(capability.id)
+        if nf is None:
+            nf = normalize(capability.expression, self)
+            self._normal_forms[capability.id] = nf
+        return nf
 
     def skills_for_capability(self, resource: Resource, capability: Capability):
         """The resource's skills implementing a capability, by skill id order."""
@@ -137,6 +181,14 @@ class WorldModel:
             if s.capability_ref in (capability.iri, capability.id)
         ]
         return sorted(matches, key=lambda s: s.skill_id)
+
+
+def _first_by_id(items) -> dict:
+    """Items by ``id``; on duplicate ids the first in order wins."""
+    index: dict = {}
+    for item in items:
+        index.setdefault(item.id, item)
+    return index
 
 
 def resolve_capability(world: WorldModel, iri: str) -> Capability:
@@ -171,7 +223,16 @@ class ValidationReport:
 
 
 def validate_model(world: WorldModel) -> ValidationReport:
-    """Check every model invariant; problems become report entries, ordered by path."""
+    """Check every model invariant; problems become report entries, ordered by path.
+
+    The report is computed once per world and then kept.
+    """
+    if world._report is None:
+        object.__setattr__(world, "_report", _check_model(world))
+    return world._report
+
+
+def _check_model(world: WorldModel) -> ValidationReport:
     issues: list[ValidationIssue] = []
 
     def error(path: str, message: str) -> None:

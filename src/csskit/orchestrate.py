@@ -24,7 +24,7 @@ from .errors import (
     UnboundRequiredParameterError,
     UnknownParameterError,
 )
-from .expressions import normalize
+from .expressions import normalize  # noqa: F401 - bench/tracing.py patches this name
 from .matching import MatchDegree, rank_providers
 from .model import validate_model
 from .values import (
@@ -161,7 +161,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             capability = next(
                 c for c in resource.provided_capabilities if c.id == capability_id
             )
-            provided_nf = normalize(capability.expression, world)
+            provided_nf = world.normal_form(capability)
             inside = all(
                 provided_nf.feasible_or_domain(property_id, world).contains(value)
                 for property_id, value in step.parameter_values.items()

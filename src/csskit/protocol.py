@@ -327,6 +327,9 @@ class ProtocolServer:
 
         session = ServerSession(self.host, self.server_name, send_line)
         try:
+            # a response and its events go out as separate small writes; without
+            # this, Nagle's algorithm holds each back until the peer's delayed ACK
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = conn.makefile("r", encoding="utf-8", newline="\n")
             for line in reader:
                 session.handle_line(line.rstrip("\n"))
@@ -388,6 +391,7 @@ class SkillClient:
         self._stray: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
+        self._lost: str | None = None  # why the transport closed, once it has
 
     # -- plumbing ---------------------------------------------------------
 
@@ -408,6 +412,15 @@ class SkillClient:
             else:
                 self._stray.put(msg)
 
+    def connection_lost(self, reason: str) -> None:
+        """The transport closed: fail every pending and every later request."""
+        with self._lock:
+            self._lost = reason
+            waiters = list(self._pending.values())
+            self._pending.clear()
+        for waiter in waiters:
+            waiter.put(None)
+
     def send_raw(self, line: str) -> None:
         """Ship an arbitrary line (for protocol-level tests)."""
         self._send_line(line)
@@ -426,6 +439,8 @@ class SkillClient:
         correlation_id = f"c-{next(self._corr):06d}"
         waiter: queue.Queue = queue.Queue()
         with self._lock:
+            if self._lost is not None:
+                raise ConnectionLostError(self._lost)
             self._pending[correlation_id] = waiter
         try:
             self._send_line(encode(Message(kind, correlation_id, payload or {})))
@@ -441,6 +456,8 @@ class SkillClient:
             raise TimeoutError(
                 f"no response to {kind} within {timeout} s"
             ) from None
+        if msg is None:
+            raise ConnectionLostError(self._lost)
         if msg.kind == "error":
             raise RemoteError(
                 str(msg.payload.get("code", "Error")),
@@ -527,6 +544,7 @@ def connect_tcp(address, client_name: str = "tcp-client",
     except OSError as exc:
         raise ConnectionLostError(f"cannot connect to {addr}: {exc}") from exc
     sock.settimeout(None)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     send_lock = threading.Lock()
 
     def send_line(line: str) -> None:
@@ -549,6 +567,7 @@ def connect_tcp(address, client_name: str = "tcp-client",
                 client.feed_line(line.rstrip("\n"))
         except (OSError, ValueError):
             pass
+        client.connection_lost(f"connection to {addr} closed")
 
     threading.Thread(target=reader, name=f"css-reader-{addr[1]}", daemon=True).start()
     return client

@@ -205,13 +205,6 @@ class SkillHost:
         with self._lock:
             return tuple(self._instances)
 
-    def lookup_skill_id(self, skill_id: str) -> str:
-        with self._lock:
-            local_runtime_id = self._by_skill_id.get(skill_id)
-            if local_runtime_id is None:
-                raise UnknownSkillError(f"no skill with id {skill_id!r}")
-            return local_runtime_id
-
     def add_listener(self, listener) -> None:
         with self._lock:
             self._listeners.append(listener)

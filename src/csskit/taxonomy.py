@@ -24,9 +24,13 @@ class Taxonomy:
 
     classes: tuple[TaxonomyClass, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _ancestor_sets: dict = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "_by_id", {c.id: c for c in self.classes})
+        object.__setattr__(self, "_ancestor_sets", {})
 
     def has_class(self, class_id: str) -> bool:
         return class_id in self._by_id
@@ -49,6 +53,18 @@ class Taxonomy:
             seen.add(current.parent)
             current = self.get(current.parent)
         return tuple(chain)
+
+    def ancestor_set(self, class_id: str) -> frozenset[str]:
+        """``ancestors`` as a set, walked once per class and then kept.
+
+        Kept sets never go stale because the taxonomy is immutable; two
+        threads filling the same entry store equal sets.
+        """
+        found = self._ancestor_sets.get(class_id)
+        if found is None:
+            found = frozenset(self.ancestors(class_id))
+            self._ancestor_sets[class_id] = found
+        return found
 
     def structural_issues(self) -> list[str]:
         """Tree-shape defects; empty when the taxonomy is a proper tree."""
@@ -81,7 +97,7 @@ def is_subclass_of(tax: Taxonomy, a: str, b: str) -> bool:
     """True iff ``a`` equals ``b`` or ``b`` is an ancestor of ``a``."""
     tax.get(a)
     tax.get(b)
-    return a == b or b in tax.ancestors(a)
+    return a == b or b in tax.ancestor_set(a)
 
 
 def class_relation(tax: Taxonomy, a: str, b: str) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from conftest import sample_taxonomy
 
@@ -18,7 +19,8 @@ from csskit.matching import (
     rank_providers,
     satisfiable,
 )
-from csskit.model import Capability, PropertyDefinition, WorldModel
+from csskit.model import Capability, PropertyDefinition, Resource, WorldModel
+from csskit.taxonomy import class_relation
 
 
 def _expr(world, text):
@@ -347,6 +349,47 @@ def test_random_pairs_against_enumeration_oracle():
         expected = _oracle_degree(required, provided, world)
         got = match_capabilities(required, provided, world).degree
         assert got is expected, (required, provided, expected, got)
+
+
+def test_pruned_ranking_equals_sorted_pairwise_matches():
+    """rank_providers (one required normal form, kept candidate normal forms,
+    class pruning) against matching every pair through match_capabilities."""
+    rng = random.Random(23)
+    class_disjoint = 0
+    for _ in range(8):
+        base = _random_world()
+        world = replace(
+            base,
+            resources=tuple(
+                Resource(
+                    f"r-{i:02d}",
+                    tuple(
+                        Capability(f"cap-{j}", f"urn:{i}:{j}", _random_expression(rng, base))
+                        for j in range(rng.randint(1, 3))
+                    ),
+                )
+                for i in range(24)
+            ),
+        )
+        candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
+        for _ in range(6):
+            required = _random_expression(rng, world)
+            pairs = [
+                (resource_id, capability.id,
+                 match_capabilities(required, capability.expression, world))
+                for resource_id, capability in candidates
+            ]
+            expected = sorted(
+                (item for item in pairs if item[2].degree is not MatchDegree.DISJOINT),
+                key=lambda item: (-item[2].degree.rank, item[0], item[1]),
+            )
+            assert rank_providers(required, candidates, world) == expected
+            class_disjoint += sum(
+                class_relation(world.taxonomy, required.class_id,
+                               capability.expression.class_id) == "disjoint"
+                for _, capability in candidates
+            )
+    assert class_disjoint > 0
 
 
 def test_symmetry_properties():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,17 +8,23 @@ import pytest
 from conftest import exec_world_doc
 
 from csskit.documents import build_world, document_to_text, load_document_text, world_to_doc
-from csskit.errors import NotFoundError
-from csskit.expressions import parse_expression
+from csskit.errors import ModelInvalidError, NotFoundError
+from csskit.expressions import Atom, CapabilityExpression, parse_expression
+from csskit.matching import match_capabilities, rank_providers
 from csskit.model import (
     Capability,
     ParameterSpec,
+    ProcessStep,
+    Product,
+    PropertyDefinition,
     Resource,
     SkillDescriptor,
     WorldModel,
     resolve_capability,
     validate_model,
 )
+from csskit.orchestrate import plan
+from csskit.taxonomy import Taxonomy, TaxonomyClass
 
 
 def _capability(world, cid, iri, text):
@@ -209,3 +216,84 @@ def test_world_round_trip_from_doc_fixture():
     world = build_world([exec_world_doc()])
     text = document_to_text(world_to_doc(world))
     assert build_world([load_document_text(text)]) == world
+
+
+# --- the world's indexed lookups and kept derived data ----------------------------
+
+def test_lookups_return_the_first_entry_for_a_duplicated_id(base_world):
+    world = replace(
+        base_world,
+        property_defs=base_world.property_defs + (PropertyDefinition("depth", "real"),),
+        resources=(Resource("r-1"), Resource("r-1"), Resource("r-2")),
+        products=(Product("p-1"), Product("p-1"), Product("p-2")),
+    )
+    assert world.property_def("depth") is base_world.property_defs[0]
+    assert world.resource("r-1") is world.resources[0]
+    assert world.product("p-1") is world.products[0]
+    assert world.resource("r-2") is world.resources[2]
+    assert world.property_def("width") is world.resource("r-9") is world.product("p-9") is None
+
+
+def _kept_sizes(world) -> dict:
+    return {
+        (type(holder).__name__, name): len(value)
+        for holder in (world, world.taxonomy)
+        for name, value in vars(holder).items()
+        if isinstance(value, dict)
+    }
+
+
+def test_caller_expressions_are_not_kept_by_the_world(two_resource_world):
+    world = two_resource_world
+    classes = [c.id for c in world.taxonomy.classes]
+    # fill everything bounded by the world itself: ancestor sets, domains,
+    # the normal forms of the capabilities it owns
+    for class_id in classes:
+        world.taxonomy.ancestor_set(class_id)
+    for prop in world.property_defs:
+        world.domain(prop.id)
+    candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
+    rank_providers(parse_expression("Drilling", world), candidates, world)
+    before = _kept_sizes(world)
+
+    rng = random.Random(3)
+    for i in range(1000):
+        required = CapabilityExpression(
+            rng.choice(classes), (Atom("depth", "<=", rng.randint(0, 100), "mm"),)
+        )
+        provided = CapabilityExpression(
+            rng.choice(classes), (Atom("torque", ">=", i % 10, None),)
+        )
+        match_capabilities(required, provided, world)
+        caller_made = Capability(f"cap-{i}", f"urn:cap:{i}", provided)
+        rank_providers(required, candidates + [("r-caller", caller_made)], world)
+    assert _kept_sizes(world) == before
+
+
+def test_invalid_world_builds_and_only_plan_raises():
+    step = ProcessStep("s-1", CapabilityExpression("Drilling"))
+    world = WorldModel(
+        taxonomy=Taxonomy(
+            classes=(TaxonomyClass("Root"), TaxonomyClass("Drilling", parent="Missing"))
+        ),
+        property_defs=(
+            PropertyDefinition("depth", "quantity"),
+            PropertyDefinition("grade", "enum"),
+        ),
+        resources=(
+            Resource(
+                "r-1",
+                (
+                    Capability(
+                        "cap-1",
+                        "urn:cap:1",
+                        CapabilityExpression("Drilling", (Atom("width", "<=", 3, None),)),
+                    ),
+                ),
+            ),
+        ),
+        products=(Product("p-1", (step,)),),
+    )
+    assert not validate_model(world).ok
+    with pytest.raises(ModelInvalidError):
+        plan(world.product("p-1"), world)

@@ -33,7 +33,7 @@ from csskit.orchestrate import (
 from csskit.protocol import connect_loopback
 from csskit.skills import FeasibilityResult, SkillFault
 
-from conftest import exec_world_doc
+from conftest import _drill_skill, exec_world_doc
 
 SUCCESS_SEQUENCE = (
     "Resetting", "Idle", "Starting", "Execute", "Completing", "Complete",
@@ -189,6 +189,34 @@ def test_plan_requires_clean_validation(exec_world):
     )
     with pytest.raises(ModelInvalidError):
         plan(broken.products[0], broken)
+
+
+def test_plan_is_the_same_on_a_reused_and_a_fresh_world():
+    """The world keeps derived data between plans; that must not change them."""
+    doc = exec_world_doc()
+    envelopes = (
+        "Separating and (depth <= 40 mm)",
+        "Separating and (depth >= 5 mm)",
+        "Milling and (depth <= 90 mm)",
+        "Drilling and (depth >= 11 mm)",
+    )
+    for i, expression in enumerate(envelopes):
+        doc["resources"].append({
+            "id": f"r-extra-{i}",
+            "capabilities": [
+                {"id": f"cap-extra-{i}", "iri": f"urn:cap:drill-x{i}",
+                 "expression": expression},
+            ],
+            "skills": [_drill_skill(f"x{i}")],
+        })
+    world = build_world([doc])
+    product = world.product("prod-bracket")
+    first = plan(product, world)
+    assert len(first.entries[0].alternates) == 4  # all but the Milling provider
+    assert plan(product, world) == first
+    assert plan(product, replace(world)) == first
+    fresh = build_world([doc])
+    assert plan(fresh.product("prod-bracket"), fresh) == first
 
 
 def test_plan_soundness(exec_world):

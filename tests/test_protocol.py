@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+import socket
+import threading
+import time
 from decimal import Decimal
 
 import pytest
 
-from csskit import jsonio
-from csskit.errors import ParseError, RemoteError, TimeoutError
+from csskit import jsonio, protocol
+from csskit.errors import ConnectionLostError, ParseError, RemoteError, TimeoutError
 from csskit.protocol import (
     Message,
+    ProtocolServer,
     ServerSession,
     connect_loopback,
     connect_tcp,
@@ -203,6 +207,65 @@ def test_tcp_two_clients_command_different_skills():
         c1.close()
         c2.close()
         server.close()
+
+
+def test_tcp_sockets_disable_nagle_on_both_ends(monkeypatch):
+    """A response and its events are separate small writes; with Nagle's
+    algorithm on, each waits for the peer's delayed ACK."""
+    client_socks: list[socket.socket] = []
+    server_socks: list[socket.socket] = []
+    create_connection = socket.create_connection
+    serve_connection = ProtocolServer._serve_connection
+
+    def spy_connect(*args, **kwargs):
+        client_socks.append(create_connection(*args, **kwargs))
+        return client_socks[-1]
+
+    def spy_serve(self, conn):
+        server_socks.append(conn)
+        serve_connection(self, conn)
+
+    monkeypatch.setattr(protocol.socket, "create_connection", spy_connect)
+    monkeypatch.setattr(ProtocolServer, "_serve_connection", spy_serve)
+    host, _ = make_host()
+    server = serve(host, ("127.0.0.1", 0))
+    client = connect_tcp(("127.0.0.1", server.port))
+    try:
+        client.hello()  # the server has set up its end once it answers
+        for sock in (client_socks[0], server_socks[0]):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        client.close()
+        server.close()
+
+
+def test_tcp_peer_disconnect_fails_requests_at_once():
+    """A peer that accepts and then closes must not leave requests waiting
+    out their timeout."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def accept_then_close():
+        conn, _ = listener.accept()
+        conn.close()
+
+    peer = threading.Thread(target=accept_then_close, daemon=True)
+    peer.start()
+    client = connect_tcp(("127.0.0.1", port))
+    try:
+        started = time.monotonic()
+        with pytest.raises(ConnectionLostError):
+            client.hello(timeout=3)
+        assert time.monotonic() - started < 1.5
+        started = time.monotonic()
+        with pytest.raises(ConnectionLostError):
+            client.list_skills(timeout=3)
+        assert time.monotonic() - started < 0.5
+    finally:
+        client.close()
+        peer.join(timeout=2)
+        listener.close()
+    assert not peer.is_alive()
 
 
 def _scripted_session(client, lrid) -> list[str]:

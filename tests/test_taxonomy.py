@@ -103,3 +103,22 @@ def test_structural_issues():
 
     duplicated = Taxonomy(classes=(TaxonomyClass("A"), TaxonomyClass("A")))
     assert any("duplicate class id" in msg for msg in duplicated.structural_issues())
+
+
+def test_subclass_tests_on_broken_trees():
+    dangling = Taxonomy(
+        classes=(TaxonomyClass("A"), TaxonomyClass("B", parent="Missing"))
+    )
+    for _ in range(2):  # the second answer comes from the kept ancestor set
+        with pytest.raises(UnknownClassError):
+            is_subclass_of(dangling, "B", "A")
+    cyclic = Taxonomy(
+        classes=(
+            TaxonomyClass("Root"),
+            TaxonomyClass("A", parent="B"),
+            TaxonomyClass("B", parent="A"),
+        )
+    )
+    for _ in range(2):
+        assert is_subclass_of(cyclic, "A", "B")
+        assert not is_subclass_of(cyclic, "A", "Root")
