@@ -166,15 +166,14 @@ def _cmd_match(args) -> int:
     required = parse_expression(args.required, world)
     provided = parse_expression(args.provided, world)
     result = match_capabilities(required, provided, world)
+    witness = result.witness  # derived from per_property on each read
 
     if args.format == "lines":
         print(
             jsonio.dumps(
                 {
                     "degree": result.degree.value,
-                    "witness": None
-                    if result.witness is None
-                    else {k: result.witness[k] for k in sorted(result.witness)},
+                    "witness": witness,
                     "perProperty": {
                         property_id: {
                             "required": format_feasible_set(comparison.required),
@@ -188,9 +187,9 @@ def _cmd_match(args) -> int:
         )
     else:
         print(f"degree: {result.degree.value}")
-        if result.witness is not None:
+        if witness is not None:
             rendered = ", ".join(
-                f"{k} = {format_literal(v)}" for k, v in sorted(result.witness.items())
+                f"{k} = {format_literal(v)}" for k, v in sorted(witness.items())
             )
             print(f"witness: {rendered if rendered else '(unconstrained)'}")
         for property_id, comparison in sorted(result.per_property.items()):

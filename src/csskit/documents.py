@@ -315,9 +315,8 @@ def build_world(docs: list[dict]) -> WorldModel:
     if taxonomy is None:
         raise DocumentInvalidError("no taxonomy provided")
 
-    world = WorldModel(taxonomy=taxonomy)
     if body is None:
-        return world
+        return WorldModel(taxonomy=taxonomy)
 
     raw_properties = body.get("properties", [])
     if not isinstance(raw_properties, list):
@@ -352,10 +351,6 @@ def build_world(docs: list[dict]) -> WorldModel:
                 ),
             )
         )
-    world = WorldModel(
-        taxonomy=taxonomy, property_defs=properties, resources=tuple(resources)
-    )
-
     products = []
     raw_products = body.get("products", [])
     if not isinstance(raw_products, list):

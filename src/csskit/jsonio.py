@@ -29,7 +29,7 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(exc.msg, offset) from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(str(exc)) from exc
 
 

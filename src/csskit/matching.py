@@ -79,8 +79,17 @@ class PropertyComparison:
 @dataclass(frozen=True)
 class MatchResult:
     degree: MatchDegree
-    witness: dict[str, Literal] | None
     per_property: dict[str, PropertyComparison]
+
+    @property
+    def witness(self) -> dict[str, Literal] | None:
+        """One member of every per-property intersection; None when DISJOINT."""
+        if self.degree is MatchDegree.DISJOINT:
+            return None
+        return {
+            property_id: _as_literal(comparison.intersection.pick_member())
+            for property_id, comparison in self.per_property.items()
+        }
 
 
 def satisfiable(nf: NormalForm, tax: Taxonomy) -> bool:
@@ -149,7 +158,7 @@ def _compare(
     if not (required_below or provided_below) or any(
         comparison.intersection.is_empty for comparison in per_property.values()
     ):
-        return MatchResult(MatchDegree.DISJOINT, None, per_property)
+        return MatchResult(MatchDegree.DISJOINT, per_property)
 
     required_in_provided = required_below and all(
         c.required.subset_of(c.provided) for c in per_property.values()
@@ -167,11 +176,7 @@ def _compare(
     else:
         degree = MatchDegree.INTERSECT
 
-    witness = {
-        property_id: _as_literal(comparison.intersection.pick_member())
-        for property_id, comparison in per_property.items()
-    }
-    return MatchResult(degree, witness, per_property)
+    return MatchResult(degree, per_property)
 
 
 def _as_literal(value) -> Literal:

@@ -100,6 +100,10 @@ class _UnsupportedVersion(CssError):
     code = "UnsupportedVersion"
 
 
+def _error_line(correlation_id: str, code: str, message: str) -> str:
+    return encode(Message("error", correlation_id, {"code": code, "message": message}))
+
+
 class ServerSession:
     """Per-connection request dispatch plus subscription event fan-out.
 
@@ -155,40 +159,29 @@ class ServerSession:
             self._handling = True
         try:
             response = self._respond(line)
-        finally:
-            with self._lock:
-                self._safe_send(encode(response))
-                for buffered in self._event_buffer:
-                    self._safe_send(buffered)
-                self._event_buffer.clear()
-                self._handling = False
+        except Exception as exc:  # noqa: BLE001 - every line is owed one response
+            response = _error_line("", "InternalError", str(exc))
+        with self._lock:
+            self._safe_send(response)
+            for buffered in self._event_buffer:
+                self._safe_send(buffered)
+            self._event_buffer.clear()
+            self._handling = False
 
-    def _respond(self, line: str) -> Message:
+    def _respond(self, line: str) -> str:
         try:
             request = decode(line)
         except ParseError as exc:
-            return Message(
-                kind="error",
-                correlation_id="",
-                payload={"code": exc.code, "message": exc.message},
-            )
+            return _error_line("", exc.code, exc.message)
         try:
             if request.kind not in REQUEST_KINDS:
                 raise _BadRequest(f"{request.kind} is not a request kind")
             payload = self._dispatch(request)
-            return Message("result", request.correlation_id, payload)
+            return encode(Message("result", request.correlation_id, payload))
         except CssError as exc:
-            return Message(
-                kind="error",
-                correlation_id=request.correlation_id,
-                payload={"code": exc.code, "message": exc.message},
-            )
-        except Exception as exc:  # noqa: BLE001 - survive behavior bugs
-            return Message(
-                kind="error",
-                correlation_id=request.correlation_id,
-                payload={"code": "InternalError", "message": str(exc)},
-            )
+            return _error_line(request.correlation_id, exc.code, exc.message)
+        except Exception as exc:  # noqa: BLE001 - behavior bugs, unencodable results
+            return _error_line(request.correlation_id, "InternalError", str(exc))
 
     def _dispatch(self, request: Message) -> dict:
         if request.kind == "hello":

@@ -1,11 +1,14 @@
 """Skill hosting: profile state machines, parameter sets and checks.
 
 A host owns skill instances addressed by a host-unique ``localRuntimeId``.
-Commands move an instance through the 17-state PACKML-17 profile; acting
-states auto-advance on internal completion, driven by a simulated clock so
-runs are instant and deterministic. Behaviors plug in the actual work:
-``on_execute`` produces output values (or raises :class:`SkillFault`, which
-takes the instance down the abort path), plus optional feasibility and
+Commands move an instance through the 17-state PACKML-17 profile. Acting
+states complete inside the call that enters them: the host advances its
+simulated clock by the behavior's duration for each acting state and enters
+the next one, so runs are instant and deterministic. A duration of None
+parks the instance in that state until ``advance()``. Behaviors plug in the
+actual work: ``on_execute`` produces output values (or raises
+:class:`SkillFault`; an undeclared or ill-typed output counts as one too),
+which takes the instance down the abort path, plus optional feasibility and
 precondition callbacks mirroring the descriptor's check flags.
 
 Concurrency: one lock serializes commands, writes and completions; reads
@@ -14,7 +17,6 @@ take the same lock and return consistent snapshots.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -85,7 +87,7 @@ def transition(state: str, command: str) -> str | None:
 
 
 class SimulatedClock:
-    """Monotonic simulated time; the host advances it to due completions."""
+    """Monotonic simulated time; hosts advance it as acting states complete."""
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
@@ -123,7 +125,11 @@ class SkillBehavior:
         return None
 
     def duration(self, state: str, inputs: dict[str, Literal]) -> float | None:
-        """Simulated seconds spent in an acting state; None = until advance()."""
+        """Simulated seconds spent in an acting state, asked on each entry.
+
+        The completion runs inside the host call that entered the state;
+        None parks the instance there until ``advance()``.
+        """
         return 0.0
 
 
@@ -161,10 +167,6 @@ class _Instance:
         self.output_values: dict[str, Literal] = {}
         self.last_error: str | None = None
         self.event_seq = 0
-        self.timer_token = 0
-        self.exec_started = False
-        self.exec_remaining: float | None = 0.0
-        self.exec_deadline: float | None = None
 
 
 class SkillHost:
@@ -175,10 +177,8 @@ class SkillHost:
         self.clock = clock if clock is not None else SimulatedClock()
         self._lock = threading.RLock()
         self._instances: dict[str, _Instance] = {}
-        self._by_skill_id: dict[str, str] = {}
+        self._skill_ids: set[str] = set()
         self._listeners: list = []
-        self._timers: list = []
-        self._timer_counter = itertools.count()
         self._id_counter = itertools.count(1)
 
     # -- registration and discovery --------------------------------------
@@ -191,14 +191,14 @@ class SkillHost:
             problems = descriptor_issues(descriptor)
             if problems:
                 raise DescriptorInvalidError("; ".join(problems))
-            if descriptor.skill_id in self._by_skill_id:
+            if descriptor.skill_id in self._skill_ids:
                 raise DuplicateSkillIdError(
                     f"skill id {descriptor.skill_id!r} is already registered"
                 )
             local_runtime_id = f"lr-{next(self._id_counter):04d}"
             instance = _Instance(local_runtime_id, descriptor, behavior)
             self._instances[local_runtime_id] = instance
-            self._by_skill_id[descriptor.skill_id] = local_runtime_id
+            self._skill_ids.add(descriptor.skill_id)
             return local_runtime_id
 
     def local_runtime_ids(self) -> tuple[str, ...]:
@@ -228,11 +228,8 @@ class SkillHost:
                 reason = instance.behavior.precondition(dict(instance.input_values))
                 if reason is not None:
                     raise PreconditionViolatedError(reason)
-            if instance.state == "Execute" and target in ("Holding", "Suspending"):
-                self._capture_remaining(instance)
-            instance.timer_token += 1  # cancel any pending completion
             self._enter(instance, target)
-            self._pump()
+            self._settle(instance)
             return target
 
     def advance(self, local_runtime_id: str) -> str:
@@ -244,9 +241,8 @@ class SkillHost:
                 raise WrongStateError(
                     f"state {instance.state} has no internal completion"
                 )
-            instance.timer_token += 1
-            self._complete(instance)
-            self._pump()
+            self._enter(instance, ACTING_NEXT[instance.state])
+            self._settle(instance)
             return instance.state
 
     def write_parameters(self, local_runtime_id: str,
@@ -318,14 +314,6 @@ class SkillHost:
             raise UnknownSkillError(f"no skill instance {local_runtime_id!r}")
         return instance
 
-    def _capture_remaining(self, instance: _Instance) -> None:
-        if instance.exec_deadline is None:
-            instance.exec_remaining = None
-        else:
-            instance.exec_remaining = max(
-                instance.exec_deadline - self.clock.now(), 0.0
-            )
-
     def _enter(self, instance: _Instance, state: str) -> None:
         previous = instance.state
         instance.state = state
@@ -343,70 +331,35 @@ class SkillHost:
         if state == "Resetting":
             instance.output_values = {}
             instance.last_error = None
-            instance.exec_started = False
-            instance.exec_remaining = 0.0
-
-        if state == "Execute":
-            if previous == "Starting":
-                instance.exec_started = True
-                try:
-                    outputs = instance.behavior.on_execute(dict(instance.input_values))
-                except SkillFault as fault:
-                    instance.last_error = str(fault) or "execution failed"
-                    instance.timer_token += 1
-                    self._enter(instance, "Aborting")
-                    return
-                self._store_outputs(instance, outputs or {})
-                duration = instance.behavior.duration("Execute", dict(instance.input_values))
+        elif state == "Execute" and previous == "Starting":
+            try:
+                outputs = instance.behavior.on_execute(dict(instance.input_values)) or {}
+                _check_outputs(instance.descriptor, outputs)
+            except SkillFault as fault:
+                instance.last_error = str(fault) or "execution failed"
+                self._enter(instance, "Aborting")
             else:
-                duration = instance.exec_remaining
-            self._schedule(instance, duration, track_deadline=True)
-            return
+                instance.output_values.update(outputs)
 
-        if state in ACTING_NEXT:
-            duration = instance.behavior.duration(state, dict(instance.input_values))
-            self._schedule(instance, duration, track_deadline=False)
-
-    def _store_outputs(self, instance: _Instance, outputs: dict[str, Literal]) -> None:
-        for param_id, value in outputs.items():
-            spec = instance.descriptor.parameter(param_id)
-            if spec is None or spec.direction != "output":
-                raise TypeMismatchError(
-                    f"behavior produced undeclared output {param_id!r}"
-                )
-            if not literal_matches(spec.datatype, value):
-                raise TypeMismatchError(
-                    f"output {param_id}: {value!r} is not a {spec.datatype} literal"
-                )
-            instance.output_values[param_id] = value
-
-    def _schedule(self, instance: _Instance, duration: float | None,
-                  track_deadline: bool) -> None:
-        if track_deadline:
-            instance.exec_deadline = (
-                None if duration is None else self.clock.now() + duration
+    def _settle(self, instance: _Instance) -> None:
+        """Complete acting states on the clock until one parks or none is left."""
+        while instance.state in ACTING_NEXT:
+            duration = instance.behavior.duration(
+                instance.state, dict(instance.input_values)
             )
-        if duration is None:
-            return
-        due = self.clock.now() + duration
-        heapq.heappush(
-            self._timers,
-            (due, next(self._timer_counter), instance.local_runtime_id,
-             instance.timer_token),
-        )
+            if duration is None:
+                return
+            self.clock.advance_to(self.clock.now() + duration)
+            self._enter(instance, ACTING_NEXT[instance.state])
 
-    def _complete(self, instance: _Instance) -> None:
-        target = ACTING_NEXT.get(instance.state)
-        if target is None:
-            return
-        self._enter(instance, target)
 
-    def _pump(self) -> None:
-        while self._timers:
-            due, _, local_runtime_id, token = heapq.heappop(self._timers)
-            instance = self._instances.get(local_runtime_id)
-            if instance is None or token != instance.timer_token:
-                continue
-            self.clock.advance_to(due)
-            instance.timer_token += 1
-            self._complete(instance)
+def _check_outputs(descriptor: SkillDescriptor, outputs: dict[str, Literal]) -> None:
+    """Raise SkillFault naming the first undeclared or ill-typed output."""
+    for param_id, value in outputs.items():
+        spec = descriptor.parameter(param_id)
+        if spec is None or spec.direction != "output":
+            raise SkillFault(f"behavior produced undeclared output {param_id!r}")
+        if not literal_matches(spec.datatype, value):
+            raise SkillFault(
+                f"output {param_id}: {value!r} is not a {spec.datatype} literal"
+            )

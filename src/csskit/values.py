@@ -15,8 +15,6 @@ from .errors import TypeMismatchError, UnknownUnitError
 
 DATATYPES = ("integer", "real", "enum", "boolean")
 
-NUMERIC_DATATYPES = ("integer", "real")
-
 #: unit -> (base unit, exact scale factor into the base unit)
 UNIT_TABLE: dict[str, tuple[str, Fraction]] = {
     "mm": ("m", Fraction(1, 1000)),

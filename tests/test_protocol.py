@@ -20,7 +20,7 @@ from csskit.protocol import (
     encode,
     serve,
 )
-from csskit.skills import SkillHost
+from csskit.skills import FeasibilityResult, SkillHost
 
 from test_skills import DrillBehavior, drill_descriptor
 
@@ -102,6 +102,51 @@ def test_malformed_line_yields_parse_error_and_connection_survives():
     assert stray.payload["code"] == "ParseError"
     assert client.list_skills()  # still usable
     client.close()
+
+
+def test_deeply_nested_line_yields_one_parse_error():
+    host, _ = make_host()
+    client = connect_loopback(host)
+    client.send_raw("[" * 100000)
+    stray = client.next_stray(timeout=1)
+    assert stray.kind == "error"
+    assert stray.payload["code"] == "ParseError"
+    with pytest.raises(TimeoutError):
+        client.next_stray(timeout=0.05)
+    assert client.hello()["version"] == "css/1"
+    client.close()
+
+
+def test_unencodable_result_is_an_internal_error_for_its_request():
+    class NanEstimate(DrillBehavior):
+        def feasibility(self, inputs):
+            return FeasibilityResult(True, estimates={"seconds": float("nan")})
+
+    host = SkillHost()
+    lrid = host.register_skill(
+        drill_descriptor(has_feasibility_check=True), NanEstimate()
+    )
+    client = connect_loopback(host)
+    client.hello()
+    with pytest.raises(RemoteError) as excinfo:
+        client.feasibility(lrid, {"depth": 3}, timeout=1)
+    assert excinfo.value.remote_code == "InternalError"
+    assert client.read(lrid)["state"] == "Stopped"
+    client.close()
+
+
+def test_handle_line_answers_once_when_respond_fails(monkeypatch):
+    host, _ = make_host()
+    lines: list[str] = []
+    session = ServerSession(host, "s", lines.append)
+
+    def broken(line):
+        raise RuntimeError("dispatch broke")
+
+    monkeypatch.setattr(session, "_respond", broken)
+    session.handle_line("{}")
+    assert [decode(line).payload["code"] for line in lines] == ["InternalError"]
+    session.close()
 
 
 def test_remote_errors_carry_runtime_codes():

@@ -20,6 +20,7 @@ from csskit.skills import (
     STATES,
     FeasibilityResult,
     SkillBehavior,
+    SimulatedClock,
     SkillFault,
     SkillHost,
 )
@@ -400,3 +401,116 @@ def test_simulated_durations_advance_clock():
     host.fire_command(lrid, "Start")
     assert host.read_skill(lrid).state == "Complete"
     assert host.clock.now() == 2.5
+
+
+class ParkedExecute(DrillBehavior):
+    """Parks in Execute until host.advance(); every other acting state is instant."""
+
+    def __init__(self):
+        self.executions = 0
+
+    def on_execute(self, inputs):
+        self.executions += 1
+        return super().on_execute(inputs)
+
+    def duration(self, state, inputs):
+        return None if state == "Execute" else 0.0
+
+
+def test_hosts_sharing_a_clock_stamp_events_in_simulated_time():
+    class Timed(DrillBehavior):
+        def __init__(self, seconds):
+            self.seconds = seconds
+
+        def duration(self, state, inputs):
+            return self.seconds.get(state, 0.0)
+
+    clock = SimulatedClock()
+    first, second = SkillHost("first", clock), SkillHost("second", clock)
+    events = []
+    first.add_listener(lambda e: events.append(("first", e.new_state, e.time)))
+    second.add_listener(lambda e: events.append(("second", e.new_state, e.time)))
+    a = first.register_skill(
+        drill_descriptor(), Timed({"Resetting": 1.0, "Execute": 2.5})
+    )
+    b = second.register_skill(
+        drill_descriptor(), Timed({"Starting": 0.5, "Completing": 4.0})
+    )
+    first.fire_command(a, "Reset")
+    second.fire_command(b, "Reset")
+    first.fire_command(a, "Start")
+    second.fire_command(b, "Start")
+    assert events == [
+        ("first", "Resetting", 0.0),
+        ("first", "Idle", 1.0),
+        ("second", "Resetting", 1.0),
+        ("second", "Idle", 1.0),
+        ("first", "Starting", 1.0),
+        ("first", "Execute", 1.0),
+        ("first", "Completing", 3.5),
+        ("first", "Complete", 3.5),
+        ("second", "Starting", 3.5),
+        ("second", "Execute", 4.0),
+        ("second", "Completing", 4.0),
+        ("second", "Complete", 8.0),
+    ]
+    assert clock.now() == 8.0
+
+
+@pytest.mark.parametrize(
+    "command, acting, final",
+    [("Stop", "Stopping", "Stopped"), ("Abort", "Aborting", "Aborted")],
+)
+def test_stop_or_abort_from_parked_execute_never_completes(command, acting, final):
+    host = SkillHost()
+    seen = []
+    host.add_listener(lambda e: seen.append(e.new_state))
+    lrid = host.register_skill(drill_descriptor(), ParkedExecute())
+    host.fire_command(lrid, "Reset")
+    host.fire_command(lrid, "Start")
+    assert host.read_skill(lrid).state == "Execute"
+    assert host.fire_command(lrid, command) == acting
+    assert host.read_skill(lrid).state == final
+    assert seen[-3:] == ["Execute", acting, final]
+    assert "Completing" not in seen
+
+
+def test_unsuspend_parks_execute_again_until_advance():
+    behavior = ParkedExecute()
+    host = SkillHost()
+    lrid = host.register_skill(drill_descriptor(), behavior)
+    host.fire_command(lrid, "Reset")
+    host.fire_command(lrid, "Start")
+    assert host.fire_command(lrid, "Suspend") == "Suspending"
+    assert host.read_skill(lrid).state == "Suspended"
+    assert host.fire_command(lrid, "Unsuspend") == "Unsuspending"
+    assert host.read_skill(lrid).state == "Execute"
+    assert host.advance(lrid) == "Complete"
+    assert behavior.executions == 1
+    assert host.read_skill(lrid).output_values == {"achievedDepth": 5}
+
+
+@pytest.mark.parametrize(
+    "outputs, named",
+    [
+        ({"achievedDepth": 5, "spindleSpeed": 300}, "spindleSpeed"),
+        ({"achievedDepth": "deep"}, "achievedDepth"),
+    ],
+    ids=["undeclared", "ill-typed"],
+)
+def test_bad_output_takes_abort_path_and_recovers(outputs, named):
+    class BadOutput(SkillBehavior):
+        def on_execute(self, inputs):
+            return outputs
+
+    host = SkillHost()
+    lrid = host.register_skill(drill_descriptor(), BadOutput())
+    host.fire_command(lrid, "Reset")
+    assert host.fire_command(lrid, "Start") == "Starting"
+    snapshot = host.read_skill(lrid)
+    assert snapshot.state == "Aborted"
+    assert named in snapshot.last_error
+    assert snapshot.output_values == {}
+    host.fire_command(lrid, "Clear")
+    host.fire_command(lrid, "Reset")
+    assert host.read_skill(lrid).state == "Idle"
