@@ -37,13 +37,10 @@ from .market import (
     select_offers,
 )
 from .matching import (
-    DISJOINT_CLASS,
     MatchDegree,
     MatchResult,
-    conjoin,
     match_capabilities,
     rank_providers,
-    satisfiable,
 )
 from .model import (
     Capability,
@@ -55,7 +52,6 @@ from .model import (
     SkillDescriptor,
     ValidationReport,
     WorldModel,
-    resolve_capability,
     validate_model,
 )
 from .orchestrate import (
@@ -88,7 +84,6 @@ from .skills import (
     transition,
 )
 from .taxonomy import Taxonomy, TaxonomyClass, is_subclass_of
-from .values import canonicalize_unit
 
 __version__ = "0.1.0"
 
@@ -102,7 +97,6 @@ __all__ = [
     "CapabilityExpression",
     "Contract",
     "CssError",
-    "DISJOINT_CLASS",
     "ExecuteOptions",
     "ExecutionTrace",
     "FeasibilityResult",
@@ -135,8 +129,6 @@ __all__ = [
     "bind_parameters",
     "build_resource_host",
     "build_world",
-    "canonicalize_unit",
-    "conjoin",
     "connect_loopback",
     "connect_tcp",
     "decode",
@@ -154,8 +146,6 @@ __all__ = [
     "parse_expression",
     "plan",
     "rank_providers",
-    "resolve_capability",
-    "satisfiable",
     "select_offers",
     "serve",
     "trace_to_lines",

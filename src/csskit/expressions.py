@@ -32,7 +32,6 @@ from .values import (
     Literal,
     convert_between_units,
     format_literal,
-    fraction_to_number,
     to_fraction,
     unit_base,
 )
@@ -171,16 +170,6 @@ class FeasibleSet:
             self.datatype, lower, lower_closed, upper, upper_closed,
             self.excluded | other.excluded,
         )
-
-    def count(self) -> int | None:
-        """Number of admissible values; None when infinite."""
-        if self.kind == "empty":
-            return 0
-        if self.kind == "members":
-            return len(self.members)
-        if self.datatype != "integer" or self.lower is None or self.upper is None:
-            return None
-        return int(self.upper - self.lower) + 1 - len(self.excluded)
 
     def pick_member(self):
         """Deterministic member: midpoint rule for intervals, smallest member
@@ -634,43 +623,6 @@ def _normalize_interval(prop, atoms: list[Atom]) -> FeasibleSet:
     return FeasibleSet.interval(
         prop.datatype, lower[0], lower[1], upper[0], upper[1], frozenset(excluded)
     )
-
-
-def normal_form_to_expression(nf: NormalForm, world: WorldModel) -> CapabilityExpression:
-    """Re-encode a normal form as an equivalent expression."""
-    atoms: list[Atom] = []
-    for property_id in sorted(nf.feasible):
-        fs = nf.feasible[property_id]
-        prop = world.property_def(property_id)
-        unit = prop.unit if prop is not None else None
-        if fs.kind == "members":
-            if len(fs.members) == 1:
-                atoms.append(Atom(property_id, "=", fs.members[0], None))
-            else:
-                atoms.append(Atom(property_id, "in", fs.members, None))
-            continue
-        if fs.kind == "empty":
-            # one contradictory pair keeps the encoding expressible
-            zero = 0 if fs.datatype == "integer" else Decimal(0)
-            one = 1 if fs.datatype == "integer" else Decimal(1)
-            atoms.append(Atom(property_id, ">=", one, unit))
-            atoms.append(Atom(property_id, "<=", zero, unit))
-            continue
-        if fs.lower is not None:
-            cmp = ">=" if fs.lower_closed else ">"
-            atoms.append(Atom(property_id, cmp, _bound_literal(fs, fs.lower), unit))
-        if fs.upper is not None:
-            cmp = "<=" if fs.upper_closed else "<"
-            atoms.append(Atom(property_id, cmp, _bound_literal(fs, fs.upper), unit))
-        for point in sorted(fs.excluded):
-            atoms.append(Atom(property_id, "!=", _bound_literal(fs, point), unit))
-    return CapabilityExpression(class_id=nf.class_id, atoms=tuple(atoms))
-
-
-def _bound_literal(fs: FeasibleSet, value: Fraction) -> Literal:
-    if fs.datatype == "integer":
-        return int(value)
-    return fraction_to_number(value)
 
 
 def format_feasible_set(fs: FeasibleSet) -> str:

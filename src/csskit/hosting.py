@@ -14,19 +14,21 @@ from fractions import Fraction
 from .errors import NotFoundError, UnitMismatchError, UnknownUnitError
 from .expressions import NormalForm
 from .model import Capability, Resource, SkillDescriptor, WorldModel
-from .skills import FeasibilityResult, SimulatedClock, SkillBehavior, SkillHost
+from .skills import FeasibilityResult, SkillBehavior, SkillHost
 from .values import convert_between_units, format_literal, fraction_to_number, to_fraction
+
+#: simulated seconds every envelope behavior spends in Execute
+EXECUTE_DURATION = 1.0
 
 
 class CapabilityEnvelopeBehavior(SkillBehavior):
     """Simulated behavior bounded by the capability's provided envelope."""
 
     def __init__(self, world: WorldModel, capability: Capability,
-                 descriptor: SkillDescriptor, execute_duration: float = 1.0):
+                 descriptor: SkillDescriptor):
         self._world = world
         self._descriptor = descriptor
         self._nf: NormalForm = world.normal_form(capability)
-        self._execute_duration = execute_duration
         # parameter -> property, from explicit mappings plus name equality
         self._param_to_property: dict[str, str] = {}
         for property_id, param_id in capability.property_to_parameter.items():
@@ -68,7 +70,7 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
                     ),
                 )
         return FeasibilityResult(
-            feasible=True, estimates={"durationSeconds": self._execute_duration}
+            feasible=True, estimates={"durationSeconds": EXECUTE_DURATION}
         )
 
     def on_execute(self, inputs):
@@ -101,13 +103,12 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
         return outputs
 
     def duration(self, state: str, inputs) -> float:
-        return self._execute_duration if state == "Execute" else 0.0
+        return EXECUTE_DURATION if state == "Execute" else 0.0
 
 
 def build_resource_host(
     world: WorldModel,
     resource_id: str,
-    clock: SimulatedClock | None = None,
     behavior_factory=None,
 ) -> SkillHost:
     """A host exposing every skill of one resource.
@@ -118,7 +119,7 @@ def build_resource_host(
     resource = world.resource(resource_id)
     if resource is None:
         raise NotFoundError(f"no resource {resource_id!r} in the world")
-    host = SkillHost(name=resource_id, clock=clock)
+    host = SkillHost(name=resource_id)
     factory = behavior_factory or CapabilityEnvelopeBehavior
     for descriptor in resource.skills:
         capability = _capability_for(world, resource, descriptor)

@@ -34,7 +34,7 @@ from .expressions import (
     normalize,
 )
 from .model import WorldModel
-from .taxonomy import Taxonomy, is_subclass_of
+from .taxonomy import is_subclass_of
 from .values import Literal, fraction_to_number
 
 
@@ -59,16 +59,6 @@ _DEGREE_RANK = {
 }
 
 
-class _ClassDisjoint:
-    """Marker returned by conjoin when neither class subsumes the other."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "DISJOINT_CLASS"
-
-
-DISJOINT_CLASS = _ClassDisjoint()
-
-
 @dataclass(frozen=True)
 class PropertyComparison:
     required: FeasibleSet
@@ -90,37 +80,6 @@ class MatchResult:
             property_id: _as_literal(comparison.intersection.pick_member())
             for property_id, comparison in self.per_property.items()
         }
-
-
-def satisfiable(nf: NormalForm, tax: Taxonomy) -> bool:
-    """True iff the class exists and every feasible set is non-empty."""
-    if not tax.has_class(nf.class_id):
-        return False
-    return all(not fs.is_empty for fs in nf.feasible.values())
-
-
-def conjoin(
-    required: NormalForm, provided: NormalForm, tax: Taxonomy
-) -> NormalForm | _ClassDisjoint:
-    """Conjunction of two normal forms; DISJOINT_CLASS under closure when
-    neither class subsumes the other."""
-    if is_subclass_of(tax, required.class_id, provided.class_id):
-        class_id = required.class_id
-    elif is_subclass_of(tax, provided.class_id, required.class_id):
-        class_id = provided.class_id
-    else:
-        return DISJOINT_CLASS
-    feasible: dict[str, FeasibleSet] = {}
-    for property_id in sorted(set(required.feasible) | set(provided.feasible)):
-        left = required.feasible.get(property_id)
-        right = provided.feasible.get(property_id)
-        if left is None:
-            feasible[property_id] = right
-        elif right is None:
-            feasible[property_id] = left
-        else:
-            feasible[property_id] = left.intersect(right)
-    return NormalForm(class_id=class_id, feasible=feasible)
 
 
 def match_capabilities(

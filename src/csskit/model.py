@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import TYPE_CHECKING
 
-from .errors import NotFoundError
 from .taxonomy import Taxonomy
 from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
@@ -189,14 +188,6 @@ def _first_by_id(items) -> dict:
     for item in items:
         index.setdefault(item.id, item)
     return index
-
-
-def resolve_capability(world: WorldModel, iri: str) -> Capability:
-    """The unique capability carrying ``iri``; first in model order on ties."""
-    for _, capability in world.capabilities():
-        if capability.iri == iri:
-            return capability
-    raise NotFoundError(f"no capability carries iri {iri!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 Planning consults the capability matcher per step and keeps the full ranked
 candidate list, so execution can fail over to the next-ranked provider when
-a feasibility check rejects, a precondition fails, or a run aborts. The
-trace records every state change, parameter write, feasibility verdict and
-output read with a logical timestamp, which makes repeated runs over
-identical worlds byte-for-byte reproducible.
+a feasibility check rejects, a run aborts, or any request fails: an error
+response (a violated precondition among them), a timeout or a lost
+connection, each recorded as one ``error`` entry. A skill found resting in
+Aborted, Stopped or Complete is first walked back to Idle (Clear, then
+Reset), so one failed run does not block the next. The trace records every
+state change, parameter write, feasibility verdict and output read with a
+logical timestamp, which makes repeated runs over identical worlds
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -20,6 +25,7 @@ from .errors import (
     NoMatchForStepError,
     RemoteError,
     StepFailedNoAlternativeError,
+    TimeoutError,
     TypeMismatchError,
     UnboundRequiredParameterError,
     UnknownParameterError,
@@ -85,7 +91,6 @@ class ExecutionTrace:
 @dataclass(frozen=True)
 class ExecuteOptions:
     use_feasibility: bool = True
-    event_timeout: float = 5.0
 
 
 def bind_parameters(
@@ -244,95 +249,109 @@ def execute_plan(
     return trace.build()
 
 
+#: rest state -> (command that leaves it, state it settles in), one step toward Idle
+_RECOVERY = {
+    "Aborted": ("Clear", "Stopped"),
+    "Stopped": ("Reset", "Idle"),
+    "Complete": ("Reset", "Idle"),
+}
+
+#: a request failed: an error response, no response in time, or a closed transport
+_FAILED_REQUEST = (RemoteError, TimeoutError, ConnectionLostError)
+
+
 def _attempt_step(
     entry: PlanEntry,
     client: SkillClient,
     options: ExecuteOptions,
     trace: _TraceBuilder,
 ) -> bool:
-    """One candidate attempt; True on success, False to fail over."""
-    listed = client.list_skills()
-    local_runtime_id = next(
-        (
-            item["localRuntimeId"]
-            for item in listed
-            if item["skillId"] == entry.skill_id
-        ),
-        None,
-    )
-    if local_runtime_id is None:
-        trace.add(
-            entry.step_id,
-            "",
-            "error",
-            {"code": "UnknownSkill", "skillId": entry.skill_id},
-        )
-        return False
+    """One candidate attempt; True on success, False to fail over.
 
-    description = client.describe(local_runtime_id)
-    client.subscribe(local_runtime_id)
+    A failed request ends the attempt with one ``error`` record.
+    """
+    local_runtime_id = ""
     try:
-        if options.use_feasibility and description["hasFeasibilityCheck"]:
-            verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
+        listed = client.list_skills()
+        local_runtime_id = next(
+            (
+                item["localRuntimeId"]
+                for item in listed
+                if item["skillId"] == entry.skill_id
+            ),
+            "",
+        )
+        if not local_runtime_id:
             trace.add(
                 entry.step_id,
-                local_runtime_id,
-                "feasibility",
-                {"feasible": verdict["feasible"], "reason": verdict.get("reason")},
-            )
-            if not verdict["feasible"]:
-                return False
-
-        state = client.read(local_runtime_id)["state"]
-        if state == "Stopped":
-            client.command(local_runtime_id, "Reset")
-            if not _await_state(client, entry, local_runtime_id, "Idle", options, trace):
-                return False
-        elif state != "Idle":
-            trace.add(
-                entry.step_id,
-                local_runtime_id,
+                "",
                 "error",
-                {"code": "WrongState", "state": state},
+                {"code": "UnknownSkill", "skillId": entry.skill_id},
             )
             return False
 
-        client.write(local_runtime_id, entry.parameter_assignment)
-        trace.add(
-            entry.step_id,
-            local_runtime_id,
-            "paramWrite",
-            {"values": dict(entry.parameter_assignment)},
-        )
-
+        description = client.describe(local_runtime_id)
+        client.subscribe(local_runtime_id)
         try:
-            client.command(local_runtime_id, "Start")
-        except RemoteError as exc:
-            if exc.remote_code == "PreconditionViolated":
+            if options.use_feasibility and description["hasFeasibilityCheck"]:
+                verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
+                trace.add(
+                    entry.step_id,
+                    local_runtime_id,
+                    "feasibility",
+                    {"feasible": verdict["feasible"], "reason": verdict.get("reason")},
+                )
+                if not verdict["feasible"]:
+                    return False
+
+            state = client.read(local_runtime_id)["state"]
+            while state in _RECOVERY:
+                command, state = _RECOVERY[state]
+                client.command(local_runtime_id, command)
+                _await_state(client, entry, local_runtime_id, state, trace)
+            if state != "Idle":
                 trace.add(
                     entry.step_id,
                     local_runtime_id,
                     "error",
-                    {"code": exc.remote_code, "message": exc.message},
+                    {"code": "WrongState", "state": state},
                 )
                 return False
-            raise
 
-        terminal = _await_state(
-            client, entry, local_runtime_id, "Complete", options, trace,
-            failure_state="Aborted",
-        )
-        if not terminal:
-            return False
+            client.write(local_runtime_id, entry.parameter_assignment)
+            trace.add(
+                entry.step_id,
+                local_runtime_id,
+                "paramWrite",
+                {"values": dict(entry.parameter_assignment)},
+            )
+            client.command(local_runtime_id, "Start")
+            terminal = _await_state(
+                client, entry, local_runtime_id, "Complete", trace,
+                failure_state="Aborted",
+            )
+            if not terminal:
+                return False
 
-        outputs = client.read(local_runtime_id)["outputValues"]
+            outputs = client.read(local_runtime_id)["outputValues"]
+            trace.add(
+                entry.step_id, local_runtime_id, "outputRead", {"outputs": outputs}
+            )
+            client.command(local_runtime_id, "Reset")
+            return _await_state(client, entry, local_runtime_id, "Idle", trace)
+        finally:
+            # best effort: a failed unsubscribe must not replace the attempt's outcome
+            with contextlib.suppress(*_FAILED_REQUEST):
+                client.subscribe(local_runtime_id, enable=False)
+    except _FAILED_REQUEST as exc:
+        code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
         trace.add(
-            entry.step_id, local_runtime_id, "outputRead", {"outputs": outputs}
+            entry.step_id,
+            local_runtime_id,
+            "error",
+            {"code": code, "message": exc.message},
         )
-        client.command(local_runtime_id, "Reset")
-        return _await_state(client, entry, local_runtime_id, "Idle", options, trace)
-    finally:
-        client.subscribe(local_runtime_id, enable=False)
+        return False
 
 
 def _await_state(
@@ -340,13 +359,12 @@ def _await_state(
     entry: PlanEntry,
     local_runtime_id: str,
     target: str,
-    options: ExecuteOptions,
     trace: _TraceBuilder,
     failure_state: str | None = None,
 ) -> bool:
     """Record state-change events until target (True) or failure_state (False)."""
     while True:
-        event = client.next_event(timeout=options.event_timeout)
+        event = client.next_event()
         if event.payload.get("localRuntimeId") != local_runtime_id:
             continue
         new_state = event.payload["newState"]

@@ -9,6 +9,8 @@ carry a per-connection strictly increasing ``seq``.
 
 Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
+A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
+TCP server reads such a line in bounded pieces and drops it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .skills import SkillEvent, SkillHost
 PROTOCOL_VERSION = "css/1"
 DEFAULT_PORT = 7007
 DEFAULT_TIMEOUT = 5.0
+#: longest request line a server reads, in UTF-8 bytes without the LF
+MAX_LINE_BYTES = 1 << 20
 
 REQUEST_KINDS = (
     "hello", "list_skills", "describe", "read", "write", "command",
@@ -111,9 +115,9 @@ class ServerSession:
     right after the response line, keeping per-connection output ordered.
     """
 
-    def __init__(self, host: SkillHost, server_name: str, send_line):
+    def __init__(self, host: SkillHost, name: str, send_line):
         self.host = host
-        self.server_name = server_name
+        self.name = name
         self._send_line = send_line
         self._lock = threading.Lock()
         self._subscriptions: set[str] = set()
@@ -169,6 +173,8 @@ class ServerSession:
             self._handling = False
 
     def _respond(self, line: str) -> str:
+        if len(line.encode("utf-8", "surrogatepass")) > MAX_LINE_BYTES:
+            return _error_line("", ParseError.code, f"line exceeds {MAX_LINE_BYTES} bytes")
         try:
             request = decode(line)
         except ParseError as exc:
@@ -189,7 +195,7 @@ class ServerSession:
             if version != PROTOCOL_VERSION:
                 raise _UnsupportedVersion(f"server speaks {PROTOCOL_VERSION}")
             self._hello_done = True
-            return {"serverName": self.server_name, "version": PROTOCOL_VERSION}
+            return {"serverName": self.name, "version": PROTOCOL_VERSION}
         if not self._hello_done:
             raise _HelloRequired("send hello before other requests")
 
@@ -282,10 +288,9 @@ class ServerSession:
 class ProtocolServer:
     """TCP server handle; one thread per connection, sessions independent."""
 
-    def __init__(self, host: SkillHost, endpoint=None, server_name: str | None = None):
+    def __init__(self, host: SkillHost, endpoint=None):
         address = _as_address(endpoint)
         self.host = host
-        self.server_name = server_name or host.name
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -318,14 +323,19 @@ class ProtocolServer:
             with send_lock:
                 conn.sendall((line + "\n").encode("utf-8"))
 
-        session = ServerSession(self.host, self.server_name, send_line)
+        session = ServerSession(self.host, self.host.name, send_line)
         try:
             # a response and its events go out as separate small writes; without
             # this, Nagle's algorithm holds each back until the peer's delayed ACK
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
-            for line in reader:
-                session.handle_line(line.rstrip("\n"))
+            reader = conn.makefile("rb")
+            while raw := reader.readline(MAX_LINE_BYTES + 1):
+                line = raw.rstrip(b"\n")
+                over_long = len(line) > MAX_LINE_BYTES
+                while over_long and raw and not raw.endswith(b"\n"):
+                    raw = reader.readline(MAX_LINE_BYTES + 1)  # skip to the line's end
+                # the session answers an over-long line, cut at the cap, with ParseError
+                session.handle_line(line.decode("utf-8", "replace" if over_long else "strict"))
         except (OSError, ValueError):
             pass
         finally:
@@ -348,9 +358,9 @@ class ProtocolServer:
         self._accept_thread.join(timeout=2.0)
 
 
-def serve(host: SkillHost, endpoint=None, server_name: str | None = None) -> ProtocolServer:
+def serve(host: SkillHost, endpoint=None) -> ProtocolServer:
     """Bind and start serving a skill host; returns the running server handle."""
-    return ProtocolServer(host, endpoint, server_name)
+    return ProtocolServer(host, endpoint)
 
 
 def _as_address(endpoint) -> tuple[str, int]:
@@ -510,15 +520,14 @@ class SkillClient:
         )
 
 
-def connect_loopback(host: SkillHost, server_name: str | None = None,
-                     client_name: str = "loopback-client") -> SkillClient:
+def connect_loopback(host: SkillHost, client_name: str = "loopback-client") -> SkillClient:
     """In-process transport: requests dispatch synchronously on the caller."""
     client_ref: list[SkillClient] = []
 
     def deliver_to_client(line: str) -> None:
         client_ref[0].feed_line(line)
 
-    session = ServerSession(host, server_name or host.name, deliver_to_client)
+    session = ServerSession(host, host.name, deliver_to_client)
     client = SkillClient(
         send_line=session.handle_line,
         on_close=session.close,
@@ -528,12 +537,11 @@ def connect_loopback(host: SkillHost, server_name: str | None = None,
     return client
 
 
-def connect_tcp(address, client_name: str = "tcp-client",
-                connect_timeout: float = DEFAULT_TIMEOUT) -> SkillClient:
+def connect_tcp(address, client_name: str = "tcp-client") -> SkillClient:
     """TCP transport with a background reader thread."""
     addr = _as_address(address)
     try:
-        sock = socket.create_connection(addr, timeout=connect_timeout)
+        sock = socket.create_connection(addr, timeout=DEFAULT_TIMEOUT)
     except OSError as exc:
         raise ConnectionLostError(f"cannot connect to {addr}: {exc}") from exc
     sock.settimeout(None)

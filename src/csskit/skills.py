@@ -12,12 +12,15 @@ which takes the instance down the abort path, plus optional feasibility and
 precondition callbacks mirroring the descriptor's check flags.
 
 Concurrency: one lock serializes commands, writes and completions; reads
-take the same lock and return consistent snapshots.
+take the same lock and return consistent snapshots. Listeners run under that
+lock; one that raises is logged and skipped, and neither the transition nor
+the listeners after it are affected.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 from dataclasses import dataclass, field
 
@@ -35,6 +38,8 @@ from .errors import (
 )
 from .model import LOCAL_RUNTIME_ID_FIELD, SkillDescriptor, descriptor_issues
 from .values import Literal, literal_matches
+
+_log = logging.getLogger(__name__)
 
 STATES = (
     "Stopped", "Starting", "Idle", "Suspended", "Execute", "Stopping",
@@ -326,7 +331,10 @@ class SkillHost:
             time=self.clock.now(),
         )
         for listener in list(self._listeners):
-            listener(event)
+            try:
+                listener(event)
+            except Exception:  # noqa: BLE001 - an observer must not break the transition
+                _log.exception("listener failed on %s -> %s", previous, state)
 
         if state == "Resetting":
             instance.output_values = {}

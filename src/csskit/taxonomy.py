@@ -99,13 +99,3 @@ def is_subclass_of(tax: Taxonomy, a: str, b: str) -> bool:
     tax.get(b)
     return a == b or b in tax.ancestor_set(a)
 
-
-def class_relation(tax: Taxonomy, a: str, b: str) -> str:
-    """One of equal | sub (a below b) | super (a above b) | disjoint."""
-    if a == b:
-        return "equal"
-    if is_subclass_of(tax, a, b):
-        return "sub"
-    if is_subclass_of(tax, b, a):
-        return "super"
-    return "disjoint"

@@ -37,14 +37,6 @@ def unit_base(unit: str) -> str:
     return entry[0]
 
 
-def canonicalize_unit(value: int | Decimal | Fraction, unit: str) -> tuple[int | Decimal, str]:
-    """Rescale ``value`` from ``unit`` into the base unit of its dimension."""
-    base, scale = UNIT_TABLE.get(unit, (None, None))
-    if base is None:
-        raise UnknownUnitError(f"unit {unit!r} is not in the scale table")
-    return fraction_to_number(to_fraction(value) * scale), base
-
-
 def convert_between_units(value: Fraction, from_unit: str | None, to_unit: str | None) -> Fraction:
     """Exact conversion between two table units of the same dimension.
 

@@ -20,7 +20,6 @@ from csskit.expressions import (
     evaluate_expression,
     expression_to_text,
     format_feasible_set,
-    normal_form_to_expression,
     normalize,
     parse_expression,
 )
@@ -234,22 +233,6 @@ def test_normalize_enum_and_boolean(base_world):
     nf = normalize(expr, base_world)
     assert nf.feasible["material"].members == ("steel",)
     assert nf.feasible["coolant"].members == (True,)
-
-
-def test_normalize_is_idempotent_under_reencoding(base_world):
-    texts = [
-        "Drilling and (depth <= 15 mm)",
-        "Drilling and (depth > 3 mm) and (depth < 17 mm) and (depth != 9 mm)",
-        "Screwing and (torque > 1.5) and (torque <= 8.25) and (torque != 3)",
-        "Drilling and (material in {steel, aluminium}) and (coolant = true)",
-        "Milling and (depth >= 20 mm) and (depth <= 10 mm)",
-        "Drilling and (cycle >= 1 min) and (cycle < 1 h)",
-        "Drilling",
-    ]
-    for text in texts:
-        nf = normalize(parse_expression(text, base_world), base_world)
-        again = normalize(normal_form_to_expression(nf, base_world), base_world)
-        assert again == nf, text
 
 
 def test_normalize_fractional_literals_on_integer_property(base_world):

@@ -11,16 +11,9 @@ from csskit.expressions import (
     evaluate_expression,
     normalize,
 )
-from csskit.matching import (
-    DISJOINT_CLASS,
-    MatchDegree,
-    conjoin,
-    match_capabilities,
-    rank_providers,
-    satisfiable,
-)
+from csskit.matching import MatchDegree, match_capabilities, rank_providers
 from csskit.model import Capability, PropertyDefinition, Resource, WorldModel
-from csskit.taxonomy import class_relation
+from csskit.taxonomy import is_subclass_of
 
 
 def _expr(world, text):
@@ -36,7 +29,7 @@ def test_satisfiable_nonempty_interval(base_world):
         _expr(base_world, "Drilling and (depth >= 10 mm) and (depth <= 15 mm)"),
         base_world,
     )
-    assert satisfiable(nf, base_world.taxonomy)
+    assert not nf.feasible["depth"].is_empty
 
 
 def test_satisfiable_empty_interval(base_world):
@@ -44,7 +37,7 @@ def test_satisfiable_empty_interval(base_world):
         _expr(base_world, "Drilling and (depth >= 20 mm) and (depth <= 15 mm)"),
         base_world,
     )
-    assert not satisfiable(nf, base_world.taxonomy)
+    assert nf.feasible["depth"].is_empty
 
 
 def test_satisfiable_point_with_excluded_point_matches_enumeration(base_world):
@@ -60,21 +53,16 @@ def test_satisfiable_point_with_excluded_point_matches_enumeration(base_world):
         v for v in range(lo, hi + 1) if evaluate_expression(expr, {"depth": v}, base_world)
     }
     assert oracle == set()
-    assert not satisfiable(nf, base_world.taxonomy)
+    assert nf.feasible["depth"].is_empty
 
 
-# --- conjoin ------------------------------------------------------------------
+# --- conjunction ---------------------------------------------------------------
 
 def test_conjoin_intersects_intervals(base_world):
-    required = normalize(
-        _expr(base_world, "Drilling and (depth >= 10 mm) and (depth <= 20 mm)"),
-        base_world,
-    )
-    provided = normalize(
-        _expr(base_world, "Drilling and (depth <= 15 mm)"), base_world
-    )
-    conjunction = conjoin(required, provided, base_world.taxonomy)
-    fs = conjunction.feasible["depth"]
+    required = _expr(base_world, "Drilling and (depth >= 10 mm) and (depth <= 20 mm)")
+    provided = _expr(base_world, "Drilling and (depth <= 15 mm)")
+    result = match_capabilities(required, provided, base_world)
+    fs = result.per_property["depth"].intersection
     # oracle: intersect by integer enumeration of both raw expressions
     members = {v for v in range(0, 101) if fs.contains(v)}
     oracle = {v for v in range(0, 101) if 10 <= v <= 20 and v <= 15}
@@ -82,16 +70,16 @@ def test_conjoin_intersects_intervals(base_world):
 
 
 def test_conjoin_sibling_classes_disjoint(base_world):
-    required = normalize(_expr(base_world, "Drilling"), base_world)
-    provided = normalize(_expr(base_world, "Milling"), base_world)
-    assert conjoin(required, provided, base_world.taxonomy) is DISJOINT_CLASS
+    required = _expr(base_world, "Drilling")
+    provided = _expr(base_world, "Milling")
+    assert match_capabilities(required, provided, base_world).degree is MatchDegree.DISJOINT
 
 
 def test_conjoin_subsumption_picks_specific_class(base_world):
-    required = normalize(_expr(base_world, "Separating"), base_world)
-    provided = normalize(_expr(base_world, "Drilling"), base_world)
-    conjunction = conjoin(required, provided, base_world.taxonomy)
-    assert conjunction.class_id == "Drilling"
+    general = _expr(base_world, "Separating")
+    specific = _expr(base_world, "Drilling")
+    assert match_capabilities(general, specific, base_world).degree is MatchDegree.SUBSUME
+    assert match_capabilities(specific, general, base_world).degree is MatchDegree.PLUGIN
 
 
 # --- match_capabilities --------------------------------------------------------
@@ -385,9 +373,9 @@ def test_pruned_ranking_equals_sorted_pairwise_matches():
             )
             assert rank_providers(required, candidates, world) == expected
             class_disjoint += sum(
-                class_relation(world.taxonomy, required.class_id,
-                               capability.expression.class_id) == "disjoint"
-                for _, capability in candidates
+                not is_subclass_of(world.taxonomy, required.class_id, provided)
+                and not is_subclass_of(world.taxonomy, provided, required.class_id)
+                for provided in (capability.expression.class_id for _, capability in candidates)
             )
     assert class_disjoint > 0
 

@@ -8,8 +8,9 @@ import pytest
 from conftest import exec_world_doc
 
 from csskit.documents import build_world, document_to_text, load_document_text, world_to_doc
-from csskit.errors import ModelInvalidError, NotFoundError
+from csskit.errors import ModelInvalidError
 from csskit.expressions import Atom, CapabilityExpression, parse_expression
+from csskit.hosting import build_resource_host
 from csskit.matching import match_capabilities, rank_providers
 from csskit.model import (
     Capability,
@@ -20,7 +21,6 @@ from csskit.model import (
     Resource,
     SkillDescriptor,
     WorldModel,
-    resolve_capability,
     validate_model,
 )
 from csskit.orchestrate import plan
@@ -174,17 +174,7 @@ def test_empty_product_is_a_warning_not_error(two_resource_world):
     assert any(issue.severity == "warning" for issue in report.issues)
 
 
-def test_resolve_capability(two_resource_world):
-    cap = resolve_capability(two_resource_world, "urn:cap:drill")
-    assert cap.id == "cap-drill"
-
-
-def test_resolve_capability_not_found(two_resource_world):
-    with pytest.raises(NotFoundError):
-        resolve_capability(two_resource_world, "urn:cap:unknown")
-
-
-def test_resolve_duplicate_iri_returns_first_and_validation_flags(two_resource_world):
+def test_duplicate_iri_fails_validation(two_resource_world):
     shadow = Capability(
         id="cap-shadow",
         iri="urn:cap:drill",
@@ -194,7 +184,6 @@ def test_resolve_duplicate_iri_returns_first_and_validation_flags(two_resource_w
         two_resource_world,
         resources=two_resource_world.resources + (Resource("r-shadow", (shadow,), ()),),
     )
-    assert resolve_capability(world, "urn:cap:drill").id == "cap-drill"
     assert not validate_model(world).ok
 
 
@@ -202,8 +191,9 @@ def test_clean_world_resolves_every_skill_reference(exec_world):
     report = validate_model(exec_world)
     assert report.ok
     for resource in exec_world.resources:
-        for skill in resource.skills:
-            assert resolve_capability(exec_world, skill.capability_ref) is not None
+        # raises NotFoundError for a skill whose capability reference resolves nowhere
+        host = build_resource_host(exec_world, resource.id)
+        assert len(host.local_runtime_ids()) == len(resource.skills)
 
 
 def test_world_document_round_trip(exec_world):

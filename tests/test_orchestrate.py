@@ -7,6 +7,7 @@ import pytest
 
 from csskit.documents import build_world
 from csskit.errors import (
+    ConnectionLostError,
     ModelInvalidError,
     NoMatchForStepError,
     StepFailedNoAlternativeError,
@@ -264,6 +265,25 @@ class RejectingPrecondition(CapabilityEnvelopeBehavior):
         return "no workpiece (injected)"
 
 
+class InfeasibleWithoutReason(CapabilityEnvelopeBehavior):
+    """The host refuses a verdict without a reason, so the request fails."""
+
+    def feasibility(self, inputs):
+        return FeasibilityResult(False)
+
+
+class FaultsOnFirstExecute(CapabilityEnvelopeBehavior):
+    def __init__(self, world, capability, descriptor):
+        super().__init__(world, capability, descriptor)
+        self.faulted = False
+
+    def on_execute(self, inputs):
+        if not self.faulted:
+            self.faulted = True
+            raise SkillFault("first run fails (injected)")
+        return super().on_execute(inputs)
+
+
 def test_execute_two_steps_in_order(exec_world):
     production_plan = plan(exec_world.product("prod-bracket"), exec_world)
     connections, cleanups = _loopback_connections(exec_world)
@@ -341,6 +361,84 @@ def test_execute_precondition_failure_fails_over():
     assert errors and errors[0].detail["code"] == "PreconditionViolated"
     # the failed attempt contributed its Reset pair before the fail-over
     assert trace.state_changes("step-drill")[-8:] == SUCCESS_SEQUENCE
+
+
+def test_execute_failed_request_fails_over(exec_world):
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(
+        exec_world, {"r-driller-a": InfeasibleWithoutReason}
+    )
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    errors = [r for r in trace.records if r.kind == "error"]
+    assert [(r.step_id, r.detail["code"]) for r in errors] == [("step-drill", "InternalError")]
+    assert set(errors[0].detail) == {"code", "message"}
+    assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+
+
+def test_execute_lost_connection_fails_over(exec_world):
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(exec_world)
+    connections["r-driller-a"].connection_lost("unplugged (injected)")
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    errors = [r for r in trace.records if r.kind == "error"]
+    assert [r.detail for r in errors] == [
+        {"code": "ConnectionLost", "message": "unplugged (injected)"}
+    ]
+    assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+
+
+def test_execute_missing_connection_still_raises(exec_world):
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(exec_world)
+    del connections["r-driller-a"]
+    try:
+        with pytest.raises(ConnectionLostError):
+            execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+
+
+def test_aborted_skills_are_recovered_on_the_next_run(exec_world):
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(
+        exec_world,
+        {"r-driller-a": FaultsOnFirstExecute, "r-driller-b": FaultsOnFirstExecute},
+    )
+    try:
+        with pytest.raises(StepFailedNoAlternativeError):
+            execute_plan(production_plan, connections)
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    assert not any(r.kind == "error" for r in trace.records)
+    assert trace.state_changes("step-drill") == ("Clearing", "Stopped", *SUCCESS_SEQUENCE)
+
+
+def test_complete_skill_is_reset_before_use(exec_world):
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(exec_world)
+    primary = connections["r-driller-a"]
+    (skill,) = primary.list_skills()
+    primary.command(skill["localRuntimeId"], "Reset")
+    primary.command(skill["localRuntimeId"], "Start")
+    assert primary.read(skill["localRuntimeId"])["state"] == "Complete"
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    assert not any(r.kind == "error" for r in trace.records)
+    assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE
 
 
 def test_execute_without_feasibility_option(exec_world):

@@ -117,6 +117,34 @@ def test_deeply_nested_line_yields_one_parse_error():
     client.close()
 
 
+def _hello_line(length: int) -> str:
+    """A hello request of exactly ``length`` UTF-8 bytes."""
+    line = '{"correlationId": "c-long", "kind": "hello", "payload": {"pad": ""}}'
+    return line.replace('""}', '"' + "x" * (length - len(line)) + '"}')
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_over_long_line_yields_one_parse_error(transport):
+    host, _ = make_host()
+    server = serve(host, ("127.0.0.1", 0)) if transport == "tcp" else None
+    client = connect_tcp(("127.0.0.1", server.port)) if server else connect_loopback(host)
+    try:
+        client.send_raw(_hello_line(protocol.MAX_LINE_BYTES))
+        at_cap = client.next_stray(timeout=5)
+        assert (at_cap.kind, at_cap.correlation_id) == ("result", "c-long")
+        client.send_raw(_hello_line(protocol.MAX_LINE_BYTES + 1))
+        over = client.next_stray(timeout=5)
+        assert (over.kind, over.correlation_id) == ("error", "")
+        assert over.payload["code"] == "ParseError"
+        with pytest.raises(TimeoutError):
+            client.next_stray(timeout=0.05)
+        assert client.hello()["version"] == "css/1"
+    finally:
+        client.close()
+        if server:
+            server.close()
+
+
 def test_unencodable_result_is_an_internal_error_for_its_request():
     class NanEstimate(DrillBehavior):
         def feasibility(self, inputs):

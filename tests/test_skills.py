@@ -351,6 +351,30 @@ def test_event_seq_is_per_instance_monotone():
         assert len(seqs) == 6  # one event per state change
 
 
+def test_raising_listener_neither_stops_others_nor_the_transition(caplog):
+    host = SkillHost()
+    lrid = host.register_skill(drill_descriptor(), DrillBehavior())
+    host.fire_command(lrid, "Reset")
+
+    def broken(event):
+        raise RuntimeError("listener broke (injected)")
+
+    seen = []
+    host.add_listener(broken)
+    host.add_listener(lambda e: seen.append(e.new_state))
+    assert host.fire_command(lrid, "Start") == "Starting"
+    snapshot = host.read_skill(lrid)
+    assert snapshot.state == "Complete"
+    assert snapshot.output_values == {"achievedDepth": 5}
+    assert seen == ["Starting", "Execute", "Completing", "Complete"]
+    assert [record.getMessage() for record in caplog.records] == [
+        "listener failed on Idle -> Starting",
+        "listener failed on Starting -> Execute",
+        "listener failed on Execute -> Completing",
+        "listener failed on Completing -> Complete",
+    ]
+
+
 def test_abort_reaches_aborted_within_one_completion():
     for state in ("Idle", "Execute", "Held", "Complete", "Stopping"):
         host = SkillHost()

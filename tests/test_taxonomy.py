@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from csskit.errors import UnknownClassError
-from csskit.taxonomy import Taxonomy, TaxonomyClass, class_relation, is_subclass_of
+from csskit.taxonomy import Taxonomy, TaxonomyClass, is_subclass_of
 
 from conftest import sample_taxonomy
 
@@ -74,10 +74,11 @@ def test_partial_order_on_larger_random_tree():
 
 def test_class_relation():
     tax = sample_taxonomy()
-    assert class_relation(tax, "Drilling", "Drilling") == "equal"
-    assert class_relation(tax, "Drilling", "Separating") == "sub"
-    assert class_relation(tax, "Separating", "Drilling") == "super"
-    assert class_relation(tax, "Drilling", "Screwing") == "disjoint"
+    assert is_subclass_of(tax, "Drilling", "Drilling")
+    assert is_subclass_of(tax, "Drilling", "Separating")
+    assert not is_subclass_of(tax, "Separating", "Drilling")
+    assert not is_subclass_of(tax, "Drilling", "Screwing")
+    assert not is_subclass_of(tax, "Screwing", "Drilling")
 
 
 def test_structural_issues():

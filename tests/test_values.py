@@ -7,33 +7,39 @@ import pytest
 
 from csskit.errors import TypeMismatchError, UnitMismatchError, UnknownUnitError
 from csskit.values import (
-    canonicalize_unit,
     convert_between_units,
     format_timestamp,
     fraction_to_number,
     literal_matches,
     parse_timestamp,
     to_fraction,
+    unit_base,
 )
 
 
+def _to_base(value, unit):
+    """``value`` in ``unit`` rescaled onto the base unit of its dimension."""
+    return fraction_to_number(convert_between_units(to_fraction(value), unit, unit_base(unit)))
+
+
 def test_canonicalize_unit_table_entries():
-    assert canonicalize_unit(15, "mm") == (Decimal("0.015"), "m")
-    assert canonicalize_unit(2, "min") == (120, "s")
-    assert canonicalize_unit(3, "h") == (10800, "s")
-    assert canonicalize_unit(Decimal("2.5"), "cm") == (Decimal("0.025"), "m")
-    assert canonicalize_unit(500, "g") == (Decimal("0.5"), "kg")
-    assert canonicalize_unit(7, "m") == (7, "m")
+    assert (unit_base("mm"), _to_base(15, "mm")) == ("m", Decimal("0.015"))
+    assert (unit_base("min"), _to_base(2, "min")) == ("s", 120)
+    assert (unit_base("h"), _to_base(3, "h")) == ("s", 10800)
+    assert (unit_base("cm"), _to_base(Decimal("2.5"), "cm")) == ("m", Decimal("0.025"))
+    assert (unit_base("g"), _to_base(500, "g")) == ("kg", Decimal("0.5"))
+    assert (unit_base("m"), _to_base(7, "m")) == ("m", 7)
 
 
 def test_canonicalize_unit_unknown():
     with pytest.raises(UnknownUnitError):
-        canonicalize_unit(1, "furlong")
+        unit_base("furlong")
+    with pytest.raises(UnknownUnitError):
+        convert_between_units(Fraction(1), "furlong", "m")
 
 
 def test_canonicalize_unit_is_exact_decimal():
-    value, base = canonicalize_unit(Decimal("0.1"), "mm")
-    assert base == "m"
+    value = _to_base(Decimal("0.1"), "mm")
     assert value == Decimal("0.0001")
     assert str(value) == "0.0001"
 
