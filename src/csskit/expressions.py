@@ -6,10 +6,11 @@ An expression is a taxonomy class plus a conjunction of per-property atoms:
 
 Normalization folds the atoms of each property into one feasible set: a
 numeric interval with excluded points, or a finite member set. Integer
-intervals are tightened to integer bounds (``depth < 15`` becomes
-``depth <= 14``) and every numeric value is rescaled onto the property's
-declared unit before folding. A property's optional declared range acts as
-its value domain, so feasible sets are clipped to it.
+intervals are tightened to closed ``int`` bounds (``depth < 15`` becomes
+``depth <= 14``), which stay exact without ``Fraction`` arithmetic, and
+every numeric value is rescaled onto the property's declared unit before
+folding. A property's optional declared range acts as its value domain, so
+feasible sets are clipped to it.
 """
 
 from __future__ import annotations
@@ -67,16 +68,17 @@ class FeasibleSet:
     """Canonical set of admissible values for one property.
 
     kind "interval": numeric, bounds in the property's declared unit; for
-    integer properties the bounds are closed integers and ``excluded`` holds
-    strictly interior integers. kind "members": finite enum/boolean subset.
+    integer properties the bounds are closed and, like the strictly interior
+    points in ``excluded``, plain ``int``s, for real properties they are
+    ``Fraction``s. kind "members": finite enum/boolean subset.
     kind "empty": unsatisfiable.
     """
 
     kind: str
     datatype: str
-    lower: Fraction | None = None
+    lower: int | Fraction | None = None
     lower_closed: bool = False
-    upper: Fraction | None = None
+    upper: int | Fraction | None = None
     upper_closed: bool = False
     excluded: frozenset = frozenset()
     members: tuple = ()
@@ -103,10 +105,11 @@ class FeasibleSet:
         upper_closed: bool,
         excluded=frozenset(),
     ) -> FeasibleSet:
-        excluded = frozenset(Fraction(x) for x in excluded)
         if datatype == "integer":
             return _canonical_integer(lower, lower_closed, upper, upper_closed, excluded)
-        return _canonical_real(lower, lower_closed, upper, upper_closed, excluded)
+        return _canonical_real(
+            lower, lower_closed, upper, upper_closed, frozenset(map(Fraction, excluded))
+        )
 
     # -- queries --------------------------------------------------------
 
@@ -119,7 +122,7 @@ class FeasibleSet:
             return False
         if self.kind == "members":
             return value in self.members
-        v = to_fraction(value)
+        v = value if type(value) is int else to_fraction(value)
         if self.datatype == "integer" and v.denominator != 1:
             return False
         if self.lower is not None:
@@ -171,6 +174,26 @@ class FeasibleSet:
             self.excluded | other.excluded,
         )
 
+    def meets(self, other: FeasibleSet) -> bool:
+        """Whether the two sets share a value, i.e. their intersection is not
+        empty. Decided from the bounds of the canonical forms; only a set with
+        excluded points falls back to building the intersection."""
+        if self.kind == "empty" or other.kind == "empty":
+            return False
+        if self.kind == "members":
+            return not set(self.members).isdisjoint(other.members)
+        if self.excluded or other.excluded:
+            return not self.intersect(other).is_empty
+        lower, lower_closed = _max_lower(
+            (self.lower, self.lower_closed), (other.lower, other.lower_closed)
+        )
+        upper, upper_closed = _min_upper(
+            (self.upper, self.upper_closed), (other.upper, other.upper_closed)
+        )
+        if lower is None or upper is None or lower < upper:
+            return True
+        return lower == upper and lower_closed and upper_closed
+
     def pick_member(self):
         """Deterministic member: midpoint rule for intervals, smallest member
         for finite sets. Only valid on non-empty sets."""
@@ -182,15 +205,15 @@ class FeasibleSet:
             return self._pick_integer()
         return self._pick_real()
 
-    def _pick_integer(self) -> Fraction:
+    def _pick_integer(self) -> int:
         if self.lower is not None and self.upper is not None:
-            start = Fraction(math.floor((self.lower + self.upper) / 2))
+            start = (self.lower + self.upper) // 2
         elif self.lower is not None:
             start = self.lower
         elif self.upper is not None:
             start = self.upper
         else:
-            start = Fraction(0)
+            start = 0
         offset = 0
         while True:
             for candidate in (start + offset, start - offset) if offset else (start,):
@@ -220,10 +243,10 @@ class FeasibleSet:
 
 def _canonical_integer(lower, lower_closed, upper, upper_closed, excluded) -> FeasibleSet:
     if lower is not None:
-        lower = Fraction(math.floor(lower) + 1) if not lower_closed else Fraction(math.ceil(lower))
+        lower = math.floor(lower) + 1 if not lower_closed else math.ceil(lower)
     if upper is not None:
-        upper = Fraction(math.ceil(upper) - 1) if not upper_closed else Fraction(math.floor(upper))
-    points = {x for x in excluded if x.denominator == 1}
+        upper = math.ceil(upper) - 1 if not upper_closed else math.floor(upper)
+    points = {int(x) for x in excluded if x == int(x)}
     # cascade endpoint exclusions into the bounds
     changed = True
     while changed:

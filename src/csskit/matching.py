@@ -11,14 +11,19 @@ the two satisfying sets relate:
     DISJOINT  no common satisfying assignment
 
 Cost is linear in the number of constrained properties; every check is a
-per-property interval or member-set operation. The two subclass tests are
-made once per pair and serve both the class-disjoint check and containment.
+per-property interval or member-set operation. Emptiness is decided from the
+bounds (intervals by the larger lower against the smaller upper bound,
+member sets by a disjointness test); an intersection is built only when a set
+has excluded points, and ``PropertyComparison.intersection`` is computed on
+read. The two subclass tests are made once per pair and serve both the
+class-disjoint check and containment.
 
-Ranking against a world normalizes the required side once and takes each
-candidate's normal form from the world, which keeps one per capability it
-owns; candidates whose class is disjoint from the required class are dropped
-before any per-property work. Expressions from callers (requests, offers,
-the CLI) are normalized per call and never kept.
+Ranking against a world normalizes the required side once and decides the
+class relation once per distinct candidate class, in a memo local to the
+call. Candidates whose class is disjoint from the required class are dropped
+before their normal form is read; the others take it from the world, which
+keeps one per capability it owns. Expressions from callers (requests,
+offers, the CLI) are normalized per call and never kept.
 """
 
 from __future__ import annotations
@@ -63,7 +68,11 @@ _DEGREE_RANK = {
 class PropertyComparison:
     required: FeasibleSet
     provided: FeasibleSet
-    intersection: FeasibleSet
+
+    @property
+    def intersection(self) -> FeasibleSet:
+        """The values both sides admit, computed on each read."""
+        return self.required.intersect(self.provided)
 
 
 @dataclass(frozen=True)
@@ -112,10 +121,10 @@ def _compare(
     for property_id in property_ids:
         r = required_nf.feasible_or_domain(property_id, world)
         p = provided_nf.feasible_or_domain(property_id, world)
-        per_property[property_id] = PropertyComparison(r, p, r.intersect(p))
+        per_property[property_id] = PropertyComparison(r, p)
 
-    if not (required_below or provided_below) or any(
-        comparison.intersection.is_empty for comparison in per_property.values()
+    if not (required_below or provided_below) or not all(
+        c.required.meets(c.provided) for c in per_property.values()
     ):
         return MatchResult(MatchDegree.DISJOINT, per_property)
 
@@ -153,18 +162,28 @@ def rank_providers(
 
     ``candidates`` is an iterable of (resource_id, Capability); the result is a
     list of (resource_id, capability_id, MatchResult), each result equal to
-    ``match_capabilities`` of the pair. The required side is normalized once,
-    and class-disjoint candidates are dropped before any per-property work.
+    ``match_capabilities`` of the pair. The required side is normalized once
+    and the class relation is decided once per distinct candidate class. A
+    class-disjoint candidate is dropped without being normalized, so its
+    normal form is neither read nor kept.
     """
     required_nf = normalize(required, world)
+    required_class = required_nf.class_id
     tax = world.taxonomy
+    relations: dict[str, tuple[bool, bool]] = {}
     scored = []
     for resource_id, capability in candidates:
-        provided_nf = world.normal_form(capability)
-        required_below = is_subclass_of(tax, required_nf.class_id, provided_nf.class_id)
-        provided_below = is_subclass_of(tax, provided_nf.class_id, required_nf.class_id)
+        class_id = capability.expression.class_id
+        relation = relations.get(class_id)
+        if relation is None:
+            relation = relations[class_id] = (
+                is_subclass_of(tax, required_class, class_id),
+                is_subclass_of(tax, class_id, required_class),
+            )
+        required_below, provided_below = relation
         if not (required_below or provided_below):
             continue
+        provided_nf = world.normal_form(capability)
         result = _compare(required_nf, provided_nf, world, required_below, provided_below)
         if result.degree is not MatchDegree.DISJOINT:
             scored.append((resource_id, capability.id, result))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import TYPE_CHECKING
 
+from . import expressions
 from .taxonomy import Taxonomy
 from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
@@ -154,21 +155,17 @@ class WorldModel:
         """The unconstrained feasible set of a defined property."""
         domain = self._domains.get(property_id)
         if domain is None:
-            from .expressions import full_domain
-
-            domain = full_domain(self.property_def(property_id))
+            domain = expressions.full_domain(self.property_def(property_id))
             self._domains[property_id] = domain
         return domain
 
     def normal_form(self, capability: Capability) -> NormalForm:
         """The capability's normal form; kept only when the world owns it."""
-        from .expressions import normalize
-
         if self._capabilities.get(capability.id) is not capability:
-            return normalize(capability.expression, self)
+            return expressions.normalize(capability.expression, self)
         nf = self._normal_forms.get(capability.id)
         if nf is None:
-            nf = normalize(capability.expression, self)
+            nf = expressions.normalize(capability.expression, self)
             self._normal_forms[capability.id] = nf
         return nf
 
@@ -269,8 +266,6 @@ def _validate_properties(world: WorldModel, error) -> None:
 
 
 def _validate_resources(world: WorldModel, error) -> None:
-    from .expressions import validate_expression
-
     resource_ids: set[str] = set()
     capability_ids: set[str] = set()
     capability_iris: set[str] = set()
@@ -295,7 +290,7 @@ def _validate_resources(world: WorldModel, error) -> None:
             if capability.iri in capability_iris:
                 error(cpath, f"duplicate capability iri {capability.iri!r}")
             capability_iris.add(capability.iri)
-            for message in validate_expression(capability.expression, world):
+            for message in expressions.validate_expression(capability.expression, world):
                 error(f"{cpath}.expression", message)
 
         for skill in resource.skills:
@@ -349,8 +344,6 @@ def descriptor_issues(skill: SkillDescriptor) -> list[str]:
 
 
 def _validate_products(world: WorldModel, error, warning) -> None:
-    from .expressions import normalize, validate_expression
-
     product_ids: set[str] = set()
     for product in world.products:
         ppath = f"products[{product.id}]"
@@ -365,12 +358,12 @@ def _validate_products(world: WorldModel, error, warning) -> None:
             if step.id in step_ids:
                 error(spath, f"duplicate step id {step.id!r}")
             step_ids.add(step.id)
-            messages = validate_expression(step.required_capability, world)
+            messages = expressions.validate_expression(step.required_capability, world)
             for message in messages:
                 error(f"{spath}.requiredCapability", message)
             if messages:
                 continue
-            nf = normalize(step.required_capability, world)
+            nf = expressions.normalize(step.required_capability, world)
             for property_id, value in step.parameter_values.items():
                 vpath = f"{spath}.parameterValues[{property_id}]"
                 prop = world.property_def(property_id)
@@ -392,8 +385,6 @@ def _validate_products(world: WorldModel, error, warning) -> None:
 
 
 def _validate_catalog(world: WorldModel, error) -> None:
-    from .expressions import validate_expression
-
     offer_ids: set[str] = set()
     for offer in world.service_catalog:
         opath = f"serviceCatalog[{offer.offer_id}]"
@@ -401,5 +392,5 @@ def _validate_catalog(world: WorldModel, error) -> None:
             error(opath, f"duplicate offer id {offer.offer_id!r}")
         offer_ids.add(offer.offer_id)
         for cap_key, expression in offer.provided_capabilities.items():
-            for message in validate_expression(expression, world):
+            for message in expressions.validate_expression(expression, world):
                 error(f"{opath}.providedCapabilities[{cap_key}]", message)

@@ -4,12 +4,12 @@ Planning consults the capability matcher per step and keeps the full ranked
 candidate list, so execution can fail over to the next-ranked provider when
 a feasibility check rejects, a run aborts, or any request fails: an error
 response (a violated precondition among them), a timeout or a lost
-connection, each recorded as one ``error`` entry. A skill found resting in
-Aborted, Stopped or Complete is first walked back to Idle (Clear, then
-Reset), so one failed run does not block the next. The trace records every
-state change, parameter write, feasibility verdict and output read with a
-logical timestamp, which makes repeated runs over identical worlds
-byte-for-byte reproducible.
+connection, each recorded as one ``error`` entry; an attempt that times out
+also aborts its skill. A skill found resting in Aborted, Stopped or Complete
+is first walked back to Idle (Clear, then Reset), so one failed run does not
+block the next. The trace records every state change, parameter write,
+feasibility verdict and output read with a logical timestamp, which makes
+repeated runs over identical worlds byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -268,7 +268,10 @@ def _attempt_step(
 ) -> bool:
     """One candidate attempt; True on success, False to fail over.
 
-    A failed request ends the attempt with one ``error`` record.
+    A failed request ends the attempt with one ``error`` record. An attempt
+    that gives up on a timeout then aborts the skill, best effort, so its
+    events are not left for the next run and the next run's walk to Idle
+    recovers it.
     """
     local_runtime_id = ""
     try:
@@ -339,19 +342,31 @@ def _attempt_step(
             )
             client.command(local_runtime_id, "Reset")
             return _await_state(client, entry, local_runtime_id, "Idle", trace)
+        except TimeoutError as exc:
+            _record_failure(entry, local_runtime_id, exc, trace)
+            with contextlib.suppress(*_FAILED_REQUEST):
+                client.command(local_runtime_id, "Abort")
+                _await_state(client, entry, local_runtime_id, "Aborted", trace)
+            return False
         finally:
             # best effort: a failed unsubscribe must not replace the attempt's outcome
             with contextlib.suppress(*_FAILED_REQUEST):
                 client.subscribe(local_runtime_id, enable=False)
     except _FAILED_REQUEST as exc:
-        code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
-        trace.add(
-            entry.step_id,
-            local_runtime_id,
-            "error",
-            {"code": code, "message": exc.message},
-        )
+        _record_failure(entry, local_runtime_id, exc, trace)
         return False
+
+
+def _record_failure(
+    entry: PlanEntry, local_runtime_id: str, exc: Exception, trace: _TraceBuilder
+) -> None:
+    code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
+    trace.add(
+        entry.step_id,
+        local_runtime_id,
+        "error",
+        {"code": code, "message": exc.message},
+    )
 
 
 def _await_state(

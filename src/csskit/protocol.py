@@ -10,7 +10,8 @@ carry a per-connection strictly increasing ``seq``.
 Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
 A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
-TCP server reads such a line in bounded pieces and drops it.
+TCP server reads such a line in bounded pieces and drops it. A line that is
+not valid UTF-8 also gets one ``ParseError`` and is never executed.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ class ServerSession:
     def _respond(self, line: str) -> str:
         if len(line.encode("utf-8", "surrogatepass")) > MAX_LINE_BYTES:
             return _error_line("", ParseError.code, f"line exceeds {MAX_LINE_BYTES} bytes")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # lone surrogates: bytes that were not UTF-8
+                return _error_line("", ParseError.code, "line is not valid UTF-8")
         try:
             request = decode(line)
         except ParseError as exc:
@@ -334,9 +340,10 @@ class ProtocolServer:
                 over_long = len(line) > MAX_LINE_BYTES
                 while over_long and raw and not raw.endswith(b"\n"):
                     raw = reader.readline(MAX_LINE_BYTES + 1)  # skip to the line's end
-                # the session answers an over-long line, cut at the cap, with ParseError
-                session.handle_line(line.decode("utf-8", "replace" if over_long else "strict"))
-        except (OSError, ValueError):
+                # bytes that are not UTF-8 become lone surrogates; the session
+                # answers them, and an over-long line cut at the cap, with ParseError
+                session.handle_line(line.decode("utf-8", "surrogateescape"))
+        except OSError:
             pass
         finally:
             session.close()
@@ -438,7 +445,11 @@ class SkillClient:
     # -- requests ----------------------------------------------------------
 
     def invoke(self, kind: str, payload: dict | None = None,
-               timeout: float = DEFAULT_TIMEOUT) -> dict:
+               timeout: float | None = None) -> dict:
+        """Send one request and wait for its response; ``timeout`` defaults to
+        ``DEFAULT_TIMEOUT`` as it is when called."""
+        if timeout is None:
+            timeout = DEFAULT_TIMEOUT
         correlation_id = f"c-{next(self._corr):06d}"
         waiter: queue.Queue = queue.Queue()
         with self._lock:
@@ -468,14 +479,18 @@ class SkillClient:
             )
         return msg.payload
 
-    def next_event(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
+    def next_event(self, timeout: float | None = None) -> Message:
+        if timeout is None:
+            timeout = DEFAULT_TIMEOUT
         try:
             return self._events.get(timeout=timeout)
         except queue.Empty:
             raise TimeoutError(f"no event within {timeout} s") from None
 
-    def next_stray(self, timeout: float = DEFAULT_TIMEOUT) -> Message:
+    def next_stray(self, timeout: float | None = None) -> Message:
         """Next response that matched no pending request (e.g. ParseError)."""
+        if timeout is None:
+            timeout = DEFAULT_TIMEOUT
         try:
             return self._stray.get(timeout=timeout)
         except queue.Empty:
@@ -483,7 +498,7 @@ class SkillClient:
 
     # -- conveniences -------------------------------------------------------
 
-    def hello(self, timeout: float = DEFAULT_TIMEOUT) -> dict:
+    def hello(self, timeout: float | None = None) -> dict:
         return self.invoke(
             "hello", {"clientName": self.name, "version": PROTOCOL_VERSION}, timeout
         )

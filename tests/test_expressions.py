@@ -17,6 +17,7 @@ from csskit.errors import (
 from csskit.expressions import (
     Atom,
     CapabilityExpression,
+    FeasibleSet,
     evaluate_expression,
     expression_to_text,
     format_feasible_set,
@@ -290,3 +291,75 @@ def test_format_feasible_set(base_world):
     assert format_feasible_set(nf.feasible["depth"]) == "[10, 15]"
     nf = normalize(parse_expression("Screwing and (torque < 4)", base_world), base_world)
     assert format_feasible_set(nf.feasible["torque"]) == "[0, 4)"
+
+
+# --- the matching kernel: int bounds and emptiness from bounds ---------------
+
+def _random_feasible_set(rng, datatype):
+    if datatype == "enum":
+        return FeasibleSet.of_members("enum", rng.sample("abcde", rng.randint(0, 5)))
+
+    def bound():
+        if rng.random() < 0.2:
+            return None
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3)))
+
+    excluded = {
+        Fraction(rng.randint(-12, 12), rng.choice((1, 2)))
+        for _ in range(rng.choice((0, 0, 1, 3)))
+    }
+    return FeasibleSet.interval(
+        datatype, bound(), rng.random() < 0.5, bound(), rng.random() < 0.5, excluded
+    )
+
+
+def test_emptiness_from_bounds_equals_intersection():
+    rng = random.Random(6006)
+    for _ in range(6000):
+        datatype = rng.choice(("integer", "real", "enum"))
+        r = _random_feasible_set(rng, datatype)
+        p = _random_feasible_set(rng, datatype)
+        assert r.meets(p) == (not r.intersect(p).is_empty), (r, p)
+        assert r.meets(p) == p.meets(r)
+
+
+def _bound_values(fs):
+    return [v for v in (fs.lower, fs.upper) if v is not None] + sorted(fs.excluded)
+
+
+def test_integer_feasible_sets_have_int_bounds(base_world):
+    rng = random.Random(6007)
+    comparators = ["<", "<=", ">", ">=", "=", "!="]
+    seen = 0
+    for _ in range(300):
+        atoms = tuple(
+            Atom(
+                "depth",
+                rng.choice(comparators),
+                rng.choice((rng.randint(-10, 110), Decimal(rng.randint(-10, 110)) / 4)),
+                rng.choice(("mm", "mm", "cm")),
+            )
+            for _ in range(rng.randint(1, 4))
+        )
+        fs = normalize(CapabilityExpression("Drilling", atoms), base_world).feasible["depth"]
+        values = _bound_values(fs)
+        assert all(type(v) is int for v in values), fs
+        seen += len(values)
+        other = _random_feasible_set(rng, "integer")
+        assert all(type(v) is int for v in _bound_values(fs.intersect(other)))
+        if not fs.is_empty:
+            assert type(fs.pick_member()) is int
+    assert seen > 200
+    torque = normalize(parse_expression("Screwing and (torque < 4)", base_world), base_world)
+    assert all(type(v) is Fraction for v in _bound_values(torque.feasible["torque"]))
+
+
+def test_format_prints_int_and_whole_fraction_bounds_alike():
+    for low, high, excluded in ((10, 15, 12), (-3, 0, -1), (0, 100, 7)):
+        as_int = FeasibleSet("interval", "integer", low, True, high, True, frozenset({excluded}))
+        as_fraction = FeasibleSet(
+            "interval", "integer", Fraction(low), True, Fraction(high), True,
+            frozenset({Fraction(excluded)}),
+        )
+        assert format_feasible_set(as_int) == format_feasible_set(as_fraction)
+    assert format_feasible_set(as_int) == "[0, 100] \\ {7}"

@@ -243,7 +243,8 @@ def test_caller_expressions_are_not_kept_by_the_world(two_resource_world):
     for prop in world.property_defs:
         world.domain(prop.id)
     candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
-    rank_providers(parse_expression("Drilling", world), candidates, world)
+    for _, capability in candidates:
+        world.normal_form(capability)
     before = _kept_sizes(world)
 
     rng = random.Random(3)

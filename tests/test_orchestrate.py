@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from csskit import protocol
 from csskit.documents import build_world
 from csskit.errors import (
     ConnectionLostError,
@@ -284,6 +285,20 @@ class FaultsOnFirstExecute(CapabilityEnvelopeBehavior):
         return super().on_execute(inputs)
 
 
+class ParksOnFirstExecute(CapabilityEnvelopeBehavior):
+    """Never finishes its first Execute, so the attempt times out."""
+
+    def __init__(self, world, capability, descriptor):
+        super().__init__(world, capability, descriptor)
+        self.parked = False
+
+    def duration(self, state, inputs):
+        if state == "Execute" and not self.parked:
+            self.parked = True
+            return None
+        return super().duration(state, inputs)
+
+
 def test_execute_two_steps_in_order(exec_world):
     production_plan = plan(exec_world.product("prod-bracket"), exec_world)
     connections, cleanups = _loopback_connections(exec_world)
@@ -420,6 +435,30 @@ def test_aborted_skills_are_recovered_on_the_next_run(exec_world):
     finally:
         for close in cleanups:
             close()
+    assert not any(r.kind == "error" for r in trace.records)
+    assert trace.state_changes("step-drill") == ("Clearing", "Stopped", *SUCCESS_SEQUENCE)
+
+
+def test_timed_out_skills_are_aborted_and_recovered_on_the_next_run(
+    exec_world, monkeypatch
+):
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.2)
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(
+        exec_world,
+        {"r-driller-a": ParksOnFirstExecute, "r-driller-b": ParksOnFirstExecute},
+    )
+    try:
+        with pytest.raises(StepFailedNoAlternativeError) as excinfo:
+            execute_plan(production_plan, connections)
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    first = excinfo.value.trace
+    timeouts = [r for r in first.records if r.kind == "error" and r.detail["code"] == "Timeout"]
+    assert len(timeouts) == 2
+    assert first.state_changes("step-drill").count("Aborted") == 2
     assert not any(r.kind == "error" for r in trace.records)
     assert trace.state_changes("step-drill") == ("Clearing", "Stopped", *SUCCESS_SEQUENCE)
 

@@ -145,6 +145,33 @@ def test_over_long_line_yields_one_parse_error(transport):
             server.close()
 
 
+def test_invalid_utf8_line_yields_one_parse_error_over_tcp(monkeypatch):
+    client_socks: list[socket.socket] = []
+    create_connection = socket.create_connection
+
+    def spy_connect(*args, **kwargs):
+        client_socks.append(create_connection(*args, **kwargs))
+        return client_socks[-1]
+
+    monkeypatch.setattr(protocol.socket, "create_connection", spy_connect)
+    host, _ = make_host()
+    server = serve(host, ("127.0.0.1", 0))
+    client = connect_tcp(("127.0.0.1", server.port))
+    try:
+        client_socks[0].sendall(
+            b'{"correlationId": "c-bad", "kind": "hello", "payload": {"clientName": "\xff"}}\n'
+        )
+        stray = client.next_stray(timeout=5)
+        assert (stray.kind, stray.correlation_id) == ("error", "")
+        assert stray.payload["code"] == "ParseError"
+        with pytest.raises(TimeoutError):
+            client.next_stray(timeout=0.05)
+        assert client.hello()["version"] == "css/1"
+    finally:
+        client.close()
+        server.close()
+
+
 def test_unencodable_result_is_an_internal_error_for_its_request():
     class NanEstimate(DrillBehavior):
         def feasibility(self, inputs):
