@@ -11,7 +11,6 @@ from .documents import (
     build_world,
     load_document_file,
     load_document_text,
-    world_to_doc,
 )
 from .errors import CssError
 from .expressions import (
@@ -19,8 +18,6 @@ from .expressions import (
     CapabilityExpression,
     FeasibleSet,
     NormalForm,
-    evaluate_expression,
-    expression_to_text,
     normalize,
     parse_expression,
 )
@@ -55,7 +52,6 @@ from .model import (
     validate_model,
 )
 from .orchestrate import (
-    ExecuteOptions,
     ExecutionTrace,
     PlanEntry,
     ProductionPlan,
@@ -97,7 +93,6 @@ __all__ = [
     "CapabilityExpression",
     "Contract",
     "CssError",
-    "ExecuteOptions",
     "ExecutionTrace",
     "FeasibilityResult",
     "FeasibleSet",
@@ -133,10 +128,8 @@ __all__ = [
     "connect_tcp",
     "decode",
     "encode",
-    "evaluate_expression",
     "evaluate_offer",
     "execute_plan",
-    "expression_to_text",
     "form_contract",
     "is_subclass_of",
     "load_document_file",
@@ -151,5 +144,4 @@ __all__ = [
     "trace_to_lines",
     "transition",
     "validate_model",
-    "world_to_doc",
 ]

@@ -19,6 +19,7 @@ from .documents import (
     endpoints_from_doc,
     load_document_file,
     offer_from_doc,
+    product_from_doc,
     request_from_doc,
 )
 from .errors import (
@@ -42,7 +43,7 @@ from .hosting import build_resource_host
 from .market import evaluate_offer, form_contract, select_offers
 from .matching import MatchDegree, match_capabilities
 from .model import validate_model
-from .orchestrate import ExecuteOptions, execute_plan, plan, trace_to_lines
+from .orchestrate import execute_plan, plan, trace_to_lines
 from .protocol import connect_tcp, serve
 from .values import format_literal, format_timestamp, parse_timestamp
 
@@ -203,10 +204,7 @@ def _cmd_match(args) -> int:
 
 
 def _load_product(args, world):
-    doc = load_document_file(args.product)
-    from .documents import product_from_doc
-
-    return product_from_doc(doc, world)
+    return product_from_doc(load_document_file(args.product), world)
 
 
 def _cmd_plan(args) -> int:
@@ -281,10 +279,11 @@ def _cmd_run(args) -> int:
             client = connect_tcp(endpoints[resource_id], client_name="csskit-run")
             client.hello()
             connections[resource_id] = client
-        options = ExecuteOptions(use_feasibility=not args.no_feasibility)
         code = 0
         try:
-            trace = execute_plan(production_plan, connections, options)
+            trace = execute_plan(
+                production_plan, connections, use_feasibility=not args.no_feasibility
+            )
         except StepFailedNoAlternativeError as exc:
             trace = exc.trace
             print(f"error: {exc.message}", file=sys.stderr)

@@ -4,7 +4,8 @@ Every document is a UTF-8 JSON tree with a top-level ``schema`` field.
 Parsing is strict: unknown schema strings and unknown fields are rejected,
 so interop documents fail loudly instead of drifting. Capability
 expressions travel as grammar strings and are resolved against the world
-being assembled.
+being assembled. csskit only reads documents; ``document_to_text`` renders
+a document tree that a caller has built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import jsonio
 from .errors import CssError, DocumentInvalidError
-from .expressions import expression_to_text, parse_expression
+from .expressions import parse_expression
 from .market import ServiceOffer, ServiceRequest, TenderCriteria
 from .model import (
     Capability,
@@ -27,7 +28,7 @@ from .model import (
     WorldModel,
 )
 from .taxonomy import Taxonomy, TaxonomyClass
-from .values import format_timestamp, parse_timestamp
+from .values import parse_timestamp
 
 SCHEMA_TAXONOMY = "css.taxonomy/1"
 SCHEMA_WORLD = "css.world/1"
@@ -123,18 +124,6 @@ def _parse_classes(raw, where: str) -> Taxonomy:
             )
         )
     return Taxonomy(classes=tuple(classes))
-
-
-def taxonomy_to_doc(tax: Taxonomy) -> dict:
-    classes = []
-    for cls in tax.classes:
-        entry: dict = {"id": cls.id}
-        if cls.parent is not None:
-            entry["parent"] = cls.parent
-        if cls.label:
-            entry["label"] = cls.label
-        classes.append(entry)
-    return {"schema": SCHEMA_TAXONOMY, "classes": classes}
 
 
 def _parse_property(item, where: str) -> PropertyDefinition:
@@ -378,96 +367,6 @@ def build_world(docs: list[dict]) -> WorldModel:
     )
 
 
-def world_to_doc(world: WorldModel) -> dict:
-    properties = []
-    for prop in world.property_defs:
-        entry: dict = {"id": prop.id, "datatype": prop.datatype}
-        if prop.unit is not None:
-            entry["unit"] = prop.unit
-        if prop.enum_values:
-            entry["enumValues"] = list(prop.enum_values)
-        if prop.declared_range is not None:
-            entry["declaredRange"] = list(prop.declared_range)
-        properties.append(entry)
-
-    resources = []
-    for resource in world.resources:
-        capabilities = []
-        for capability in resource.provided_capabilities:
-            c_entry: dict = {
-                "id": capability.id,
-                "iri": capability.iri,
-                "expression": expression_to_text(capability.expression),
-            }
-            if capability.property_to_parameter:
-                c_entry["propertyToParameter"] = dict(capability.property_to_parameter)
-            capabilities.append(c_entry)
-        skills = []
-        for skill in resource.skills:
-            s_entry: dict = {
-                "skillId": skill.skill_id,
-                "capabilityRef": skill.capability_ref,
-            }
-            if skill.name is not None:
-                s_entry["name"] = skill.name
-            if skill.parameters:
-                s_entry["parameters"] = [
-                    _parameter_to_doc(spec) for spec in skill.parameters
-                ]
-            if skill.has_feasibility_check:
-                s_entry["hasFeasibilityCheck"] = True
-            if skill.has_precondition_check:
-                s_entry["hasPreconditionCheck"] = True
-            skills.append(s_entry)
-        resources.append(
-            {"id": resource.id, "capabilities": capabilities, "skills": skills}
-        )
-
-    doc: dict = {
-        "schema": SCHEMA_WORLD,
-        "taxonomy": {"classes": taxonomy_to_doc(world.taxonomy)["classes"]},
-        "properties": properties,
-        "resources": resources,
-    }
-    if world.products:
-        doc["products"] = [_product_body(product) for product in world.products]
-    if world.service_catalog:
-        doc["catalog"] = [
-            _offer_body(offer) for offer in world.service_catalog
-        ]
-    return doc
-
-
-def _parameter_to_doc(spec: ParameterSpec) -> dict:
-    entry: dict = {
-        "paramId": spec.param_id,
-        "direction": spec.direction,
-        "datatype": spec.datatype,
-    }
-    if spec.unit is not None:
-        entry["unit"] = spec.unit
-    if spec.default is not None:
-        entry["default"] = spec.default
-    return entry
-
-
-def _product_body(product: Product) -> dict:
-    steps = []
-    for step in product.steps:
-        entry: dict = {
-            "id": step.id,
-            "requiredCapability": expression_to_text(step.required_capability),
-        }
-        if step.parameter_values:
-            entry["parameterValues"] = dict(step.parameter_values)
-        steps.append(entry)
-    return {"id": product.id, "steps": steps}
-
-
-def product_to_doc(product: Product) -> dict:
-    return {"schema": SCHEMA_PRODUCT, **_product_body(product)}
-
-
 # ---------------------------------------------------------------------------
 # requests and offers
 # ---------------------------------------------------------------------------
@@ -535,30 +434,6 @@ def request_from_doc(doc: dict, world: WorldModel) -> ServiceRequest:
             f"{SCHEMA_REQUEST}: responseDeadline must be after submittedAt"
         )
     return request
-
-
-def request_to_doc(request: ServiceRequest) -> dict:
-    tender = {
-        "quantity": request.tender.quantity,
-        "maxUnitPrice": request.tender.max_unit_price,
-        "maxCo2PerUnit": request.tender.max_co2_per_unit,
-        "deliveryDeadline": format_timestamp(request.tender.delivery_deadline),
-    }
-    if request.tender.required_certifications:
-        tender["requiredCertifications"] = sorted(request.tender.required_certifications)
-    if request.tender.nda_required:
-        tender["ndaRequired"] = True
-    return {
-        "schema": SCHEMA_REQUEST,
-        "requestId": request.request_id,
-        "requiredCapabilities": [
-            {"key": key, "expression": expression_to_text(expression)}
-            for key, expression in request.required_capabilities
-        ],
-        "tender": tender,
-        "submittedAt": format_timestamp(request.submitted_at),
-        "responseDeadline": format_timestamp(request.response_deadline),
-    }
 
 
 def offer_from_doc(doc: dict, world: WorldModel) -> ServiceOffer:
@@ -635,34 +510,6 @@ def _parse_offer_body(body: dict, where: str, world: WorldModel) -> ServiceOffer
         valid_until=_timestamp(entry, "validUntil", where),
         exclusive_group=exclusive_group,
     )
-
-
-def _offer_body(offer: ServiceOffer) -> dict:
-    body: dict = {
-        "offerId": offer.offer_id,
-        "providerId": offer.provider_id,
-        "requestId": offer.request_id,
-        "coveredCapKeys": list(offer.covered_cap_keys),
-        "providedCapabilities": {
-            key: expression_to_text(expression)
-            for key, expression in offer.provided_capabilities.items()
-        },
-        "unitPrice": offer.unit_price,
-        "co2PerUnit": offer.co2_per_unit,
-        "deliveryDate": format_timestamp(offer.delivery_date),
-        "validUntil": format_timestamp(offer.valid_until),
-    }
-    if offer.certifications:
-        body["certifications"] = sorted(offer.certifications)
-    if offer.nda_accepted:
-        body["ndaAccepted"] = True
-    if offer.exclusive_group is not None:
-        body["exclusiveGroup"] = offer.exclusive_group
-    return body
-
-
-def offer_to_doc(offer: ServiceOffer) -> dict:
-    return {"schema": SCHEMA_OFFER, **_offer_body(offer)}
 
 
 def endpoints_from_doc(doc: dict) -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""Capability expression grammar, normalization and direct evaluation.
+"""Capability expression grammar and normalization.
 
 An expression is a taxonomy class plus a conjunction of per-property atoms:
 
@@ -529,20 +529,6 @@ def parse_expression(text: str, world: WorldModel) -> CapabilityExpression:
     return _Parser(_tokenize(text), world).parse()
 
 
-def expression_to_text(expr: CapabilityExpression) -> str:
-    parts = [expr.class_id]
-    for atom in expr.atoms:
-        if atom.comparator == "in":
-            rendered = "{" + ", ".join(format_literal(v) for v in atom.literal) + "}"
-            parts.append(f"and ({atom.property_id} in {rendered})")
-        else:
-            rendered = format_literal(atom.literal)
-            if atom.unit:
-                rendered += f" {atom.unit}"
-            parts.append(f"and ({atom.property_id} {atom.comparator} {rendered})")
-    return " ".join(parts)
-
-
 def validate_expression(expr: CapabilityExpression, world: WorldModel) -> list[str]:
     """Non-raising re-check of a (possibly hand-built) expression."""
     issues: list[str] = []
@@ -582,7 +568,7 @@ def _check_atom_value(prop, value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# normalization and evaluation
+# normalization
 # ---------------------------------------------------------------------------
 
 def _atom_value_declared(prop, atom: Atom, value) -> Fraction:
@@ -663,40 +649,3 @@ def format_feasible_set(fs: FeasibleSet) -> str:
         text += " \\ {" + ", ".join(format_literal(x) for x in sorted(fs.excluded)) + "}"
     return text
 
-
-def evaluate_expression(
-    expr: CapabilityExpression, assignment, world: WorldModel
-) -> bool:
-    """Direct raw-atom evaluation of an assignment (class membership aside).
-
-    Assignment values are taken to be on each property's declared unit scale.
-    Missing properties fail the atoms that mention them.
-    """
-    for atom in expr.atoms:
-        if atom.property_id not in assignment:
-            return False
-        prop = world.property_def(atom.property_id)
-        value = assignment[atom.property_id]
-        if prop.datatype in ("integer", "real"):
-            v = to_fraction(value)
-            bound = _atom_value_declared(prop, atom, atom.literal)
-            if atom.comparator == "<" and not v < bound:
-                return False
-            if atom.comparator == "<=" and not v <= bound:
-                return False
-            if atom.comparator == ">" and not v > bound:
-                return False
-            if atom.comparator == ">=" and not v >= bound:
-                return False
-            if atom.comparator == "=" and not v == bound:
-                return False
-            if atom.comparator == "!=" and not v != bound:
-                return False
-        else:
-            if atom.comparator == "=" and value != atom.literal:
-                return False
-            if atom.comparator == "!=" and value == atom.literal:
-                return False
-            if atom.comparator == "in" and value not in atom.literal:
-                return False
-    return True

@@ -69,7 +69,7 @@ def _emit_seq(value, out: list[str], indent: int | None, depth: int) -> None:
     out.append("[")
     for i, item in enumerate(value):
         if i:
-            out.append("," if indent is None else ",")
+            out.append(",")
         _newline(out, indent, depth + 1)
         _emit(item, out, indent, depth + 1)
     _newline(out, indent, depth)

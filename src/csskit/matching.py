@@ -161,7 +161,7 @@ def rank_providers(
     """Non-disjoint candidates ordered by degree, then resource and capability id.
 
     ``candidates`` is an iterable of (resource_id, Capability); the result is a
-    list of (resource_id, capability_id, MatchResult), each result equal to
+    list of (resource_id, Capability, MatchResult), each result equal to
     ``match_capabilities`` of the pair. The required side is normalized once
     and the class relation is decided once per distinct candidate class. A
     class-disjoint candidate is dropped without being normalized, so its
@@ -186,6 +186,6 @@ def rank_providers(
         provided_nf = world.normal_form(capability)
         result = _compare(required_nf, provided_nf, world, required_below, provided_below)
         if result.degree is not MatchDegree.DISJOINT:
-            scored.append((resource_id, capability.id, result))
-    scored.sort(key=lambda item: (-item[2].degree.rank, item[0], item[1]))
+            scored.append((resource_id, capability, result))
+    scored.sort(key=lambda item: (-item[2].degree.rank, item[0], item[1].id))
     return scored

@@ -88,11 +88,6 @@ class ExecutionTrace:
         )
 
 
-@dataclass(frozen=True)
-class ExecuteOptions:
-    use_feasibility: bool = True
-
-
 def bind_parameters(
     step: ProcessStep,
     capability: Capability,
@@ -161,11 +156,8 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
     for step in product.steps:
         ranked = rank_providers(step.required_capability, candidates, world)
         qualifying: list[PlanEntry] = []
-        for resource_id, capability_id, result in ranked:
+        for resource_id, capability, result in ranked:
             resource = world.resource(resource_id)
-            capability = next(
-                c for c in resource.provided_capabilities if c.id == capability_id
-            )
             provided_nf = world.normal_form(capability)
             inside = all(
                 provided_nf.feasible_or_domain(property_id, world).contains(value)
@@ -181,7 +173,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
                 PlanEntry(
                     step_id=step.id,
                     resource_id=resource_id,
-                    capability_id=capability_id,
+                    capability_id=capability.id,
                     skill_id=descriptor.skill_id,
                     match_degree=result.degree,
                     parameter_assignment=bind_parameters(
@@ -214,16 +206,18 @@ class _TraceBuilder:
 def execute_plan(
     plan_: ProductionPlan,
     connections,
-    options: ExecuteOptions | None = None,
+    *,
+    use_feasibility: bool = True,
 ) -> ExecutionTrace:
     """Run every plan entry in order through the given protocol clients.
 
     ``connections`` maps resource ids to connected, hello'd SkillClients.
-    On step failure the next-ranked candidate from planning is tried; with
-    none left a terminal error record is appended and
-    StepFailedNoAlternative (carrying the partial trace) is raised.
+    With ``use_feasibility`` false no feasibility check is asked for, even
+    of a skill that offers one. On step failure the next-ranked candidate
+    from planning is tried; with none left a terminal error record is
+    appended and StepFailedNoAlternative (carrying the partial trace) is
+    raised.
     """
-    options = options or ExecuteOptions()
     trace = _TraceBuilder()
 
     for entry in plan_.entries:
@@ -235,7 +229,7 @@ def execute_plan(
                     f"no connection for resource {candidate.resource_id!r}"
                 )
             client = connections[candidate.resource_id]
-            if _attempt_step(candidate, client, options, trace):
+            if _attempt_step(candidate, client, use_feasibility, trace):
                 succeeded = True
                 break
         if not succeeded:
@@ -263,7 +257,7 @@ _FAILED_REQUEST = (RemoteError, TimeoutError, ConnectionLostError)
 def _attempt_step(
     entry: PlanEntry,
     client: SkillClient,
-    options: ExecuteOptions,
+    use_feasibility: bool,
     trace: _TraceBuilder,
 ) -> bool:
     """One candidate attempt; True on success, False to fail over.
@@ -296,7 +290,7 @@ def _attempt_step(
         description = client.describe(local_runtime_id)
         client.subscribe(local_runtime_id)
         try:
-            if options.use_feasibility and description["hasFeasibilityCheck"]:
+            if use_feasibility and description["hasFeasibilityCheck"]:
                 verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
                 trace.add(
                     entry.step_id,

@@ -7,6 +7,7 @@ import pytest
 from csskit.documents import build_world
 from csskit.model import PropertyDefinition, WorldModel
 from csskit.taxonomy import Taxonomy, TaxonomyClass
+from csskit.values import convert_between_units, to_fraction
 
 
 def sample_taxonomy() -> Taxonomy:
@@ -149,3 +150,37 @@ def exec_world_doc() -> dict:
 @pytest.fixture
 def exec_world() -> WorldModel:
     return build_world([exec_world_doc()])
+
+
+def evaluate_expression(expr, assignment, world: WorldModel) -> bool:
+    """Enumeration oracle: evaluate every raw atom of ``expr`` on ``assignment``
+    (class membership aside), without going through normalization.
+
+    Assignment values are taken to be on each property's declared unit scale.
+    Missing properties fail the atoms that mention them.
+    """
+    for atom in expr.atoms:
+        if atom.property_id not in assignment:
+            return False
+        prop = world.property_def(atom.property_id)
+        value = assignment[atom.property_id]
+        if prop.datatype in ("integer", "real"):
+            v = to_fraction(value)
+            bound = convert_between_units(to_fraction(atom.literal), atom.unit, prop.unit)
+            holds = {
+                "<": v < bound,
+                "<=": v <= bound,
+                ">": v > bound,
+                ">=": v >= bound,
+                "=": v == bound,
+                "!=": v != bound,
+            }[atom.comparator]
+        elif atom.comparator == "in":
+            holds = value in atom.literal
+        elif atom.comparator == "=":
+            holds = value == atom.literal
+        else:
+            holds = value != atom.literal
+        if not holds:
+            return False
+    return True

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import csskit
 
-#: public names deleted because nothing in the package, the benchmark or the CLI used them
+#: public names deleted because nothing in the package, the benchmark or the CLI needed them
 DELETED = (
     "DISJOINT_CLASS",
+    "ExecuteOptions",
     "canonicalize_unit",
     "class_relation",
     "conjoin",
+    "evaluate_expression",
+    "expression_to_text",
     "normal_form_to_expression",
     "resolve_capability",
     "satisfiable",
+    "world_to_doc",
 )
 
 

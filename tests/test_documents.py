@@ -12,12 +12,8 @@ from csskit.documents import (
     endpoints_from_doc,
     load_document_text,
     offer_from_doc,
-    offer_to_doc,
     product_from_doc,
-    product_to_doc,
     request_from_doc,
-    request_to_doc,
-    world_to_doc,
 )
 from csskit.errors import DocumentInvalidError, ParseError
 
@@ -87,9 +83,9 @@ def test_missing_fields_rejected(base_world):
 
 
 def test_world_round_trip():
-    world = build_world([exec_world_doc()])
-    text = document_to_text(world_to_doc(world))
-    assert build_world([load_document_text(text)]) == world
+    doc = exec_world_doc()
+    text = document_to_text(doc)
+    assert build_world([load_document_text(text)]) == build_world([doc])
 
 
 def test_world_with_service_catalog_round_trips():
@@ -109,7 +105,7 @@ def test_world_with_service_catalog_round_trips():
     ]
     world = build_world([doc])
     assert world.service_catalog[0].offer_id == "cat-1"
-    text = document_to_text(world_to_doc(world))
+    text = document_to_text(doc)
     assert build_world([load_document_text(text)]) == world
 
 
@@ -133,15 +129,17 @@ def test_world_requires_exactly_one_taxonomy():
 
 
 def test_product_round_trip(base_world):
-    world = build_world([exec_world_doc()])
-    product = world.products[0]
-    doc = product_to_doc(product)
+    world_doc = exec_world_doc()
+    world = build_world([world_doc])
+    doc = {"schema": "css.product/1", **world_doc["products"][0]}
+    product = product_from_doc(doc, world)
+    assert product == world.products[0]
     assert product_from_doc(load_document_text(document_to_text(doc)), world) == product
 
 
 def test_request_round_trip(base_world):
     request = request_from_doc(request_doc(), base_world)
-    text = document_to_text(request_to_doc(request))
+    text = document_to_text(request_doc())
     again = request_from_doc(load_document_text(text), base_world)
     assert again == request
     assert again.tender.max_unit_price == Decimal("5.00")
@@ -149,7 +147,7 @@ def test_request_round_trip(base_world):
 
 def test_offer_round_trip(base_world):
     offer = offer_from_doc(offer_doc(), base_world)
-    text = document_to_text(offer_to_doc(offer))
+    text = document_to_text(offer_doc())
     again = offer_from_doc(load_document_text(text), base_world)
     assert again == offer
     assert str(again.unit_price) == "4.50"  # decimal digits survive

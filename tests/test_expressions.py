@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import evaluate_expression
+
 from csskit.errors import (
     ExpressionSyntaxError,
     TypeMismatchError,
@@ -18,8 +20,6 @@ from csskit.expressions import (
     Atom,
     CapabilityExpression,
     FeasibleSet,
-    evaluate_expression,
-    expression_to_text,
     format_feasible_set,
     normalize,
     parse_expression,
@@ -133,20 +133,6 @@ def test_parse_membership_and_boolean(base_world):
     )
     assert expr.atoms[0] == Atom("material", "in", ("steel", "aluminium"), None)
     assert expr.atoms[1] == Atom("coolant", "=", True, None)
-
-
-def test_expression_text_round_trip(base_world):
-    texts = [
-        "Drilling and (depth <= 15 mm)",
-        "Drilling",
-        "Drilling and (depth >= 10 mm) and (depth <= 20 mm) and (depth != 13 mm)",
-        "Screwing and (torque <= 4.5) and (material in {steel, wood})",
-        "Milling and (coolant = false) and (depth < 2 cm)",
-    ]
-    for text in texts:
-        expr = parse_expression(text, base_world)
-        again = parse_expression(expression_to_text(expr), base_world)
-        assert again == expr
 
 
 # --- normalization ----------------------------------------------------------

@@ -3,12 +3,11 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from conftest import sample_taxonomy
+from conftest import evaluate_expression, sample_taxonomy
 
 from csskit.expressions import (
     Atom,
     CapabilityExpression,
-    evaluate_expression,
     normalize,
 )
 from csskit.matching import MatchDegree, match_capabilities, rank_providers
@@ -363,13 +362,13 @@ def test_pruned_ranking_equals_sorted_pairwise_matches():
         for _ in range(6):
             required = _random_expression(rng, world)
             pairs = [
-                (resource_id, capability.id,
+                (resource_id, capability,
                  match_capabilities(required, capability.expression, world))
                 for resource_id, capability in candidates
             ]
             expected = sorted(
                 (item for item in pairs if item[2].degree is not MatchDegree.DISJOINT),
-                key=lambda item: (-item[2].degree.rank, item[0], item[1]),
+                key=lambda item: (-item[2].degree.rank, item[0], item[1].id),
             )
             assert rank_providers(required, candidates, world) == expected
             class_disjoint += sum(

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import exec_world_doc
 
-from csskit.documents import build_world, document_to_text, load_document_text, world_to_doc
+from csskit.documents import build_world, document_to_text, load_document_text
 from csskit.errors import ModelInvalidError
 from csskit.expressions import Atom, CapabilityExpression, parse_expression
 from csskit.hosting import build_resource_host
@@ -197,15 +197,17 @@ def test_clean_world_resolves_every_skill_reference(exec_world):
 
 
 def test_world_document_round_trip(exec_world):
-    text = document_to_text(world_to_doc(exec_world))
+    text = document_to_text(exec_world_doc())
     reloaded = build_world([load_document_text(text)])
     assert reloaded == exec_world
 
 
 def test_world_round_trip_from_doc_fixture():
-    world = build_world([exec_world_doc()])
-    text = document_to_text(world_to_doc(world))
-    assert build_world([load_document_text(text)]) == world
+    doc = exec_world_doc()
+    text = document_to_text(doc)
+    assert load_document_text(text) == doc
+    assert document_to_text(load_document_text(text)) == text
+    assert build_world([load_document_text(text)]) == build_world([doc])
 
 
 # --- the world's indexed lookups and kept derived data ----------------------------

@@ -15,7 +15,7 @@ from csskit.errors import (
     TypeMismatchError,
     UnboundRequiredParameterError,
 )
-from csskit.expressions import evaluate_expression, parse_expression
+from csskit.expressions import parse_expression
 from csskit.hosting import CapabilityEnvelopeBehavior, build_resource_host
 from csskit.matching import MatchDegree
 from csskit.model import (
@@ -26,7 +26,6 @@ from csskit.model import (
     SkillDescriptor,
 )
 from csskit.orchestrate import (
-    ExecuteOptions,
     bind_parameters,
     execute_plan,
     plan,
@@ -35,7 +34,7 @@ from csskit.orchestrate import (
 from csskit.protocol import connect_loopback
 from csskit.skills import FeasibilityResult, SkillFault
 
-from conftest import _drill_skill, exec_world_doc
+from conftest import _drill_skill, evaluate_expression, exec_world_doc
 
 SUCCESS_SEQUENCE = (
     "Resetting", "Idle", "Starting", "Execute", "Completing", "Complete",
@@ -484,9 +483,7 @@ def test_execute_without_feasibility_option(exec_world):
     production_plan = plan(exec_world.product("prod-bracket"), exec_world)
     connections, cleanups = _loopback_connections(exec_world)
     try:
-        trace = execute_plan(
-            production_plan, connections, ExecuteOptions(use_feasibility=False)
-        )
+        trace = execute_plan(production_plan, connections, use_feasibility=False)
     finally:
         for close in cleanups:
             close()
