@@ -73,7 +73,6 @@ from .skills import (
     COMMANDS,
     STATES,
     FeasibilityResult,
-    SimulatedClock,
     SkillBehavior,
     SkillFault,
     SkillHost,
@@ -110,7 +109,6 @@ __all__ = [
     "STATES",
     "ServiceOffer",
     "ServiceRequest",
-    "SimulatedClock",
     "SkillBehavior",
     "SkillClient",
     "SkillDescriptor",

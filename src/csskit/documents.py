@@ -91,6 +91,13 @@ def _decimal(obj, key: str, where: str) -> Decimal:
     return value if isinstance(value, Decimal) else Decimal(value)
 
 
+def _bool(obj, key: str, where: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise DocumentInvalidError(f"{where}.{key}: expected true or false")
+    return value
+
+
 def _timestamp(obj, key: str, where: str):
     try:
         return parse_timestamp(_string(obj, key, where))
@@ -194,8 +201,8 @@ def _parse_skill(item, where: str) -> SkillDescriptor:
             _parse_parameter(p, f"{where}.parameters[{i}]")
             for i, p in enumerate(raw_parameters)
         ),
-        has_feasibility_check=bool(entry.get("hasFeasibilityCheck", False)),
-        has_precondition_check=bool(entry.get("hasPreconditionCheck", False)),
+        has_feasibility_check=_bool(entry, "hasFeasibilityCheck", where),
+        has_precondition_check=_bool(entry, "hasPreconditionCheck", where),
         state_machine_profile=entry.get("stateMachineProfile", "PACKML-17"),
     )
 
@@ -416,7 +423,7 @@ def request_from_doc(doc: dict, world: WorldModel) -> ServiceRequest:
         max_co2_per_unit=_decimal(tender_body, "maxCo2PerUnit", tender_where),
         delivery_deadline=_timestamp(tender_body, "deliveryDeadline", tender_where),
         required_certifications=frozenset(certifications),
-        nda_required=bool(tender_body.get("ndaRequired", False)),
+        nda_required=_bool(tender_body, "ndaRequired", tender_where),
     )
     request = ServiceRequest(
         request_id=_string(body, "requestId", SCHEMA_REQUEST),
@@ -506,7 +513,7 @@ def _parse_offer_body(body: dict, where: str, world: WorldModel) -> ServiceOffer
         co2_per_unit=amounts["co2PerUnit"],
         delivery_date=_timestamp(entry, "deliveryDate", where),
         certifications=frozenset(certifications),
-        nda_accepted=bool(entry.get("ndaAccepted", False)),
+        nda_accepted=_bool(entry, "ndaAccepted", where),
         valid_until=_timestamp(entry, "validUntil", where),
         exclusive_group=exclusive_group,
     )

@@ -4,20 +4,25 @@ Skills loaded from world files carry no executable behavior, so hosts built
 here wire each skill to a simulated behavior derived from its capability:
 the feasibility check accepts exactly the inputs inside the capability's
 feasible sets, and execution echoes inputs onto like-named output
-parameters (an output ``achievedDepth`` mirrors the input ``depth``).
+parameters (an output ``achievedDepth`` mirrors the input ``depth``),
+converting units for numeric values. Every acting state completes at once.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import NotFoundError, UnitMismatchError, UnknownUnitError
 from .expressions import NormalForm
 from .model import Capability, Resource, SkillDescriptor, WorldModel
 from .skills import FeasibilityResult, SkillBehavior, SkillHost
-from .values import convert_between_units, format_literal, fraction_to_number, to_fraction
+from .values import (
+    convert_between_units,
+    format_literal,
+    fraction_to_number,
+    literal_matches,
+    to_fraction,
+)
 
-#: simulated seconds every envelope behavior spends in Execute
+#: the ``durationSeconds`` estimate every envelope feasibility check reports
 EXECUTE_DURATION = 1.0
 
 
@@ -38,30 +43,23 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
                 if world.property_def(spec.param_id) is not None:
                     self._param_to_property[spec.param_id] = spec.param_id
 
-    def _property_value(self, param_id: str, value) -> tuple[str, Fraction] | None:
-        property_id = self._param_to_property.get(param_id)
-        if property_id is None:
-            return None
-        prop = self._world.property_def(property_id)
-        if prop is None or prop.datatype not in ("integer", "real"):
-            return None
-        spec = self._descriptor.parameter(param_id)
-        try:
-            scaled = convert_between_units(
-                to_fraction(value), spec.unit if spec else None, prop.unit
-            )
-        except (UnitMismatchError, UnknownUnitError):
-            return None
-        return property_id, scaled
-
     def feasibility(self, inputs) -> FeasibilityResult:
         for param_id, value in inputs.items():
-            mapped = self._property_value(param_id, value)
-            if mapped is None:
+            property_id = self._param_to_property.get(param_id)
+            prop = self._world.property_def(property_id) if property_id else None
+            if prop is None:
                 continue
-            property_id, scaled = mapped
+            on_scale = value
+            if prop.datatype in ("integer", "real"):
+                spec = self._descriptor.parameter(param_id)
+                try:
+                    on_scale = convert_between_units(
+                        to_fraction(value), spec.unit if spec else None, prop.unit
+                    )
+                except (UnitMismatchError, UnknownUnitError):
+                    continue
             fs = self._nf.feasible_or_domain(property_id, self._world)
-            if not fs.contains(scaled):
+            if not fs.contains(on_scale):
                 return FeasibilityResult(
                     feasible=False,
                     reason=(
@@ -89,21 +87,17 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
                     outputs[spec.param_id] = spec.default
                 continue
             value = inputs[source]
-            try:
-                scaled = convert_between_units(
-                    to_fraction(value), by_id[source].unit, spec.unit
-                )
-            except (UnitMismatchError, UnknownUnitError):
-                continue
-            if spec.datatype == "integer":
-                if scaled.denominator == 1:
-                    outputs[spec.param_id] = int(scaled)
-            elif spec.datatype == "real":
-                outputs[spec.param_id] = fraction_to_number(scaled)
+            if not isinstance(value, (bool, str)):  # numeric: onto the output's unit
+                try:
+                    scaled = convert_between_units(
+                        to_fraction(value), by_id[source].unit, spec.unit
+                    )
+                except (UnitMismatchError, UnknownUnitError):
+                    continue
+                value = fraction_to_number(scaled)
+            if literal_matches(spec.datatype, value):
+                outputs[spec.param_id] = value
         return outputs
-
-    def duration(self, state: str, inputs) -> float:
-        return EXECUTE_DURATION if state == "Execute" else 0.0
 
 
 def build_resource_host(

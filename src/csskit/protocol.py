@@ -9,6 +9,8 @@ carry a per-connection strictly increasing ``seq``.
 
 Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
+A client waits at most ``DEFAULT_TIMEOUT`` seconds for each response or
+event; every wait reads the constant when it starts.
 A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
 TCP server reads such a line in bounded pieces and drops it. A line that is
 not valid UTF-8 also gets one ``ParseError`` and is never executed.
@@ -444,12 +446,9 @@ class SkillClient:
 
     # -- requests ----------------------------------------------------------
 
-    def invoke(self, kind: str, payload: dict | None = None,
-               timeout: float | None = None) -> dict:
-        """Send one request and wait for its response; ``timeout`` defaults to
-        ``DEFAULT_TIMEOUT`` as it is when called."""
-        if timeout is None:
-            timeout = DEFAULT_TIMEOUT
+    def invoke(self, kind: str, payload: dict | None = None) -> dict:
+        """Send one request and wait up to ``DEFAULT_TIMEOUT``, as it is when
+        called, for its response."""
         correlation_id = f"c-{next(self._corr):06d}"
         waiter: queue.Queue = queue.Queue()
         with self._lock:
@@ -463,13 +462,11 @@ class SkillClient:
                 self._pending.pop(correlation_id, None)
             raise ConnectionLostError(str(exc)) from exc
         try:
-            msg = waiter.get(timeout=timeout)
-        except queue.Empty:
+            msg = _next(waiter, f"response to {kind}")
+        except TimeoutError:
             with self._lock:
                 self._pending.pop(correlation_id, None)
-            raise TimeoutError(
-                f"no response to {kind} within {timeout} s"
-            ) from None
+            raise
         if msg is None:
             raise ConnectionLostError(self._lost)
         if msg.kind == "error":
@@ -479,60 +476,57 @@ class SkillClient:
             )
         return msg.payload
 
-    def next_event(self, timeout: float | None = None) -> Message:
-        if timeout is None:
-            timeout = DEFAULT_TIMEOUT
-        try:
-            return self._events.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(f"no event within {timeout} s") from None
+    def next_event(self) -> Message:
+        return _next(self._events, "event")
 
-    def next_stray(self, timeout: float | None = None) -> Message:
+    def next_stray(self) -> Message:
         """Next response that matched no pending request (e.g. ParseError)."""
-        if timeout is None:
-            timeout = DEFAULT_TIMEOUT
-        try:
-            return self._stray.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError(f"no unmatched response within {timeout} s") from None
+        return _next(self._stray, "unmatched response")
 
     # -- conveniences -------------------------------------------------------
 
-    def hello(self, timeout: float | None = None) -> dict:
+    def hello(self) -> dict:
         return self.invoke(
-            "hello", {"clientName": self.name, "version": PROTOCOL_VERSION}, timeout
+            "hello", {"clientName": self.name, "version": PROTOCOL_VERSION}
         )
 
-    def list_skills(self, **kw) -> list[dict]:
-        return self.invoke("list_skills", {}, **kw)["skills"]
+    def list_skills(self) -> list[dict]:
+        return self.invoke("list_skills", {})["skills"]
 
-    def describe(self, local_runtime_id: str, **kw) -> dict:
-        return self.invoke("describe", {"localRuntimeId": local_runtime_id}, **kw)
+    def describe(self, local_runtime_id: str) -> dict:
+        return self.invoke("describe", {"localRuntimeId": local_runtime_id})
 
-    def read(self, local_runtime_id: str, **kw) -> dict:
-        return self.invoke("read", {"localRuntimeId": local_runtime_id}, **kw)
+    def read(self, local_runtime_id: str) -> dict:
+        return self.invoke("read", {"localRuntimeId": local_runtime_id})
 
-    def write(self, local_runtime_id: str, values: dict, **kw) -> dict:
+    def write(self, local_runtime_id: str, values: dict) -> dict:
         return self.invoke(
-            "write", {"localRuntimeId": local_runtime_id, "values": values}, **kw
+            "write", {"localRuntimeId": local_runtime_id, "values": values}
         )
 
-    def command(self, local_runtime_id: str, command: str, **kw) -> dict:
+    def command(self, local_runtime_id: str, command: str) -> dict:
         return self.invoke(
-            "command", {"localRuntimeId": local_runtime_id, "command": command}, **kw
+            "command", {"localRuntimeId": local_runtime_id, "command": command}
         )
 
-    def feasibility(self, local_runtime_id: str, inputs: dict, **kw) -> dict:
+    def feasibility(self, local_runtime_id: str, inputs: dict) -> dict:
         return self.invoke(
-            "feasibility", {"localRuntimeId": local_runtime_id, "inputs": inputs}, **kw
+            "feasibility", {"localRuntimeId": local_runtime_id, "inputs": inputs}
         )
 
-    def subscribe(self, local_runtime_id: str, enable: bool = True, **kw) -> dict:
+    def subscribe(self, local_runtime_id: str, enable: bool = True) -> dict:
         return self.invoke(
             "subscribe",
             {"localRuntimeId": local_runtime_id, "enable": enable},
-            **kw,
         )
+
+
+def _next(messages: queue.Queue, what: str) -> Message:
+    """The next queued message, waiting up to ``DEFAULT_TIMEOUT`` as it is now."""
+    try:
+        return messages.get(timeout=DEFAULT_TIMEOUT)
+    except queue.Empty:
+        raise TimeoutError(f"no {what} within {DEFAULT_TIMEOUT} s") from None
 
 
 def connect_loopback(host: SkillHost, client_name: str = "loopback-client") -> SkillClient:

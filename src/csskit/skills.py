@@ -2,14 +2,13 @@
 
 A host owns skill instances addressed by a host-unique ``localRuntimeId``.
 Commands move an instance through the 17-state PACKML-17 profile. Acting
-states complete inside the call that enters them: the host advances its
-simulated clock by the behavior's duration for each acting state and enters
-the next one, so runs are instant and deterministic. A duration of None
-parks the instance in that state until ``advance()``. Behaviors plug in the
-actual work: ``on_execute`` produces output values (or raises
-:class:`SkillFault`; an undeclared or ill-typed output counts as one too),
-which takes the instance down the abort path, plus optional feasibility and
-precondition callbacks mirroring the descriptor's check flags.
+states complete inside the call that enters them, so runs are instant and
+deterministic, unless the behavior's ``parks`` holds the instance in one
+until ``advance()``. Behaviors plug in the actual work: ``on_execute``
+produces output values; if it raises (:class:`SkillFault` or any other
+exception) or returns an undeclared or ill-typed output, the instance takes
+the abort path. Optional feasibility and precondition callbacks mirror the
+descriptor's check flags.
 
 Concurrency: one lock serializes commands, writes and completions; reads
 take the same lock and return consistent snapshots. Listeners run under that
@@ -91,20 +90,6 @@ def transition(state: str, command: str) -> str | None:
     return _COMMAND_TABLE.get((state, command))
 
 
-class SimulatedClock:
-    """Monotonic simulated time; hosts advance it as acting states complete."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, t: float) -> None:
-        if t > self._now:
-            self._now = t
-
-
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
@@ -129,13 +114,11 @@ class SkillBehavior:
         """None when satisfied, else the violation reason."""
         return None
 
-    def duration(self, state: str, inputs: dict[str, Literal]) -> float | None:
-        """Simulated seconds spent in an acting state, asked on each entry.
-
-        The completion runs inside the host call that entered the state;
-        None parks the instance there until ``advance()``.
-        """
-        return 0.0
+    def parks(self, state: str, inputs: dict[str, Literal]) -> bool:
+        """Hold the instance in an acting state until ``advance()``, asked on
+        each entry; otherwise the state completes inside the entering call.
+        One that raises is logged and counts as not parking."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -144,7 +127,6 @@ class SkillEvent:
     previous_state: str
     new_state: str
     seq: int
-    time: float
 
 
 @dataclass(frozen=True)
@@ -175,11 +157,10 @@ class _Instance:
 
 
 class SkillHost:
-    """Container for skill instances sharing a clock and an event stream."""
+    """Container for skill instances sharing an event stream."""
 
-    def __init__(self, name: str = "skill-host", clock: SimulatedClock | None = None):
+    def __init__(self, name: str = "skill-host"):
         self.name = name
-        self.clock = clock if clock is not None else SimulatedClock()
         self._lock = threading.RLock()
         self._instances: dict[str, _Instance] = {}
         self._skill_ids: set[str] = set()
@@ -233,21 +214,18 @@ class SkillHost:
                 reason = instance.behavior.precondition(dict(instance.input_values))
                 if reason is not None:
                     raise PreconditionViolatedError(reason)
-            self._enter(instance, target)
-            self._settle(instance)
+            self._settle(instance, target)
             return target
 
     def advance(self, local_runtime_id: str) -> str:
-        """Manually complete the current acting state (behaviors with
-        duration None)."""
+        """Complete the acting state the instance is parked in."""
         with self._lock:
             instance = self._get(local_runtime_id)
             if instance.state not in ACTING_NEXT:
                 raise WrongStateError(
                     f"state {instance.state} has no internal completion"
                 )
-            self._enter(instance, ACTING_NEXT[instance.state])
-            self._settle(instance)
+            self._settle(instance, ACTING_NEXT[instance.state])
             return instance.state
 
     def write_parameters(self, local_runtime_id: str,
@@ -328,7 +306,6 @@ class SkillHost:
             previous_state=previous,
             new_state=state,
             seq=instance.event_seq,
-            time=self.clock.now(),
         )
         for listener in list(self._listeners):
             try:
@@ -343,21 +320,24 @@ class SkillHost:
             try:
                 outputs = instance.behavior.on_execute(dict(instance.input_values)) or {}
                 _check_outputs(instance.descriptor, outputs)
-            except SkillFault as fault:
+            except Exception as fault:  # noqa: BLE001 - any failure takes the abort path
+                if not isinstance(fault, SkillFault):  # a behavior bug, not a reported fault
+                    _log.exception("on_execute failed on %s", instance.local_runtime_id)
                 instance.last_error = str(fault) or "execution failed"
                 self._enter(instance, "Aborting")
             else:
                 instance.output_values.update(outputs)
 
-    def _settle(self, instance: _Instance) -> None:
-        """Complete acting states on the clock until one parks or none is left."""
+    def _settle(self, instance: _Instance, state: str) -> None:
+        """Enter ``state``, then complete acting states until one parks or
+        none is left."""
+        self._enter(instance, state)
         while instance.state in ACTING_NEXT:
-            duration = instance.behavior.duration(
-                instance.state, dict(instance.input_values)
-            )
-            if duration is None:
-                return
-            self.clock.advance_to(self.clock.now() + duration)
+            try:
+                if instance.behavior.parks(instance.state, dict(instance.input_values)):
+                    return
+            except Exception:  # noqa: BLE001 - a raising hook counts as not parking
+                _log.exception("parks failed in %s", instance.state)
             self._enter(instance, ACTING_NEXT[instance.state])
 
 

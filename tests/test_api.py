@@ -6,6 +6,7 @@ import csskit
 DELETED = (
     "DISJOINT_CLASS",
     "ExecuteOptions",
+    "SimulatedClock",
     "canonicalize_unit",
     "class_relation",
     "conjoin",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from decimal import Decimal
+from functools import partial
 
 import pytest
 
@@ -176,6 +177,33 @@ def test_offer_negative_amount_rejected(base_world, field):
     assert field in str(excinfo.value)
     doc[field] = Decimal(0)
     assert offer_from_doc(doc, base_world)
+
+
+@pytest.mark.parametrize("path", [
+    "css.world/1.resources[0].skills[0].hasFeasibilityCheck",
+    "css.world/1.resources[0].skills[0].hasPreconditionCheck",
+    "css.request/1.tender.ndaRequired",
+    "css.offer/1.ndaAccepted",
+])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_document_booleans_are_checked_not_coerced(base_world, path, value):
+    """A flag must be JSON true or false; "false" must not load as true."""
+    field = path.rpartition(".")[2]
+    if path.startswith("css.world/1"):
+        doc = exec_world_doc()
+        doc["resources"][0]["skills"][0][field] = value
+        load = partial(build_world, [doc])
+    elif path.startswith("css.request/1"):
+        doc = request_doc()
+        doc["tender"][field] = value
+        load = partial(request_from_doc, doc, base_world)
+    else:
+        doc = offer_doc()
+        doc[field] = value
+        load = partial(offer_from_doc, doc, base_world)
+    with pytest.raises(DocumentInvalidError) as excinfo:
+        load()
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 def test_offer_with_bad_expression(base_world):

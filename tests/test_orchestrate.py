@@ -291,11 +291,11 @@ class ParksOnFirstExecute(CapabilityEnvelopeBehavior):
         super().__init__(world, capability, descriptor)
         self.parked = False
 
-    def duration(self, state, inputs):
+    def parks(self, state, inputs):
         if state == "Execute" and not self.parked:
             self.parked = True
-            return None
-        return super().duration(state, inputs)
+            return True
+        return False
 
 
 def test_execute_two_steps_in_order(exec_world):

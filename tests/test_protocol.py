@@ -33,6 +33,14 @@ def make_host(name="r-drill") -> tuple[SkillHost, str]:
     return host, lrid
 
 
+def assert_silent(wait, monkeypatch) -> None:
+    """``wait`` (a client's next_event or next_stray) times out within 0.05 s."""
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "DEFAULT_TIMEOUT", 0.05)
+        with pytest.raises(TimeoutError):
+            wait()
+
+
 # --- encode / decode -----------------------------------------------------------
 
 def test_message_round_trip():
@@ -91,12 +99,13 @@ def test_requests_before_hello_are_rejected():
     client.close()
 
 
-def test_malformed_line_yields_parse_error_and_connection_survives():
+def test_malformed_line_yields_parse_error_and_connection_survives(monkeypatch):
     host, _ = make_host()
     client = connect_loopback(host)
     client.hello()
     client.send_raw("this is not a message")
-    stray = client.next_stray(timeout=1)
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
+    stray = client.next_stray()
     assert stray.kind == "error"
     assert stray.correlation_id == ""
     assert stray.payload["code"] == "ParseError"
@@ -104,15 +113,15 @@ def test_malformed_line_yields_parse_error_and_connection_survives():
     client.close()
 
 
-def test_deeply_nested_line_yields_one_parse_error():
+def test_deeply_nested_line_yields_one_parse_error(monkeypatch):
     host, _ = make_host()
     client = connect_loopback(host)
     client.send_raw("[" * 100000)
-    stray = client.next_stray(timeout=1)
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
+    stray = client.next_stray()
     assert stray.kind == "error"
     assert stray.payload["code"] == "ParseError"
-    with pytest.raises(TimeoutError):
-        client.next_stray(timeout=0.05)
+    assert_silent(client.next_stray, monkeypatch)
     assert client.hello()["version"] == "css/1"
     client.close()
 
@@ -124,20 +133,19 @@ def _hello_line(length: int) -> str:
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
-def test_over_long_line_yields_one_parse_error(transport):
+def test_over_long_line_yields_one_parse_error(transport, monkeypatch):
     host, _ = make_host()
     server = serve(host, ("127.0.0.1", 0)) if transport == "tcp" else None
     client = connect_tcp(("127.0.0.1", server.port)) if server else connect_loopback(host)
     try:
         client.send_raw(_hello_line(protocol.MAX_LINE_BYTES))
-        at_cap = client.next_stray(timeout=5)
+        at_cap = client.next_stray()
         assert (at_cap.kind, at_cap.correlation_id) == ("result", "c-long")
         client.send_raw(_hello_line(protocol.MAX_LINE_BYTES + 1))
-        over = client.next_stray(timeout=5)
+        over = client.next_stray()
         assert (over.kind, over.correlation_id) == ("error", "")
         assert over.payload["code"] == "ParseError"
-        with pytest.raises(TimeoutError):
-            client.next_stray(timeout=0.05)
+        assert_silent(client.next_stray, monkeypatch)
         assert client.hello()["version"] == "css/1"
     finally:
         client.close()
@@ -161,18 +169,17 @@ def test_invalid_utf8_line_yields_one_parse_error_over_tcp(monkeypatch):
         client_socks[0].sendall(
             b'{"correlationId": "c-bad", "kind": "hello", "payload": {"clientName": "\xff"}}\n'
         )
-        stray = client.next_stray(timeout=5)
+        stray = client.next_stray()
         assert (stray.kind, stray.correlation_id) == ("error", "")
         assert stray.payload["code"] == "ParseError"
-        with pytest.raises(TimeoutError):
-            client.next_stray(timeout=0.05)
+        assert_silent(client.next_stray, monkeypatch)
         assert client.hello()["version"] == "css/1"
     finally:
         client.close()
         server.close()
 
 
-def test_unencodable_result_is_an_internal_error_for_its_request():
+def test_unencodable_result_is_an_internal_error_for_its_request(monkeypatch):
     class NanEstimate(DrillBehavior):
         def feasibility(self, inputs):
             return FeasibilityResult(True, estimates={"seconds": float("nan")})
@@ -183,8 +190,9 @@ def test_unencodable_result_is_an_internal_error_for_its_request():
     )
     client = connect_loopback(host)
     client.hello()
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
     with pytest.raises(RemoteError) as excinfo:
-        client.feasibility(lrid, {"depth": 3}, timeout=1)
+        client.feasibility(lrid, {"depth": 3})
     assert excinfo.value.remote_code == "InternalError"
     assert client.read(lrid)["state"] == "Stopped"
     client.close()
@@ -224,22 +232,23 @@ def test_remote_errors_carry_runtime_codes():
     client.close()
 
 
-def test_command_start_result_then_events_when_subscribed():
+def test_command_start_result_then_events_when_subscribed(monkeypatch):
     host, lrid = make_host()
     client = connect_loopback(host)
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
     client.hello()
     client.subscribe(lrid)
     assert client.command(lrid, "Reset")["newState"] == "Resetting"
-    assert [client.next_event(1).payload["newState"] for _ in range(2)] == [
+    assert [client.next_event().payload["newState"] for _ in range(2)] == [
         "Resetting", "Idle",
     ]
     assert client.command(lrid, "Start")["newState"] == "Starting"
-    states = [client.next_event(1).payload["newState"] for _ in range(4)]
+    states = [client.next_event().payload["newState"] for _ in range(4)]
     assert states == ["Starting", "Execute", "Completing", "Complete"]
     client.close()
 
 
-def test_subscription_gap_free_and_complete():
+def test_subscription_gap_free_and_complete(monkeypatch):
     host, lrid = make_host()
     truth = []
     host.add_listener(
@@ -253,25 +262,24 @@ def test_subscription_gap_free_and_complete():
     client.command(lrid, "Reset")
     client.command(lrid, "Start")
 
-    events = [client.next_event(1) for _ in range(len(truth))]
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
+    events = [client.next_event() for _ in range(len(truth))]
     assert [e.payload["newState"] for e in events] == truth
     seqs = [e.seq for e in events]
     assert seqs == list(range(1, len(truth) + 1))
 
     client.subscribe(lrid, enable=False)
     client.command(lrid, "Reset")
-    with pytest.raises(TimeoutError):
-        client.next_event(timeout=0.05)
+    assert_silent(client.next_event, monkeypatch)
     client.close()
 
 
-def test_no_events_without_subscription():
+def test_no_events_without_subscription(monkeypatch):
     host, lrid = make_host()
     client = connect_loopback(host)
     client.hello()
     client.command(lrid, "Reset")
-    with pytest.raises(TimeoutError):
-        client.next_event(timeout=0.05)
+    assert_silent(client.next_event, monkeypatch)
     client.close()
 
 
@@ -286,7 +294,7 @@ def test_unsupported_version_rejected():
 
 # --- TCP transport ------------------------------------------------------------------
 
-def test_tcp_two_clients_command_different_skills():
+def test_tcp_two_clients_command_different_skills(monkeypatch):
     host = SkillHost("r-multi")
     a = host.register_skill(drill_descriptor("skill-a"), DrillBehavior())
     b = host.register_skill(drill_descriptor("skill-b"), DrillBehavior())
@@ -300,8 +308,9 @@ def test_tcp_two_clients_command_different_skills():
         c2.subscribe(b)
         assert c1.command(a, "Reset")["newState"] == "Resetting"
         assert c2.command(b, "Reset")["newState"] == "Resetting"
+        monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 2)
         for client in (c1, c2):
-            seqs = [client.next_event(2).seq for _ in range(2)]
+            seqs = [client.next_event().seq for _ in range(2)]
             assert seqs == [1, 2]
     finally:
         c1.close()
@@ -339,7 +348,7 @@ def test_tcp_sockets_disable_nagle_on_both_ends(monkeypatch):
         server.close()
 
 
-def test_tcp_peer_disconnect_fails_requests_at_once():
+def test_tcp_peer_disconnect_fails_requests_at_once(monkeypatch):
     """A peer that accepts and then closes must not leave requests waiting
     out their timeout."""
     listener = socket.create_server(("127.0.0.1", 0))
@@ -352,14 +361,15 @@ def test_tcp_peer_disconnect_fails_requests_at_once():
     peer = threading.Thread(target=accept_then_close, daemon=True)
     peer.start()
     client = connect_tcp(("127.0.0.1", port))
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 3)
     try:
         started = time.monotonic()
         with pytest.raises(ConnectionLostError):
-            client.hello(timeout=3)
+            client.hello()
         assert time.monotonic() - started < 1.5
         started = time.monotonic()
         with pytest.raises(ConnectionLostError):
-            client.list_skills(timeout=3)
+            client.list_skills()
         assert time.monotonic() - started < 0.5
     finally:
         client.close()
@@ -449,7 +459,7 @@ def test_tcp_concurrent_clients_stress():
                     client.command(lrid, "Reset")
                     client.write(lrid, {"depth": 7})
                     client.command(lrid, "Start")
-                events = [client.next_event(5) for _ in range(25 * 6)]
+                events = [client.next_event() for _ in range(25 * 6)]
                 seqs = [e.seq for e in events]
                 assert seqs == list(range(1, len(seqs) + 1))
                 states = [e.payload["newState"] for e in events]

@@ -20,7 +20,6 @@ from csskit.skills import (
     STATES,
     FeasibilityResult,
     SkillBehavior,
-    SimulatedClock,
     SkillFault,
     SkillHost,
 )
@@ -56,8 +55,8 @@ class DrillBehavior(SkillBehavior):
 class ManualBehavior(SkillBehavior):
     """Parks in every acting state until host.advance() is called."""
 
-    def duration(self, state, inputs):
-        return None
+    def parks(self, state, inputs):
+        return True
 
 
 class FaultyBehavior(SkillBehavior):
@@ -399,6 +398,24 @@ def test_behavior_fault_takes_abort_path():
     assert seen[-3:] == ["Execute", "Aborting", "Aborted"]
 
 
+def test_raising_parks_is_logged_and_counts_as_not_parking(caplog):
+    class BrokenParks(DrillBehavior):
+        def parks(self, state, inputs):
+            raise RuntimeError("parks broke (injected)")
+
+    host = SkillHost()
+    lrid = host.register_skill(drill_descriptor(), BrokenParks())
+    host.fire_command(lrid, "Reset")
+    assert host.fire_command(lrid, "Start") == "Starting"
+    snapshot = host.read_skill(lrid)
+    assert snapshot.state == "Complete"
+    assert snapshot.output_values == {"achievedDepth": 5}
+    assert [record.getMessage() for record in caplog.records] == [
+        f"parks failed in {state}"
+        for state in ("Resetting", "Starting", "Execute", "Completing")
+    ]
+
+
 def test_hold_and_resume_completes():
     host = SkillHost()
     lrid = host.register_skill(drill_descriptor(), ManualBehavior())
@@ -414,19 +431,6 @@ def test_hold_and_resume_completes():
     assert host.read_skill(lrid).state == "Complete"
 
 
-def test_simulated_durations_advance_clock():
-    class Timed(DrillBehavior):
-        def duration(self, state, inputs):
-            return 2.5 if state == "Execute" else 0.0
-
-    host = SkillHost()
-    lrid = host.register_skill(drill_descriptor(), Timed())
-    host.fire_command(lrid, "Reset")
-    host.fire_command(lrid, "Start")
-    assert host.read_skill(lrid).state == "Complete"
-    assert host.clock.now() == 2.5
-
-
 class ParkedExecute(DrillBehavior):
     """Parks in Execute until host.advance(); every other acting state is instant."""
 
@@ -437,48 +441,8 @@ class ParkedExecute(DrillBehavior):
         self.executions += 1
         return super().on_execute(inputs)
 
-    def duration(self, state, inputs):
-        return None if state == "Execute" else 0.0
-
-
-def test_hosts_sharing_a_clock_stamp_events_in_simulated_time():
-    class Timed(DrillBehavior):
-        def __init__(self, seconds):
-            self.seconds = seconds
-
-        def duration(self, state, inputs):
-            return self.seconds.get(state, 0.0)
-
-    clock = SimulatedClock()
-    first, second = SkillHost("first", clock), SkillHost("second", clock)
-    events = []
-    first.add_listener(lambda e: events.append(("first", e.new_state, e.time)))
-    second.add_listener(lambda e: events.append(("second", e.new_state, e.time)))
-    a = first.register_skill(
-        drill_descriptor(), Timed({"Resetting": 1.0, "Execute": 2.5})
-    )
-    b = second.register_skill(
-        drill_descriptor(), Timed({"Starting": 0.5, "Completing": 4.0})
-    )
-    first.fire_command(a, "Reset")
-    second.fire_command(b, "Reset")
-    first.fire_command(a, "Start")
-    second.fire_command(b, "Start")
-    assert events == [
-        ("first", "Resetting", 0.0),
-        ("first", "Idle", 1.0),
-        ("second", "Resetting", 1.0),
-        ("second", "Idle", 1.0),
-        ("first", "Starting", 1.0),
-        ("first", "Execute", 1.0),
-        ("first", "Completing", 3.5),
-        ("first", "Complete", 3.5),
-        ("second", "Starting", 3.5),
-        ("second", "Execute", 4.0),
-        ("second", "Completing", 4.0),
-        ("second", "Complete", 8.0),
-    ]
-    assert clock.now() == 8.0
+    def parks(self, state, inputs):
+        return state == "Execute"
 
 
 @pytest.mark.parametrize(
@@ -519,12 +483,17 @@ def test_unsuspend_parks_execute_again_until_advance():
     [
         ({"achievedDepth": 5, "spindleSpeed": 300}, "spindleSpeed"),
         ({"achievedDepth": "deep"}, "achievedDepth"),
+        (KeyError("spindle"), "spindle"),
     ],
-    ids=["undeclared", "ill-typed"],
+    ids=["undeclared", "ill-typed", "raised"],
 )
 def test_bad_output_takes_abort_path_and_recovers(outputs, named):
+    """Also any exception from on_execute: the command returns normally and
+    the skill is left in Aborted, not stranded in Execute."""
     class BadOutput(SkillBehavior):
         def on_execute(self, inputs):
+            if isinstance(outputs, Exception):
+                raise outputs
             return outputs
 
     host = SkillHost()
