@@ -16,6 +16,9 @@ from fractions import Fraction
 from .errors import ParseError
 from .values import fraction_to_number
 
+#: the quoting json.dumps(s, ensure_ascii=False) ends in, without building an encoder
+_quote = json.encoder.encode_basestring
+
 
 def dumps(value, indent: int | None = None) -> str:
     out: list[str] = []
@@ -24,8 +27,12 @@ def dumps(value, indent: int | None = None) -> str:
 
 
 def loads(text: str):
+    # json.loads refuses a leading BOM with this message; the decoder alone would
+    # only say "Expecting value"
+    if text.startswith("\ufeff"):
+        raise ParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        return json.loads(text, parse_float=Decimal, parse_constant=_reject_constant)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         offset = len(text[: exc.pos].encode("utf-8"))
         raise ParseError(exc.msg, offset) from exc
@@ -37,11 +44,15 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+#: one decoder for every line; json.loads with arguments would build one per call
+_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_reject_constant)
+
+
 def _emit(value, out: list[str], indent: int | None, depth: int) -> None:
     if value is None or value is True or value is False:
         out.append("null" if value is None else ("true" if value else "false"))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(_quote(value))
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, Decimal):
@@ -87,7 +98,7 @@ def _emit_map(value: dict, out: list[str], indent: int | None, depth: int) -> No
         if i:
             out.append(",")
         _newline(out, indent, depth + 1)
-        out.append(json.dumps(key, ensure_ascii=False))
+        out.append(_quote(key))
         out.append(": " if indent is not None else ":")
         _emit(value[key], out, indent, depth + 1)
     _newline(out, indent, depth)

@@ -7,9 +7,13 @@ response (a violated precondition among them), a timeout or a lost
 connection, each recorded as one ``error`` entry; an attempt that times out
 also aborts its skill. A skill found resting in Aborted, Stopped or Complete
 is first walked back to Idle (Clear, then Reset), so one failed run does not
-block the next. The trace records every state change, parameter write,
-feasibility verdict and output read with a logical timestamp, which makes
-repeated runs over identical worlds byte-for-byte reproducible.
+block the next. Within one run each client is asked for ``list_skills`` once
+and each of its runtime ids is described once; a request that fails is asked
+again by the next attempt. Every attempt still subscribes and unsubscribes,
+and reads the skill's state before the walk. The trace records every state
+change, parameter write, feasibility verdict and output read with a logical
+timestamp, which makes repeated runs over identical worlds byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -219,6 +223,7 @@ def execute_plan(
     raised.
     """
     trace = _TraceBuilder()
+    known: dict = {}  # this run's skill lists and descriptions, see _ask_once
 
     for entry in plan_.entries:
         chain = (entry, *entry.alternates)
@@ -229,7 +234,7 @@ def execute_plan(
                     f"no connection for resource {candidate.resource_id!r}"
                 )
             client = connections[candidate.resource_id]
-            if _attempt_step(candidate, client, use_feasibility, trace):
+            if _attempt_step(candidate, client, use_feasibility, trace, known):
                 succeeded = True
                 break
         if not succeeded:
@@ -259,6 +264,7 @@ def _attempt_step(
     client: SkillClient,
     use_feasibility: bool,
     trace: _TraceBuilder,
+    known: dict,
 ) -> bool:
     """One candidate attempt; True on success, False to fail over.
 
@@ -269,7 +275,7 @@ def _attempt_step(
     """
     local_runtime_id = ""
     try:
-        listed = client.list_skills()
+        listed = _ask_once(known, client, client.list_skills)
         local_runtime_id = next(
             (
                 item["localRuntimeId"]
@@ -287,7 +293,9 @@ def _attempt_step(
             )
             return False
 
-        description = client.describe(local_runtime_id)
+        description = _ask_once(
+            known, (client, local_runtime_id), lambda: client.describe(local_runtime_id)
+        )
         client.subscribe(local_runtime_id)
         try:
             if use_feasibility and description["hasFeasibilityCheck"]:
@@ -349,6 +357,15 @@ def _attempt_step(
     except _FAILED_REQUEST as exc:
         _record_failure(entry, local_runtime_id, exc, trace)
         return False
+
+
+def _ask_once(known: dict, key, request):
+    """``request()``'s answer, asked once per run under ``key``: a client for
+    its skill list, (client, runtime id) for a description. A request that
+    fails stores nothing, so the next attempt asks again."""
+    if key not in known:
+        known[key] = request()
+    return known[key]
 
 
 def _record_failure(

@@ -10,7 +10,9 @@ carry a per-connection strictly increasing ``seq``.
 Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
 A client waits at most ``DEFAULT_TIMEOUT`` seconds for each response or
-event; every wait reads the constant when it starts.
+event; every wait reads the constant when it starts. Each request waits on
+its own ``queue.SimpleQueue``, and events and unmatched responses queue on
+two more, so a round trip builds no locks or conditions of its own.
 A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
 TCP server reads such a line in bounded pieces and drops it. A line that is
 not valid UTF-8 also gets one ``ParseError`` and is never executed.
@@ -398,9 +400,9 @@ class SkillClient:
         self._send_line = send_line
         self._on_close = on_close
         self._corr = itertools.count(1)
-        self._pending: dict[str, queue.Queue] = {}
-        self._events: queue.Queue = queue.Queue()
-        self._stray: queue.Queue = queue.Queue()
+        self._pending: dict[str, queue.SimpleQueue] = {}
+        self._events: queue.SimpleQueue = queue.SimpleQueue()
+        self._stray: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._closed = False
         self._lost: str | None = None  # why the transport closed, once it has
@@ -450,7 +452,7 @@ class SkillClient:
         """Send one request and wait up to ``DEFAULT_TIMEOUT``, as it is when
         called, for its response."""
         correlation_id = f"c-{next(self._corr):06d}"
-        waiter: queue.Queue = queue.Queue()
+        waiter: queue.SimpleQueue = queue.SimpleQueue()
         with self._lock:
             if self._lost is not None:
                 raise ConnectionLostError(self._lost)
@@ -521,7 +523,7 @@ class SkillClient:
         )
 
 
-def _next(messages: queue.Queue, what: str) -> Message:
+def _next(messages: queue.SimpleQueue, what: str) -> Message:
     """The next queued message, waiting up to ``DEFAULT_TIMEOUT`` as it is now."""
     try:
         return messages.get(timeout=DEFAULT_TIMEOUT)

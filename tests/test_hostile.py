@@ -1,26 +1,196 @@
-"""Fault injection: skill behaviors that raise, park or return bad values in
-each hook.
+"""Hostile request lines, and skill behaviors that raise, park or return bad
+values in each hook.
 
-Whatever a behavior does, ``execute_plan`` completes each step on some
-provider or raises StepFailedNoAlternative, and once the behaviors behave
-again the next run on the same clients succeeds on every primary.
+Whatever a line holds, the server answers it with exactly one response and
+keeps the connection. Whatever a behavior does, ``execute_plan`` completes
+each step on some provider or raises StepFailedNoAlternative, and once the
+behaviors behave again the next run on the same clients succeeds on every
+primary.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import socket
 
 import pytest
 
 from csskit import protocol
 from csskit.documents import build_world
-from csskit.errors import StepFailedNoAlternativeError
+from csskit.errors import ParseError, StepFailedNoAlternativeError
 from csskit.hosting import CapabilityEnvelopeBehavior, build_resource_host
 from csskit.orchestrate import execute_plan, plan
-from csskit.protocol import connect_loopback
+from csskit.protocol import ServerSession, connect_loopback, decode, serve
 from csskit.skills import FeasibilityResult, SkillFault
 
 from conftest import exec_world_doc
+from test_protocol import make_host
+
+
+# --- hostile lines ------------------------------------------------------------------
+
+#: a well-formed payload of every request kind, for a host whose one skill is lr-0001
+PAYLOADS = {
+    "hello": {"clientName": "fuzz", "version": "css/1"},
+    "list_skills": {},
+    "describe": {"localRuntimeId": "lr-0001"},
+    "read": {"localRuntimeId": "lr-0001"},
+    "write": {"localRuntimeId": "lr-0001", "values": {"depth": 3}},
+    "command": {"localRuntimeId": "lr-0001", "command": "Reset"},
+    "feasibility": {"localRuntimeId": "lr-0001", "inputs": {"depth": 3}},
+    "subscribe": {"localRuntimeId": "lr-0001", "enable": True},
+}
+COMMANDS = ("Reset", "Start", "Stop", "Abort", "Clear", "Hold", "Unhold", "Fly")
+#: one value of each JSON type
+TYPED = (7, 2.5, True, None, "x", [1], {"a": 1})
+
+
+def _wrong(value) -> list:
+    return [other for other in TYPED if type(other) is not type(value)]
+
+
+def _line(kind: str, correlation_id: str, payload, **extra) -> bytes:
+    obj = {"kind": kind, "correlationId": correlation_id, "payload": payload, **extra}
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+def _request(rng: random.Random, correlation_id: str) -> bytes:
+    kind = rng.choice(sorted(PAYLOADS))
+    payload = dict(PAYLOADS[kind])
+    if kind == "command":
+        payload["command"] = rng.choice(COMMANDS)
+    if kind == "subscribe":
+        payload["enable"] = rng.random() < 0.5
+    return _line(kind, correlation_id, payload)
+
+
+def _hello_of(length: int) -> bytes:
+    """A hello line of exactly ``length`` bytes."""
+    line = _line("hello", "c-long", {"pad": ""})
+    return line.replace(b'""}', b'"' + b"x" * (length - len(line)) + b'"}')
+
+
+def wrong_type_lines() -> list[bytes]:
+    """Every envelope field and every payload field, once with each wrong type."""
+    lines = []
+    envelope = {"kind": "read", "correlationId": "c-type", "payload": PAYLOADS["read"], "seq": 1}
+    for field, value in envelope.items():
+        for wrong in _wrong(value):
+            lines.append(json.dumps({**envelope, field: wrong}).encode())
+    for kind, payload in PAYLOADS.items():
+        for field, value in payload.items():
+            for wrong in _wrong(value):
+                lines.append(_line(kind, f"c-{kind}-{field}", {**payload, field: wrong}))
+    return lines
+
+
+def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
+    """A hello, every wrong-typed field, two lines at and over the length cap,
+    then ``count`` seeded picks of the other hostile shapes."""
+    lines = [_line("hello", "c-hello", PAYLOADS["hello"]), *wrong_type_lines()]
+    lines += [_hello_of(protocol.MAX_LINE_BYTES), _hello_of(protocol.MAX_LINE_BYTES + 1)]
+    for _ in range(count):
+        shape = rng.choice(["deep", "truncated", "utf8", "unknown kind", "duplicate id"])
+        if shape == "deep":
+            depth = rng.choice([10, 500, 5000, 100_000])
+            nested = "[" * depth + "]" * depth if rng.random() < 0.5 else "[" * depth
+            lines.append(
+                b'{"kind": "write", "correlationId": "c-deep", "payload": '
+                b'{"localRuntimeId": "lr-0001", "values": {"depth": ' + nested.encode() + b"}}}"
+            )
+        elif shape == "truncated":
+            whole = _request(rng, "c-cut")
+            lines.append(whole[: rng.randrange(len(whole))])
+        elif shape == "utf8":
+            whole = _request(rng, "c-utf8")
+            at = whole.index(b"c-utf8") + 1
+            bad = rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\x80"])
+            lines.append(whole[:at] + bad + whole[at:])
+        elif shape == "unknown kind":
+            kind = rng.choice(["result", "error", "event", "HELLO", "", "bye", "héllo"])
+            lines.append(_line(kind, "c-kind", {}))
+        else:  # well-formed requests sharing three correlation ids
+            lines.append(_request(rng, f"c-dup-{rng.randrange(3)}"))
+    return lines
+
+
+def _expected_correlation_id(raw: bytes) -> str:
+    """The correlationId a response to ``raw`` carries: the request's when the
+    line is within the cap, valid UTF-8 and a decodable message, else ""."""
+    if len(raw) > protocol.MAX_LINE_BYTES:
+        return ""
+    try:
+        return decode(raw.decode("utf-8")).correlation_id
+    except (UnicodeDecodeError, ParseError):
+        return ""
+
+
+def _answers(lines: list[str]) -> list:
+    """The responses among a connection's output lines, events dropped."""
+    messages = [decode(line) for line in lines]
+    return [msg for msg in messages if msg.kind != "event"]
+
+
+class LoopbackWire:
+    """The in-process transport's server side, with its output kept."""
+
+    def __init__(self, host):
+        self.out: list[str] = []
+        self.session = ServerSession(host, host.name, self.out.append)
+
+    def exchange(self, raw: bytes) -> list:
+        """Send one line; every response it got back."""
+        del self.out[:]
+        self.session.handle_line(raw.decode("utf-8", "surrogateescape"))
+        return _answers(self.out)
+
+    def close(self):
+        self.session.close()
+
+
+class TcpWire:
+    """A raw socket to a TCP server, so any bytes can be sent."""
+
+    def __init__(self, host):
+        self.server = serve(host, ("127.0.0.1", 0))
+        self.sock = socket.create_connection(("127.0.0.1", self.server.port), timeout=5)
+        self.reader = self.sock.makefile("rb")
+
+    def exchange(self, raw: bytes) -> list:
+        """Send one line; the next response. Responses come in request order,
+        so an extra one shifts every later answer and a missing one times out."""
+        self.sock.sendall(raw + b"\n")
+        while True:
+            answers = _answers([self.reader.readline().decode("utf-8").rstrip("\n")])
+            if answers:
+                return answers
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+        self.server.close()
+
+
+@pytest.mark.parametrize("wire_type", [LoopbackWire, TcpWire])
+def test_every_hostile_line_gets_one_response_and_the_connection_lives(wire_type):
+    wire = wire_type(make_host()[0])
+    try:
+        for raw in hostile_lines(random.Random(4), 400):
+            answers = wire.exchange(raw)
+            expected = _expected_correlation_id(raw)
+            assert [a.correlation_id for a in answers] == [expected], raw[:200]
+            assert answers[0].kind in ("result", "error")
+            if not expected:  # a line that is no message is answered with ParseError
+                assert answers[0].payload["code"] == "ParseError", raw[:200]
+        (alive,) = wire.exchange(_line("hello", "c-alive", PAYLOADS["hello"]))
+        assert (alive.kind, alive.correlation_id) == ("result", "c-alive")
+        assert alive.payload["version"] == "css/1"
+    finally:
+        wire.close()
+
+
+# --- faulty behaviors -----------------------------------------------------------------
 
 
 def _raise(exc_type=RuntimeError):

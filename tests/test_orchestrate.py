@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from csskit.errors import (
     ModelInvalidError,
     NoMatchForStepError,
     StepFailedNoAlternativeError,
+    TimeoutError,
     TypeMismatchError,
     UnboundRequiredParameterError,
 )
@@ -505,3 +507,98 @@ def test_trace_lines_are_wire_objects(exec_world):
     for line in lines:
         obj = jsonio.loads(line)
         assert set(obj) == {"timestamp", "stepId", "localRuntimeId", "kind", "detail"}
+
+
+# --- requests per run -------------------------------------------------------------
+
+def two_holes_world():
+    """The bracket world with a product that drills twice, so the primary
+    driller is attempted in two steps of one run."""
+    doc = exec_world_doc()
+    drill = doc["products"][0]["steps"][0]
+    doc["products"].append({
+        "id": "prod-two-holes",
+        "steps": [
+            {**drill, "id": "step-drill-1"},
+            {**drill, "id": "step-drill-2", "parameterValues": {"depth": 14}},
+            doc["products"][0]["steps"][1],
+        ],
+    })
+    return build_world([doc])
+
+
+def count_requests(client, fail_once: str | None = None) -> Counter:
+    """Count the requests ``client`` sends by (kind, runtime id, subscribe flag).
+
+    With ``fail_once`` the first request of that kind raises TimeoutError
+    instead of being sent.
+    """
+    sent: Counter = Counter()
+    invoke = client.invoke
+
+    def counted(kind, payload=None):
+        nonlocal fail_once
+        payload = payload or {}
+        sent[kind, payload.get("localRuntimeId"), payload.get("enable")] += 1
+        if kind == fail_once:
+            fail_once = None
+            raise TimeoutError(f"no response to {kind} (injected)")
+        return invoke(kind, payload)
+
+    client.invoke = counted
+    return sent
+
+
+def _budget(lrid: str, attempts: int) -> Counter:
+    """The lists, describes and subscription pairs a run sends one client."""
+    return Counter({
+        ("list_skills", None, None): 1,
+        ("describe", lrid, None): 1,
+        ("subscribe", lrid, True): attempts,
+        ("subscribe", lrid, False): attempts,
+    })
+
+
+def test_a_run_lists_each_client_and_describes_each_skill_once():
+    world = two_holes_world()
+    production_plan = plan(world.product("prod-two-holes"), world)
+    connections, cleanups = _loopback_connections(
+        world, {"r-driller-a": RejectingFeasibility}
+    )
+    lrids = {rid: client.list_skills()[0]["localRuntimeId"] for rid, client in connections.items()}
+    sent = {rid: count_requests(client) for rid, client in connections.items()}
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    assert not any(r.kind == "error" for r in trace.records)
+    assert [r.detail["feasible"] for r in trace.records if r.kind == "feasibility"] == [
+        False, True, False, True,
+    ]
+    attempts = {"r-driller-a": 2, "r-driller-b": 2, "r-screwer": 1}
+    for rid, counter in sent.items():
+        wanted = _budget(lrids[rid], attempts[rid])
+        assert {key: counter[key] for key in wanted} == wanted, rid
+
+
+def test_a_failed_skill_list_is_asked_for_again():
+    world = two_holes_world()
+    production_plan = plan(world.product("prod-two-holes"), world)
+    connections, cleanups = _loopback_connections(world)
+    lrid = connections["r-driller-a"].list_skills()[0]["localRuntimeId"]
+    sent = count_requests(connections["r-driller-a"], fail_once="list_skills")
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    errors = [r for r in trace.records if r.kind == "error"]
+    assert [(r.step_id, r.local_runtime_id, r.detail) for r in errors] == [
+        ("step-drill-1", "", {"code": "Timeout", "message": "no response to list_skills (injected)"})
+    ]
+    assert trace.state_changes("step-drill-1") == SUCCESS_SEQUENCE  # on resource b
+    assert trace.state_changes("step-drill-2") == SUCCESS_SEQUENCE  # back on resource a
+    assert {r.local_runtime_id for r in trace.records if r.step_id == "step-drill-2"} == {lrid}
+    assert sent["list_skills", None, None] == 2
+    assert sum(n for (kind, _, _), n in sent.items() if kind == "describe") == 1
