@@ -9,8 +9,12 @@ numeric interval with excluded points, or a finite member set. Integer
 intervals are tightened to closed ``int`` bounds (``depth < 15`` becomes
 ``depth <= 14``), which stay exact without ``Fraction`` arithmetic, and
 every numeric value is rescaled onto the property's declared unit before
-folding. A property's optional declared range acts as its value domain, so
-feasible sets are clipped to it.
+folding. An ``int`` literal on an integer property that needs no rescaling
+(no unit on either side, or the declared one) is folded as the ``int``
+itself; Decimal and rescaled literals, and every ``real`` bound, go through
+``Fraction``. A property's optional declared range acts as its value
+domain, so feasible sets are clipped to it, using the world's canonical
+domain bounds.
 """
 
 from __future__ import annotations
@@ -99,9 +103,9 @@ class FeasibleSet:
     @staticmethod
     def interval(
         datatype: str,
-        lower: Fraction | None,
+        lower: int | Fraction | None,
         lower_closed: bool,
-        upper: Fraction | None,
+        upper: int | Fraction | None,
         upper_closed: bool,
         excluded=frozenset(),
     ) -> FeasibleSet:
@@ -571,8 +575,15 @@ def _check_atom_value(prop, value) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _atom_value_declared(prop, atom: Atom, value) -> Fraction:
-    """Atom literal rescaled onto the property's declared unit."""
+def _atom_value_declared(prop, atom: Atom, value) -> int | Fraction:
+    """Atom literal rescaled onto the property's declared unit. An ``int`` on
+    an integer property that needs no rescaling stays ``int``."""
+    if (
+        type(value) is int
+        and prop.datatype == "integer"
+        and (atom.unit is None or prop.unit is None or atom.unit == prop.unit)
+    ):
+        return value
     return convert_between_units(to_fraction(value), atom.unit, prop.unit)
 
 
@@ -590,7 +601,7 @@ def normalize(expr: CapabilityExpression, world: WorldModel) -> NormalForm:
         if prop.datatype in ("enum", "boolean"):
             feasible[property_id] = _normalize_members(prop, atoms)
         else:
-            feasible[property_id] = _normalize_interval(prop, atoms)
+            feasible[property_id] = _normalize_interval(prop, atoms, world)
     return NormalForm(class_id=expr.class_id, feasible=feasible)
 
 
@@ -606,10 +617,10 @@ def _normalize_members(prop, atoms: list[Atom]) -> FeasibleSet:
     return FeasibleSet.of_members(prop.datatype, allowed)
 
 
-def _normalize_interval(prop, atoms: list[Atom]) -> FeasibleSet:
-    lower: tuple[Fraction | None, bool] = (None, False)
-    upper: tuple[Fraction | None, bool] = (None, False)
-    excluded: set[Fraction] = set()
+def _normalize_interval(prop, atoms: list[Atom], world: WorldModel) -> FeasibleSet:
+    lower: tuple[int | Fraction | None, bool] = (None, False)
+    upper: tuple[int | Fraction | None, bool] = (None, False)
+    excluded: set[int | Fraction] = set()
     for atom in atoms:
         value = _atom_value_declared(prop, atom, atom.literal)
         if atom.comparator == "<":
@@ -626,9 +637,12 @@ def _normalize_interval(prop, atoms: list[Atom]) -> FeasibleSet:
         elif atom.comparator == "!=":
             excluded.add(value)
     if prop.declared_range is not None:
-        lo, hi = prop.declared_range
-        lower = _max_lower(lower, (to_fraction(lo), True))
-        upper = _min_upper(upper, (to_fraction(hi), True))
+        # the world's domain holds the declared range with canonical bounds
+        domain = world.domain(prop.id)
+        if domain.is_empty:
+            return domain
+        lower = _max_lower(lower, (domain.lower, domain.lower_closed))
+        upper = _min_upper(upper, (domain.upper, domain.upper_closed))
     return FeasibleSet.interval(
         prop.datatype, lower[0], lower[1], upper[0], upper[1], frozenset(excluded)
     )

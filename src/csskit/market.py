@@ -7,6 +7,11 @@ requested capability key exactly once, never mixing mutually exclusive
 offers, at minimal total cost; the search is exact for any number of
 offers. Money and CO2 use exact decimal arithmetic; all bound comparisons
 are inclusive.
+
+A selection normalizes each requested key once, on first use, and matches
+every offer covering that key against that one normal form. Integer
+properties fold to plain ``int`` bounds, so their comparisons need no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ from decimal import Decimal
 from typing import TYPE_CHECKING
 
 from .errors import NoFeasibleCombinationError, OfferExpiredError, UnknownCapKeyError
-from .matching import MatchDegree, match_capabilities
+from .expressions import normalize
+from .matching import MatchDegree, match_normal_form
+from .matching import match_capabilities  # noqa: F401 - bench/tracing.py patches this name
 
 if TYPE_CHECKING:
-    from .expressions import CapabilityExpression
+    from .expressions import CapabilityExpression, NormalForm
     from .model import WorldModel
 
 #: degrees that commit a provider commercially (full envelope of the need)
@@ -50,12 +57,6 @@ class ServiceRequest:
 
     def cap_keys(self) -> tuple[str, ...]:
         return tuple(key for key, _ in self.required_capabilities)
-
-    def required_expression(self, cap_key: str) -> CapabilityExpression:
-        for key, expression in self.required_capabilities:
-            if key == cap_key:
-                return expression
-        raise UnknownCapKeyError(f"request has no capability key {cap_key!r}")
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,41 @@ def evaluate_offer(
     world: WorldModel,
 ) -> Admissibility:
     """Check one offer against the request's capability and tender criteria."""
+    return _evaluate(request, offer, world, _RequiredForms(request, world))
+
+
+class _RequiredForms:
+    """The request's normal form per capability key, built on first use and
+    kept for the rest of one evaluation or selection. A duplicated key keeps
+    its first expression."""
+
+    def __init__(self, request: ServiceRequest, world: WorldModel):
+        self.expressions: dict[str, CapabilityExpression] = {}
+        for key, expression in request.required_capabilities:
+            self.expressions.setdefault(key, expression)
+        self._forms: dict[str, NormalForm] = {}
+        self._world = world
+
+    def __getitem__(self, cap_key: str) -> NormalForm:
+        nf = self._forms.get(cap_key)
+        if nf is None:
+            nf = self._forms[cap_key] = normalize(self.expressions[cap_key], self._world)
+        return nf
+
+
+def _evaluate(
+    request: ServiceRequest,
+    offer: ServiceOffer,
+    world: WorldModel,
+    required: _RequiredForms,
+) -> Admissibility:
     if offer.request_id != request.request_id:
         raise UnknownCapKeyError(
             f"offer {offer.offer_id!r} answers request {offer.request_id!r}, "
             f"not {request.request_id!r}"
         )
-    request_keys = set(request.cap_keys())
     for cap_key in offer.covered_cap_keys:
-        if cap_key not in request_keys:
+        if cap_key not in required.expressions:
             raise UnknownCapKeyError(f"request has no capability key {cap_key!r}")
         if cap_key not in offer.provided_capabilities:
             raise UnknownCapKeyError(
@@ -130,10 +158,8 @@ def evaluate_offer(
 
     violations: list[Violation] = []
     for cap_key in offer.covered_cap_keys:
-        result = match_capabilities(
-            request.required_expression(cap_key),
-            offer.provided_capabilities[cap_key],
-            world,
+        result = match_normal_form(
+            required[cap_key], offer.provided_capabilities[cap_key], world
         )
         if result.degree not in COVERING_DEGREES:
             violations.append(
@@ -194,11 +220,12 @@ def select_offers(
     ties break toward the lexicographically smallest sorted offer-id tuple;
     the award lists its offers in offer-id order.
     """
+    required = _RequiredForms(request, world)
     candidates = [
         offer
         for offer in sorted(offers, key=lambda o: o.offer_id)
         if (offer.valid_until is None or offer.valid_until >= now)
-        and evaluate_offer(request, offer, world).admissible
+        and _evaluate(request, offer, world, required).admissible
     ]
     keys = sorted(set(request.cap_keys()))
     if not keys:

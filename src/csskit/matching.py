@@ -22,8 +22,11 @@ Ranking against a world normalizes the required side once and decides the
 class relation once per distinct candidate class, in a memo local to the
 call. Candidates whose class is disjoint from the required class are dropped
 before their normal form is read; the others take it from the world, which
-keeps one per capability it owns. Expressions from callers (requests,
-offers, the CLI) are normalized per call and never kept.
+keeps one per capability it owns. ``match_normal_form`` takes a required
+side its caller has already normalized: offer selection normalizes each
+requested key once and compares every offer against that form. Provided
+expressions from callers (offers, the CLI) are normalized per call and never
+kept.
 """
 
 from __future__ import annotations
@@ -96,7 +99,15 @@ def match_capabilities(
     provided: CapabilityExpression,
     world: WorldModel,
 ) -> MatchResult:
-    required_nf = normalize(required, world)
+    return match_normal_form(normalize(required, world), provided, world)
+
+
+def match_normal_form(
+    required_nf: NormalForm,
+    provided: CapabilityExpression,
+    world: WorldModel,
+) -> MatchResult:
+    """``match_capabilities`` for a required side that is already normalized."""
     provided_nf = normalize(provided, world)
     tax = world.taxonomy
     return _compare(

@@ -88,7 +88,7 @@ def decode(line: str) -> Message:
     if not isinstance(payload, dict):
         raise ParseError("payload must be an object")
     seq = data.get("seq")
-    if seq is not None and not isinstance(seq, int):
+    if seq is not None and type(seq) is not int:  # bool is an int subclass
         raise ParseError("seq must be an integer")
     return Message(kind=kind, correlation_id=correlation_id, payload=payload, seq=seq)
 

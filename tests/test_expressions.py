@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import evaluate_expression
+from conftest import evaluate_expression, sample_taxonomy
 
 from csskit.errors import (
     ExpressionSyntaxError,
@@ -20,10 +20,13 @@ from csskit.expressions import (
     Atom,
     CapabilityExpression,
     FeasibleSet,
+    NormalForm,
     format_feasible_set,
     normalize,
     parse_expression,
 )
+from csskit.model import PropertyDefinition, WorldModel
+from csskit.values import convert_between_units, to_fraction
 
 
 def _enumerate_satisfying(expr, world, property_id):
@@ -349,3 +352,109 @@ def test_format_prints_int_and_whole_fraction_bounds_alike():
         )
         assert format_feasible_set(as_int) == format_feasible_set(as_fraction)
     assert format_feasible_set(as_int) == "[0, 100] \\ {7}"
+
+
+# --- the integer fold against the Fraction fold -------------------------------
+
+def _fraction_fold(expr, world):
+    """Reference normal form: every literal through ``to_fraction`` and a
+    unit conversion, the declared range clipped with ``to_fraction`` bounds,
+    then the same canonical ``FeasibleSet.interval``."""
+
+    def tighter(old, new, lower):
+        if old[0] is None or (new[0] > old[0] if lower else new[0] < old[0]):
+            return new
+        if new[0] == old[0]:
+            return old[0], old[1] and new[1]
+        return old
+
+    feasible = {}
+    for property_id in dict.fromkeys(a.property_id for a in expr.atoms):
+        prop = world.property_def(property_id)
+        lower = upper = (None, False)
+        excluded = set()
+        for atom in (a for a in expr.atoms if a.property_id == property_id):
+            value = convert_between_units(to_fraction(atom.literal), atom.unit, prop.unit)
+            if atom.comparator in (">", ">=", "="):
+                lower = tighter(lower, (value, atom.comparator != ">"), True)
+            if atom.comparator in ("<", "<=", "="):
+                upper = tighter(upper, (value, atom.comparator != "<"), False)
+            if atom.comparator == "!=":
+                excluded.add(value)
+        if prop.declared_range is not None:
+            lo, hi = prop.declared_range
+            lower = tighter(lower, (to_fraction(lo), True), True)
+            upper = tighter(upper, (to_fraction(hi), True), False)
+        feasible[property_id] = FeasibleSet.interval(
+            prop.datatype, lower[0], lower[1], upper[0], upper[1], frozenset(excluded)
+        )
+    return NormalForm(expr.class_id, feasible)
+
+
+def _fold_world() -> WorldModel:
+    """Integer and real properties with and without units and declared
+    ranges; ``gap``, ``sliver`` and ``flat`` have empty domains, which only an
+    unvalidated world can hold."""
+    return WorldModel(
+        taxonomy=sample_taxonomy(),
+        property_defs=(
+            PropertyDefinition("depth", "integer", unit="mm", declared_range=(0, 100)),
+            PropertyDefinition("span", "integer", unit="mm"),
+            PropertyDefinition("cycle", "integer", unit="s", declared_range=(0, 3600)),
+            PropertyDefinition(
+                "count", "integer", declared_range=(Decimal("-2.5"), Decimal("40.5"))
+            ),
+            PropertyDefinition("gap", "integer", unit="mm", declared_range=(5, 3)),
+            PropertyDefinition(
+                "sliver", "integer", declared_range=(Decimal("0.2"), Decimal("0.8"))
+            ),
+            PropertyDefinition("torque", "real", declared_range=(0, 10)),
+            PropertyDefinition("angle", "real"),
+            PropertyDefinition("flat", "real", declared_range=(4, 2)),
+        ),
+    )
+
+
+#: property -> units an atom on it may carry
+_FOLD_UNITS = {
+    "depth": (None, "mm", "cm"), "span": (None, "mm", "cm", "m"),
+    "cycle": (None, "s", "min"), "count": (None,), "gap": (None, "mm", "cm"),
+    "sliver": (None,), "torque": (None,), "angle": (None,), "flat": (None,),
+}
+
+
+def _fold_literal(rng):
+    roll = rng.random()
+    if roll < 0.6:
+        return rng.randint(-10, 110)
+    if roll < 0.9:
+        return Decimal(rng.randint(-40, 440)) / 4
+    return Fraction(rng.randint(-30, 330), 3)
+
+
+def test_normalize_equals_the_fraction_fold():
+    world = _fold_world()
+    rng = random.Random(1010)
+    comparators = ["<", "<=", ">", ">=", "=", "!="]
+    kinds = set()
+    for _ in range(3000):
+        properties = rng.sample(sorted(_FOLD_UNITS), rng.randint(1, 3))
+        atoms = tuple(
+            Atom(p, rng.choice(comparators), _fold_literal(rng), rng.choice(_FOLD_UNITS[p]))
+            for p in properties
+            for _ in range(rng.randint(1, 4))
+        )
+        expr = CapabilityExpression("Drilling", rng.sample(atoms, len(atoms)))
+        got, want = normalize(expr, world), _fraction_fold(expr, world)
+        assert got == want, expr
+        for property_id, fs in got.feasible.items():
+            assert format_feasible_set(fs) == format_feasible_set(want.feasible[property_id])
+            kinds.add((property_id, fs.kind, bool(fs.excluded)))
+            if fs.datatype == "integer":
+                assert all(type(v) is int for v in _bound_values(fs)), fs
+            else:
+                assert all(type(v) is Fraction for v in _bound_values(fs)), fs
+    for property_id in ("depth", "span", "cycle", "count", "torque", "angle"):
+        assert {(property_id, "interval", True), (property_id, "empty", False)} <= kinds
+    assert {("gap", "empty", False), ("sliver", "empty", False), ("flat", "empty", False)} <= kinds
+    assert not any(p in ("gap", "sliver", "flat") and k != "empty" for p, k, _ in kinds)

@@ -71,13 +71,22 @@ def _hello_of(length: int) -> bytes:
     return line.replace(b'""}', b'"' + b"x" * (length - len(line)) + b'"}')
 
 
+ENVELOPE = {"kind": "read", "correlationId": "c-type", "payload": PAYLOADS["read"], "seq": 1}
+
+
+def wrong_envelope_lines() -> list[bytes]:
+    """Every envelope field once with each wrong type. None of these lines is
+    a message, except the one with a null seq, which reads as no seq."""
+    return [
+        json.dumps({**ENVELOPE, field: wrong}).encode()
+        for field, value in ENVELOPE.items()
+        for wrong in _wrong(value)
+    ]
+
+
 def wrong_type_lines() -> list[bytes]:
     """Every envelope field and every payload field, once with each wrong type."""
-    lines = []
-    envelope = {"kind": "read", "correlationId": "c-type", "payload": PAYLOADS["read"], "seq": 1}
-    for field, value in envelope.items():
-        for wrong in _wrong(value):
-            lines.append(json.dumps({**envelope, field: wrong}).encode())
+    lines = wrong_envelope_lines()
     for kind, payload in PAYLOADS.items():
         for field, value in payload.items():
             for wrong in _wrong(value):
@@ -175,10 +184,14 @@ class TcpWire:
 @pytest.mark.parametrize("wire_type", [LoopbackWire, TcpWire])
 def test_every_hostile_line_gets_one_response_and_the_connection_lives(wire_type):
     wire = wire_type(make_host()[0])
+    null_seq = json.dumps({**ENVELOPE, "seq": None}).encode()
+    not_messages = set(wrong_envelope_lines()) - {null_seq}
     try:
         for raw in hostile_lines(random.Random(4), 400):
             answers = wire.exchange(raw)
             expected = _expected_correlation_id(raw)
+            if raw in not_messages:  # asserted directly, not taken from decode
+                assert expected == "", raw
             assert [a.correlation_id for a in answers] == [expected], raw[:200]
             assert answers[0].kind in ("result", "error")
             if not expected:  # a line that is no message is answered with ParseError

@@ -13,16 +13,19 @@ from csskit.errors import (
     OfferExpiredError,
     UnknownCapKeyError,
 )
-from csskit.expressions import parse_expression
+from csskit.expressions import Atom, CapabilityExpression, parse_expression
 from csskit.market import (
+    COVERING_DEGREES,
     Award,
     ServiceOffer,
     ServiceRequest,
     TenderCriteria,
+    Violation,
     evaluate_offer,
     form_contract,
     select_offers,
 )
+from csskit.matching import MatchDegree, match_capabilities
 
 
 def ts(text: str) -> datetime:
@@ -155,6 +158,23 @@ def test_admissibility_monotone_under_relaxed_bounds(base_world, request_two_cap
         after = evaluate_offer(relaxed, offer, base_world).admissible
         if before:
             assert after
+
+
+def test_a_duplicated_key_is_judged_against_its_first_expression(base_world, request_two_caps):
+    drill, screw = request_two_caps.required_capabilities
+    wide = ("cap-drill", parse_expression("Drilling and (depth <= 50 mm)", base_world))
+    offer = make_offer(base_world)  # depth <= 15: PLUGIN for [10, 12], SUBSUME for [0, 50]
+    narrow_first = replace(request_two_caps, required_capabilities=(drill, screw, wide))
+    wide_first = replace(request_two_caps, required_capabilities=(wide, screw, drill))
+    assert narrow_first.cap_keys() == ("cap-drill", "cap-screw", "cap-drill")
+    assert evaluate_offer(narrow_first, offer, base_world).admissible
+    (violation,) = evaluate_offer(wide_first, offer, base_world).violations
+    assert violation.detail == "cap-drill: degree SUBSUME does not cover the requirement"
+    screw_offer = make_offer(base_world, "o-2", caps=("cap-screw",))
+    award = select_offers(narrow_first, [offer, screw_offer], NOW, base_world)
+    assert award.offer_ids() == ("o-1", "o-2")
+    with pytest.raises(NoFeasibleCombinationError):
+        select_offers(wide_first, [offer, screw_offer], NOW, base_world)
 
 
 # --- select_offers ----------------------------------------------------------------
@@ -392,3 +412,104 @@ def test_selection_matches_exhaustive_minimum(base_world):
         assert len(set(groups)) == len(groups)
         solved += 1
     assert solved >= 60
+
+
+# --- shared required normal forms against match_capabilities per offer -------------
+
+#: class -> (constrained property, unit, literal scale)
+_PROPERTY = {
+    "Drilling": ("depth", "mm", 1), "Milling": ("depth", "mm", 1),
+    "Screwing": ("torque", None, 10), "Welding": ("cycle", "s", 1),
+}
+_PARENT = {"Drilling": "Separating", "Milling": "Separating",
+           "Screwing": "Joining", "Welding": "Joining"}
+_SIBLING = {"Drilling": "Milling", "Milling": "Drilling",
+            "Screwing": "Welding", "Welding": "Screwing"}
+
+
+def _window(class_id, leaf, low, high):
+    property_id, unit, scale = _PROPERTY[leaf]
+    low, high = (low, high) if scale == 1 else (Decimal(low) / scale, Decimal(high) / scale)
+    return CapabilityExpression(
+        class_id, (Atom(property_id, ">=", low, unit), Atom(property_id, "<=", high, unit))
+    )
+
+
+def _provided(rng, need):
+    """The need itself, its window widened on its class or its parent class,
+    on a sibling class, strictly narrower, or shifted to start inside it."""
+    leaf, low, high = need
+    shape = rng.choice(("exact", "same", "parent", "sibling", "narrower", "shifted"))
+    if shape == "exact":
+        return _window(leaf, *need)
+    if shape == "narrower":
+        return _window(leaf, leaf, rng.randint(low, high - 1), high - 1)
+    if shape == "shifted":
+        start = rng.randint(low + 1, high)
+        return _window(leaf, leaf, start, min(start + high - low, 100))
+    class_id = {"same": leaf, "parent": _PARENT[leaf], "sibling": _SIBLING[leaf]}[shape]
+    return _window(class_id, leaf, rng.randint(0, low), rng.randint(high, 100))
+
+
+def _tender_instance(base_world, rng):
+    needs = {}
+    for i in range(rng.randint(1, 4)):
+        low = rng.randint(1, 80)
+        needs[f"k{i}"] = (rng.choice(sorted(_PROPERTY)), low, low + rng.randint(1, 19))
+    request = ServiceRequest(
+        request_id="req-t",
+        required_capabilities=tuple((k, _window(n[0], *n)) for k, n in needs.items()),
+        tender=TenderCriteria(
+            quantity=rng.randint(1, 3),
+            max_unit_price=Decimal(20),
+            max_co2_per_unit=Decimal(10),
+            delivery_deadline=ts("2026-09-01T00:00:00"),
+        ),
+        submitted_at=ts("2026-08-01T00:00:00"),
+        response_deadline=ts("2026-08-20T00:00:00"),
+    )
+    offers = []
+    for i in range(rng.randint(2, 8)):
+        covered = tuple(rng.sample(sorted(needs), rng.randint(1, len(needs))))
+        offers.append(ServiceOffer(
+            offer_id=f"o-{i:02d}",
+            provider_id="p",
+            request_id="req-t",
+            covered_cap_keys=covered,
+            provided_capabilities={k: _provided(rng, needs[k]) for k in covered},
+            unit_price=Decimal(rng.randint(1, 24)),  # some exceed the cap
+            co2_per_unit=Decimal(1),
+            delivery_date=ts("2026-08-25T00:00:00"),
+            valid_until=ts("2026-08-30T00:00:00"),
+            exclusive_group=rng.choice([None, None, "g1"]),
+        ))
+    return request, offers
+
+
+def test_offer_evaluation_equals_match_capabilities_per_offer(base_world):
+    rng = random.Random(1012)
+    degrees = set()
+    for _ in range(200):
+        request, offers = _tender_instance(base_world, rng)
+        required = dict(request.required_capabilities)
+        for offer in offers:
+            expected = []
+            for key in offer.covered_cap_keys:
+                degree = match_capabilities(
+                    required[key], offer.provided_capabilities[key], base_world
+                ).degree
+                degrees.add(degree)
+                if degree not in COVERING_DEGREES:
+                    expected.append(Violation(
+                        "capabilityCoverage",
+                        f"{key}: degree {degree.value} does not cover the requirement",
+                    ))
+            violations = evaluate_offer(request, offer, base_world).violations
+            assert [v for v in violations if v.criterion == "capabilityCoverage"] == expected
+        least = _oracle_minimum(request, offers, NOW, base_world)
+        if least is None:
+            with pytest.raises(NoFeasibleCombinationError):
+                select_offers(request, offers, NOW, base_world)
+        else:
+            assert select_offers(request, offers, NOW, base_world).total_cost == least
+    assert degrees == set(MatchDegree)

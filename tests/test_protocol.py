@@ -81,6 +81,21 @@ def test_decoder_is_stateless_about_seq():
     assert (first.seq, second.seq) == (2, 3)
 
 
+@pytest.mark.parametrize("seq", ["true", "false"])
+def test_decode_rejects_a_boolean_seq(seq):
+    with pytest.raises(ParseError, match="seq must be an integer"):
+        decode(f'{{"kind":"read","correlationId":"c","payload":{{}},"seq":{seq}}}')
+
+
+def test_a_client_drops_an_event_with_a_boolean_seq(monkeypatch):
+    client = protocol.SkillClient(lambda line: None)
+    event = '{"kind":"event","correlationId":"","payload":{"newState":"Idle"},"seq":%s}'
+    client.feed_line(event % "false")
+    assert_silent(client.next_event, monkeypatch)
+    client.feed_line(event % "1")
+    assert client.next_event().seq == 1
+
+
 # --- handshake and requests ------------------------------------------------------
 
 def test_hello_returns_server_name_and_version():
