@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expressions import format_feasible_set, parse_expression
 from .hosting import build_resource_host
-from .market import evaluate_offer, form_contract, select_offers
+from .market import evaluate_offers, form_contract, select_offers
 from .matching import MatchDegree, match_capabilities
 from .model import validate_model
 from .orchestrate import execute_plan, plan, trace_to_lines
@@ -320,8 +320,7 @@ def _load_market_inputs(args):
 
 def _cmd_market_eval(args) -> int:
     world, request, offers, _ = _load_market_inputs(args)
-    for offer in offers:
-        admissibility = evaluate_offer(request, offer, world)
+    for offer, admissibility in zip(offers, evaluate_offers(request, offers, world)):
         print(
             jsonio.dumps(
                 {

@@ -8,10 +8,10 @@ offers, at minimal total cost; the search is exact for any number of
 offers. Money and CO2 use exact decimal arithmetic; all bound comparisons
 are inclusive.
 
-A selection normalizes each requested key once, on first use, and matches
-every offer covering that key against that one normal form. Integer
-properties fold to plain ``int`` bounds, so their comparisons need no
-``Fraction``.
+A selection or an evaluation of several offers normalizes each requested
+key once, on first use, and matches every offer covering that key against
+that one normal form. Integer properties fold to plain ``int`` bounds, so
+their comparisons need no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import NoFeasibleCombinationError, OfferExpiredError, UnknownCapKeyError
 from .expressions import normalize
@@ -114,62 +114,54 @@ def evaluate_offer(
     world: WorldModel,
 ) -> Admissibility:
     """Check one offer against the request's capability and tender criteria."""
-    return _evaluate(request, offer, world, _RequiredForms(request, world))
+    return next(evaluate_offers(request, (offer,), world))
 
 
-class _RequiredForms:
-    """The request's normal form per capability key, built on first use and
-    kept for the rest of one evaluation or selection. A duplicated key keeps
-    its first expression."""
-
-    def __init__(self, request: ServiceRequest, world: WorldModel):
-        self.expressions: dict[str, CapabilityExpression] = {}
-        for key, expression in request.required_capabilities:
-            self.expressions.setdefault(key, expression)
-        self._forms: dict[str, NormalForm] = {}
-        self._world = world
-
-    def __getitem__(self, cap_key: str) -> NormalForm:
-        nf = self._forms.get(cap_key)
-        if nf is None:
-            nf = self._forms[cap_key] = normalize(self.expressions[cap_key], self._world)
-        return nf
-
-
-def _evaluate(
-    request: ServiceRequest,
-    offer: ServiceOffer,
-    world: WorldModel,
-    required: _RequiredForms,
-) -> Admissibility:
-    if offer.request_id != request.request_id:
-        raise UnknownCapKeyError(
-            f"offer {offer.offer_id!r} answers request {offer.request_id!r}, "
-            f"not {request.request_id!r}"
-        )
-    for cap_key in offer.covered_cap_keys:
-        if cap_key not in required.expressions:
-            raise UnknownCapKeyError(f"request has no capability key {cap_key!r}")
-        if cap_key not in offer.provided_capabilities:
+def evaluate_offers(
+    request: ServiceRequest, offers, world: WorldModel
+) -> Iterator[Admissibility]:
+    """``evaluate_offer`` of each offer in turn. Each requested key is
+    normalized once, on first use; a duplicated key keeps its first expression."""
+    required: dict[str, CapabilityExpression] = {}
+    for key, expression in request.required_capabilities:
+        required.setdefault(key, expression)
+    forms: dict[str, NormalForm] = {}
+    for offer in offers:
+        if offer.request_id != request.request_id:
             raise UnknownCapKeyError(
-                f"offer {offer.offer_id!r} covers {cap_key!r} without a "
-                "provided capability"
+                f"offer {offer.offer_id!r} answers request {offer.request_id!r}, "
+                f"not {request.request_id!r}"
             )
-
-    violations: list[Violation] = []
-    for cap_key in offer.covered_cap_keys:
-        result = match_normal_form(
-            required[cap_key], offer.provided_capabilities[cap_key], world
-        )
-        if result.degree not in COVERING_DEGREES:
-            violations.append(
-                Violation(
-                    "capabilityCoverage",
-                    f"{cap_key}: degree {result.degree.value} does not cover "
-                    "the requirement",
+        for cap_key in offer.covered_cap_keys:
+            if cap_key not in required:
+                raise UnknownCapKeyError(f"request has no capability key {cap_key!r}")
+            if cap_key not in offer.provided_capabilities:
+                raise UnknownCapKeyError(
+                    f"offer {offer.offer_id!r} covers {cap_key!r} without a "
+                    "provided capability"
                 )
+
+        violations: list[Violation] = []
+        for cap_key in offer.covered_cap_keys:
+            if cap_key not in forms:
+                forms[cap_key] = normalize(required[cap_key], world)
+            result = match_normal_form(
+                forms[cap_key], offer.provided_capabilities[cap_key], world
             )
-    tender = request.tender
+            if result.degree not in COVERING_DEGREES:
+                violations.append(
+                    Violation(
+                        "capabilityCoverage",
+                        f"{cap_key}: degree {result.degree.value} does not cover "
+                        "the requirement",
+                    )
+                )
+        violations += _tender_violations(request.tender, offer)
+        yield Admissibility(admissible=not violations, violations=tuple(violations))
+
+
+def _tender_violations(tender: TenderCriteria, offer: ServiceOffer) -> list[Violation]:
+    violations: list[Violation] = []
     if offer.unit_price > tender.max_unit_price:
         violations.append(
             Violation(
@@ -204,7 +196,7 @@ def _evaluate(
         violations.append(
             Violation("ndaRequired", "non-disclosure agreement not accepted")
         )
-    return Admissibility(admissible=not violations, violations=tuple(violations))
+    return violations
 
 
 def select_offers(
@@ -220,13 +212,13 @@ def select_offers(
     ties break toward the lexicographically smallest sorted offer-id tuple;
     the award lists its offers in offer-id order.
     """
-    required = _RequiredForms(request, world)
-    candidates = [
+    live = [
         offer
         for offer in sorted(offers, key=lambda o: o.offer_id)
-        if (offer.valid_until is None or offer.valid_until >= now)
-        and _evaluate(request, offer, world, required).admissible
+        if offer.valid_until is None or offer.valid_until >= now
     ]
+    evaluated = zip(live, evaluate_offers(request, live, world))
+    candidates = [offer for offer, result in evaluated if result.admissible]
     keys = sorted(set(request.cap_keys()))
     if not keys:
         raise NoFeasibleCombinationError("request has no capability keys")

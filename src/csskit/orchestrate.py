@@ -149,7 +149,11 @@ def bind_parameters(
 
 
 def plan(product: Product, world: WorldModel) -> ProductionPlan:
-    """Choose a provider, capability and skill for every product step."""
+    """Choose a provider, capability and skill for every product step.
+
+    A candidate is skipped when a step value lies outside its envelope, when
+    it has no skill, or when its skill leaves a required input unbound.
+    """
     report = validate_model(world)
     if not report.ok:
         details = "; ".join(f"{i.path}: {i.message}" for i in report.errors())
@@ -173,6 +177,10 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             if not skills:
                 continue
             descriptor = skills[0]
+            try:
+                assignment = bind_parameters(step, capability, descriptor, world)
+            except UnboundRequiredParameterError:
+                continue
             qualifying.append(
                 PlanEntry(
                     step_id=step.id,
@@ -180,9 +188,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
                     capability_id=capability.id,
                     skill_id=descriptor.skill_id,
                     match_degree=result.degree,
-                    parameter_assignment=bind_parameters(
-                        step, capability, descriptor, world
-                    ),
+                    parameter_assignment=assignment,
                 )
             )
         if not qualifying:

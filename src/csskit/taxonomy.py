@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import UnknownClassError
@@ -19,18 +20,33 @@ class Taxonomy:
     """A single-rooted class tree.
 
     Closure semantics are built in: a class subsumes all its descendants and
-    classes on different branches are disjoint.
+    classes on different branches are disjoint. The tree is numbered once in
+    preorder (Dietz, STOC 1982): each class reachable from a parentless class
+    gets a span ``(entry, exit)`` holding the entries of exactly its subtree.
     """
 
     classes: tuple[TaxonomyClass, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _ancestor_sets: dict = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
+    _spans: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {c.id: c for c in self.classes})
-        object.__setattr__(self, "_ancestor_sets", {})
+        by_id = {c.id: c for c in self.classes}
+        children: dict[str | None, list[str]] = {}
+        for cls in by_id.values():
+            children.setdefault(cls.parent, []).append(cls.id)
+        spans: dict[str, tuple[int, int]] = {}
+        entered = 0
+        stack = [(root, None) for root in children.get(None, ())]
+        while stack:
+            class_id, entry = stack.pop()
+            if entry is None:
+                stack.append((class_id, entered))
+                stack += [(child, None) for child in children.get(class_id, ())]
+                entered += 1
+            else:
+                spans[class_id] = (entry, entered)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_spans", spans)
 
     def has_class(self, class_id: str) -> bool:
         return class_id in self._by_id
@@ -41,61 +57,45 @@ class Taxonomy:
             raise UnknownClassError(f"class {class_id!r} is not in the taxonomy")
         return cls
 
-    def ancestors(self, class_id: str) -> tuple[str, ...]:
-        """Ancestors from parent up to the root, excluding the class itself."""
-        chain: list[str] = []
-        current = self.get(class_id)
-        seen = {class_id}
-        while current.parent is not None:
-            if current.parent in seen:
-                break  # defensive against cyclic hand-built input
-            chain.append(current.parent)
-            seen.add(current.parent)
-            current = self.get(current.parent)
-        return tuple(chain)
-
-    def ancestor_set(self, class_id: str) -> frozenset[str]:
-        """``ancestors`` as a set, walked once per class and then kept.
-
-        Kept sets never go stale because the taxonomy is immutable; two
-        threads filling the same entry store equal sets.
-        """
-        found = self._ancestor_sets.get(class_id)
-        if found is None:
-            found = frozenset(self.ancestors(class_id))
-            self._ancestor_sets[class_id] = found
-        return found
-
     def structural_issues(self) -> list[str]:
         """Tree-shape defects; empty when the taxonomy is a proper tree."""
-        issues: list[str] = []
-        ids = [c.id for c in self.classes]
-        for cid in sorted({i for i in ids if ids.count(i) > 1}):
-            issues.append(f"duplicate class id {cid!r}")
-        roots = [c.id for c in self.classes if c.parent is None]
+        counts = Counter(c.id for c in self.classes)
+        issues = [f"duplicate class id {i!r}" for i in sorted(counts) if counts[i] > 1]
+        roots = sum(c.parent is None for c in self.classes)
         if not self.classes:
             issues.append("taxonomy has no classes")
-        elif len(roots) != 1:
-            issues.append(f"taxonomy must have exactly one root, found {len(roots)}")
+        elif roots != 1:
+            issues.append(f"taxonomy must have exactly one root, found {roots}")
+        # unnumbered classes and missing parents -> whether the chain ends in a cycle
+        ends_in_cycle: dict[str, bool] = {}
         for cls in self.classes:
             if cls.parent is not None and cls.parent not in self._by_id:
                 issues.append(f"class {cls.id!r} references unknown parent {cls.parent!r}")
-        # cycle check: walk parents bounded by class count
-        for cls in self.classes:
-            hops = 0
-            cur = cls
-            while cur.parent is not None and cur.parent in self._by_id:
-                cur = self._by_id[cur.parent]
-                hops += 1
-                if hops > len(self.classes):
-                    issues.append(f"parent chain of class {cls.id!r} contains a cycle")
-                    break
+                ends_in_cycle[cls.parent] = False
+        for class_id in self._by_id.keys() - self._spans.keys():
+            path: dict[str, None] = {}
+            while class_id not in path and class_id not in ends_in_cycle:
+                path[class_id] = None
+                class_id = self._by_id[class_id].parent  # never None: not a root
+            ends_in_cycle.update(dict.fromkeys(path, ends_in_cycle.get(class_id, True)))
+        issues += [f"parent chain of class {c.id!r} contains a cycle"
+                   for c in self.classes if ends_in_cycle.get(c.parent)]
         return issues
 
 
 def is_subclass_of(tax: Taxonomy, a: str, b: str) -> bool:
     """True iff ``a`` equals ``b`` or ``b`` is an ancestor of ``a``."""
-    tax.get(a)
+    spans = tax._spans
+    if a in spans and b in spans:
+        entry_b, exit_b = spans[b]
+        return entry_b <= spans[a][0] < exit_b
+    cls = tax.get(a)
     tax.get(b)
-    return a == b or b in tax.ancestor_set(a)
-
+    if a == b or a in spans:
+        return a == b  # a numbered class has only numbered ancestors
+    # unnumbered: walk the whole chain, so a missing parent raises past ``b``
+    seen = {a}
+    while cls.parent not in seen:
+        seen.add(cls.parent)
+        cls = tax.get(cls.parent)
+    return b in seen

@@ -184,3 +184,51 @@ def evaluate_expression(expr, assignment, world: WorldModel) -> bool:
         if not holds:
             return False
     return True
+
+
+def oracle_structural_issues(tax: Taxonomy) -> list[str]:
+    """Reference tree check: counts every id and walks every class's parent
+    chain, bounded by the class count. Quadratic; small taxonomies only."""
+    by_id = {c.id: c for c in tax.classes}
+    issues: list[str] = []
+    ids = [c.id for c in tax.classes]
+    for cid in sorted({i for i in ids if ids.count(i) > 1}):
+        issues.append(f"duplicate class id {cid!r}")
+    roots = [c.id for c in tax.classes if c.parent is None]
+    if not tax.classes:
+        issues.append("taxonomy has no classes")
+    elif len(roots) != 1:
+        issues.append(f"taxonomy must have exactly one root, found {len(roots)}")
+    for cls in tax.classes:
+        if cls.parent is not None and cls.parent not in by_id:
+            issues.append(f"class {cls.id!r} references unknown parent {cls.parent!r}")
+    for cls in tax.classes:
+        hops = 0
+        cur = cls
+        while cur.parent is not None and cur.parent in by_id:
+            cur = by_id[cur.parent]
+            hops += 1
+            if hops > len(tax.classes):
+                issues.append(f"parent chain of class {cls.id!r} contains a cycle")
+                break
+    return issues
+
+
+def oracle_is_subclass_of(tax: Taxonomy, a: str, b: str) -> bool:
+    """Reference subclass test: walks ``a``'s whole parent chain (the last
+    entry of an id wins), stopping at a repeated class and raising
+    ``UnknownClassError`` on a missing one, then looks for ``b`` in it."""
+    tax.get(a)
+    tax.get(b)
+    if a == b:
+        return True
+    chain: list[str] = []
+    current = tax.get(a)
+    seen = {a}
+    while current.parent is not None:
+        if current.parent in seen:
+            break
+        chain.append(current.parent)
+        seen.add(current.parent)
+        current = tax.get(current.parent)
+    return b in chain

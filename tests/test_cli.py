@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -247,6 +248,36 @@ def test_market_eval_select_accept(tmp_path, world_file, capsys):
     assert code == 0
     assert contract["contractId"] == "contract-req-42"
     assert contract["formedAt"] == "2026-08-10T00:00:00Z"
+
+
+def test_market_eval_normalizes_no_more_than_select(tmp_path, world_file, capsys,
+                                                    monkeypatch):
+    import csskit.market
+    import csskit.matching
+
+    calls = Counter()
+    for module in (csskit.market, csskit.matching):
+        def counted(expression, world, original=module.normalize, name=module.__name__):
+            calls[name] += 1
+            return original(expression, world)
+
+        monkeypatch.setattr(module, "normalize", counted)
+    request_path = _write(tmp_path, "request.json", request_doc())
+    offers = []
+    for i in range(6):
+        doc = offer_doc()
+        doc.update(offerId=f"off-{i}", unitPrice=Decimal(f"4.{i}0"))
+        offers.append(_write(tmp_path, f"offer-{i}.json", doc))
+    counts = {}
+    for command in ("eval", "select"):  # select finds no cover of cap-screw
+        calls.clear()
+        run(["market", command, "--request", request_path, "--offers", *offers,
+             "--world", world_file, "--now", "2026-08-10T00:00:00Z"])
+        counts[command] = dict(calls)
+        if command == "eval":
+            assert len(capsys.readouterr().out.splitlines()) == 6
+    # one normal form per requested key, one per covered key of each offer
+    assert counts["eval"] == counts["select"] == {"csskit.market": 1, "csskit.matching": 6}
 
 
 def test_market_select_no_combination_exit_one(tmp_path, world_file, capsys):

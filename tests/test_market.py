@@ -22,9 +22,12 @@ from csskit.market import (
     TenderCriteria,
     Violation,
     evaluate_offer,
+    evaluate_offers,
     form_contract,
     select_offers,
 )
+from csskit import market
+from csskit.expressions import normalize
 from csskit.matching import MatchDegree, match_capabilities
 
 
@@ -175,6 +178,24 @@ def test_a_duplicated_key_is_judged_against_its_first_expression(base_world, req
     assert award.offer_ids() == ("o-1", "o-2")
     with pytest.raises(NoFeasibleCombinationError):
         select_offers(wide_first, [offer, screw_offer], NOW, base_world)
+
+
+def test_evaluating_many_offers_normalizes_each_requested_key_once(
+    request_two_caps, base_world, monkeypatch
+):
+    calls = []
+
+    def counted(expression, world):
+        calls.append(expression)
+        return normalize(expression, world)
+
+    monkeypatch.setattr(market, "normalize", counted)
+    covers = [("cap-drill",), ("cap-screw",), ("cap-drill", "cap-screw")] * 3
+    offers = [make_offer(base_world, f"o-{i}", caps) for i, caps in enumerate(covers)]
+    results = list(evaluate_offers(request_two_caps, offers, base_world))
+    assert len(calls) == 2
+    assert results == [evaluate_offer(request_two_caps, o, base_world) for o in offers]
+    assert len(calls) == 2 + 12  # evaluate_offer alone normalizes per covered key
 
 
 # --- select_offers ----------------------------------------------------------------

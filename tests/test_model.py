@@ -238,10 +238,8 @@ def _kept_sizes(world) -> dict:
 def test_caller_expressions_are_not_kept_by_the_world(two_resource_world):
     world = two_resource_world
     classes = [c.id for c in world.taxonomy.classes]
-    # fill everything bounded by the world itself: ancestor sets, domains,
-    # the normal forms of the capabilities it owns
-    for class_id in classes:
-        world.taxonomy.ancestor_set(class_id)
+    # fill everything bounded by the world itself: domains and the normal
+    # forms of the capabilities it owns (the taxonomy keeps nothing per query)
     for prop in world.property_defs:
         world.domain(prop.id)
     candidates = [(resource.id, capability) for resource, capability in world.capabilities()]

@@ -178,6 +178,34 @@ def test_plan_tie_breaks_on_resource_id(exec_world):
     assert [alt.resource_id for alt in entry.alternates] == ["r-driller-b"]
 
 
+def _feed_rate_required(doc: dict, resource_id: str) -> dict:
+    """Give ``resource_id``'s skill a required ``feedRate`` input that no step
+    value and no default binds."""
+    resource = next(r for r in doc["resources"] if r["id"] == resource_id)
+    resource["skills"][0]["parameters"].append(
+        {"paramId": "feedRate", "direction": "input", "datatype": "real"}
+    )
+    return doc
+
+
+def test_plan_drops_an_alternate_that_does_not_bind(exec_world):
+    world = build_world([_feed_rate_required(exec_world_doc(), "r-driller-b")])
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    assert entry.resource_id == "r-driller-a"
+    assert entry.alternates == ()
+    # with every candidate binding, the plan is the one it always was
+    bound = plan(exec_world.product("prod-bracket"), exec_world).entries[0]
+    assert entry == replace(bound, alternates=())
+
+
+def test_plan_without_a_bindable_candidate_has_no_match():
+    doc = _feed_rate_required(exec_world_doc(), "r-driller-a")
+    world = build_world([_feed_rate_required(doc, "r-driller-b")])
+    with pytest.raises(NoMatchForStepError) as excinfo:
+        plan(world.product("prod-bracket"), world)
+    assert excinfo.value.step_id == "step-drill"
+
+
 def test_plan_requires_clean_validation(exec_world):
     broken = replace(
         exec_world,
