@@ -13,8 +13,6 @@ import time
 
 from . import jsonio
 from .documents import (
-    SCHEMA_OFFER,
-    SCHEMA_REQUEST,
     build_world,
     endpoints_from_doc,
     load_document_file,
@@ -302,18 +300,8 @@ def _cmd_run(args) -> int:
 
 def _load_market_inputs(args):
     world = _load_world(args.world)
-    request_doc = load_document_file(args.request)
-    if request_doc.get("schema") != SCHEMA_REQUEST:
-        raise DocumentInvalidError(
-            f"{args.request}: expected schema {SCHEMA_REQUEST!r}"
-        )
-    request = request_from_doc(request_doc, world)
-    offers = []
-    for path in args.offers:
-        doc = load_document_file(path)
-        if doc.get("schema") != SCHEMA_OFFER:
-            raise DocumentInvalidError(f"{path}: expected schema {SCHEMA_OFFER!r}")
-        offers.append(offer_from_doc(doc, world))
+    request = request_from_doc(load_document_file(args.request), world)
+    offers = [offer_from_doc(load_document_file(path), world) for path in args.offers]
     now = parse_timestamp(args.now)
     return world, request, offers, now
 

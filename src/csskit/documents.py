@@ -1,11 +1,14 @@
 """On-disk document formats: worlds, taxonomies, products, requests, offers.
 
-Every document is a UTF-8 JSON tree with a top-level ``schema`` field.
-Parsing is strict: unknown schema strings and unknown fields are rejected,
-so interop documents fail loudly instead of drifting. Capability
-expressions travel as grammar strings and are resolved against the world
-being assembled. csskit only reads documents; ``document_to_text`` renders
-a document tree that a caller has built.
+Every document is a UTF-8 JSON tree with a top-level ``schema`` field. Parsing
+is strict, so interop documents fail loudly instead of drifting: each reader
+checks its document's ``schema`` value before any other field, unknown fields
+are rejected, and every field is read through one small set of typed readers
+(``_string``, ``_optional_string``, ``_list``, ``_strings``, ``_decimal``,
+``_bool``, ``_timestamp``, ``_expression``) that report a fault under the
+field's path. Capability expressions travel as grammar strings and are
+resolved against the world being assembled. csskit only reads documents;
+``document_to_text`` renders a document tree that a caller has built.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from pathlib import Path
 
 from . import jsonio
 from .errors import CssError, DocumentInvalidError
-from .expressions import parse_expression
+from .expressions import CapabilityExpression, parse_expression
 from .market import ServiceOffer, ServiceRequest, TenderCriteria
 from .model import (
+    STATE_MACHINE_PROFILE,
     Capability,
     ParameterSpec,
     ProcessStep,
@@ -46,6 +50,12 @@ KNOWN_SCHEMAS = (
     SCHEMA_ENDPOINTS,
 )
 
+_OFFER_FIELDS = frozenset({
+    "offerId", "providerId", "requestId", "coveredCapKeys", "providedCapabilities",
+    "unitPrice", "co2PerUnit", "deliveryDate", "validUntil",
+})
+_OFFER_OPTIONAL = frozenset({"certifications", "ndaAccepted", "exclusiveGroup"})
+
 
 def load_document_text(text: str) -> dict:
     data = jsonio.loads(text)
@@ -65,6 +75,10 @@ def document_to_text(doc: dict) -> str:
     return jsonio.dumps(doc, indent=2) + "\n"
 
 
+# ---------------------------------------------------------------------------
+# typed readers
+# ---------------------------------------------------------------------------
+
 def _expect(obj, where: str, required: set[str], optional: set[str] = frozenset()):
     if not isinstance(obj, dict):
         raise DocumentInvalidError(f"{where}: expected an object")
@@ -77,11 +91,45 @@ def _expect(obj, where: str, required: set[str], optional: set[str] = frozenset(
     return obj
 
 
+def _document(doc, schema: str, required: set[str], optional: set[str] = frozenset()) -> dict:
+    """Check a standalone document's ``schema`` value, then its fields."""
+    if isinstance(doc, dict) and doc.get("schema") != schema:
+        raise DocumentInvalidError(
+            f"{schema}: expected schema {schema!r}, found {doc.get('schema')!r}"
+        )
+    return _expect(doc, schema, {"schema", *required}, optional)
+
+
 def _string(obj, key: str, where: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value:
         raise DocumentInvalidError(f"{where}.{key}: expected a non-empty string")
     return value
+
+
+def _optional_string(obj, key: str, where: str, default: str | None = None) -> str | None:
+    value = obj.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise DocumentInvalidError(f"{where}.{key}: expected a string")
+    return value
+
+
+def _list(obj, key: str, where: str, nonempty: bool = False, strings: bool = False) -> list:
+    value = obj.get(key, [])
+    if (
+        not isinstance(value, list)
+        or (nonempty and not value)
+        or (strings and not all(isinstance(v, str) for v in value))
+    ):
+        kind = "a non-empty list" if nonempty else "a list"
+        raise DocumentInvalidError(
+            f"{where}.{key}: expected {kind}{' of strings' if strings else ''}"
+        )
+    return value
+
+
+def _strings(obj, key: str, where: str, nonempty: bool = False) -> list[str]:
+    return _list(obj, key, where, nonempty, strings=True)
 
 
 def _decimal(obj, key: str, where: str) -> Decimal:
@@ -105,31 +153,34 @@ def _timestamp(obj, key: str, where: str):
         raise DocumentInvalidError(f"{where}.{key}: {exc.message}") from exc
 
 
+def _expression(
+    obj, key: str, where: str, world: WorldModel, path: str = ""
+) -> CapabilityExpression:
+    """Parse the expression string ``obj[key]`` against ``world``. A fault is
+    reported under ``where.key``; an entry of a map, whose caller has checked
+    that it is a string, is parsed as found and reported under ``path``."""
+    try:
+        return parse_expression(obj[key] if path else _string(obj, key, where), world)
+    except CssError as exc:
+        raise DocumentInvalidError(f"{path or f'{where}.{key}'}: {exc.message}") from exc
+
+
 # ---------------------------------------------------------------------------
 # taxonomy and world
 # ---------------------------------------------------------------------------
 
 def taxonomy_from_doc(doc: dict) -> Taxonomy:
-    body = _expect(doc, SCHEMA_TAXONOMY, {"schema", "classes"})
-    return _parse_classes(body["classes"], SCHEMA_TAXONOMY)
+    return _parse_taxonomy(_document(doc, SCHEMA_TAXONOMY, {"classes"}), SCHEMA_TAXONOMY)
 
 
-def _parse_classes(raw, where: str) -> Taxonomy:
-    if not isinstance(raw, list):
-        raise DocumentInvalidError(f"{where}.classes: expected a list")
+def _parse_taxonomy(body: dict, where: str) -> Taxonomy:
     classes = []
-    for i, item in enumerate(raw):
-        entry = _expect(item, f"{where}.classes[{i}]", {"id"}, {"parent", "label"})
-        parent = entry.get("parent")
-        if parent is not None and not isinstance(parent, str):
-            raise DocumentInvalidError(f"{where}.classes[{i}].parent: expected a string")
-        classes.append(
-            TaxonomyClass(
-                id=_string(entry, "id", f"{where}.classes[{i}]"),
-                parent=parent,
-                label=entry.get("label", ""),
-            )
-        )
+    for i, item in enumerate(_list(body, "classes", where)):
+        at = f"{where}.classes[{i}]"
+        entry = _expect(item, at, {"id"}, {"parent", "label"})
+        parent = _optional_string(entry, "parent", at)
+        label = _optional_string(entry, "label", at, "")
+        classes.append(TaxonomyClass(id=_string(entry, "id", at), parent=parent, label=label))
     return Taxonomy(classes=tuple(classes))
 
 
@@ -137,32 +188,21 @@ def _parse_property(item, where: str) -> PropertyDefinition:
     entry = _expect(
         item, where, {"id", "datatype"}, {"unit", "enumValues", "declaredRange"}
     )
-    enum_values = entry.get("enumValues", [])
-    if not isinstance(enum_values, list) or not all(
-        isinstance(v, str) for v in enum_values
-    ):
-        raise DocumentInvalidError(f"{where}.enumValues: expected a list of strings")
+    enum_values = _strings(entry, "enumValues", where)
     declared = entry.get("declaredRange")
-    declared_range = None
-    if declared is not None:
-        if (
-            not isinstance(declared, list)
-            or len(declared) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, Decimal)) for v in declared)
-        ):
-            raise DocumentInvalidError(
-                f"{where}.declaredRange: expected [lower, upper] numbers"
-            )
-        declared_range = (declared[0], declared[1])
-    unit = entry.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        raise DocumentInvalidError(f"{where}.unit: expected a string")
+    if declared is not None and (
+        not isinstance(declared, list)
+        or len(declared) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, Decimal)) for v in declared)
+    ):
+        raise DocumentInvalidError(f"{where}.declaredRange: expected [lower, upper] numbers")
+    unit = _optional_string(entry, "unit", where)
     return PropertyDefinition(
         id=_string(entry, "id", where),
         datatype=_string(entry, "datatype", where),
         unit=unit,
         enum_values=tuple(enum_values),
-        declared_range=declared_range,
+        declared_range=None if declared is None else (declared[0], declared[1]),
     )
 
 
@@ -170,9 +210,7 @@ def _parse_parameter(item, where: str) -> ParameterSpec:
     entry = _expect(
         item, where, {"paramId", "direction", "datatype"}, {"unit", "default"}
     )
-    unit = entry.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        raise DocumentInvalidError(f"{where}.unit: expected a string")
+    unit = _optional_string(entry, "unit", where)
     return ParameterSpec(
         param_id=_string(entry, "paramId", where),
         direction=_string(entry, "direction", where),
@@ -190,20 +228,20 @@ def _parse_skill(item, where: str) -> SkillDescriptor:
         {"name", "parameters", "hasFeasibilityCheck", "hasPreconditionCheck",
          "stateMachineProfile"},
     )
-    raw_parameters = entry.get("parameters", [])
-    if not isinstance(raw_parameters, list):
-        raise DocumentInvalidError(f"{where}.parameters: expected a list")
+    parameters = _list(entry, "parameters", where)
     return SkillDescriptor(
         skill_id=_string(entry, "skillId", where),
         capability_ref=_string(entry, "capabilityRef", where),
-        name=entry.get("name"),
+        name=_optional_string(entry, "name", where),
         parameters=tuple(
             _parse_parameter(p, f"{where}.parameters[{i}]")
-            for i, p in enumerate(raw_parameters)
+            for i, p in enumerate(parameters)
         ),
         has_feasibility_check=_bool(entry, "hasFeasibilityCheck", where),
         has_precondition_check=_bool(entry, "hasPreconditionCheck", where),
-        state_machine_profile=entry.get("stateMachineProfile", "PACKML-17"),
+        state_machine_profile=_optional_string(
+            entry, "stateMachineProfile", where, STATE_MACHINE_PROFILE
+        ),
     )
 
 
@@ -218,15 +256,28 @@ def _parse_capability(item, where: str, world: WorldModel) -> Capability:
         raise DocumentInvalidError(
             f"{where}.propertyToParameter: expected a string-to-string map"
         )
-    try:
-        expression = parse_expression(_string(entry, "expression", where), world)
-    except CssError as exc:
-        raise DocumentInvalidError(f"{where}.expression: {exc.message}") from exc
+    expression = _expression(entry, "expression", where, world)
     return Capability(
         id=_string(entry, "id", where),
         iri=_string(entry, "iri", where),
         expression=expression,
         property_to_parameter=dict(mapping),
+    )
+
+
+def _parse_resource(item, where: str, world: WorldModel) -> Resource:
+    entry = _expect(item, where, {"id"}, {"capabilities", "skills"})
+    capabilities = _list(entry, "capabilities", where)
+    skills = _list(entry, "skills", where)
+    return Resource(
+        id=_string(entry, "id", where),
+        provided_capabilities=tuple(
+            _parse_capability(c, f"{where}.capabilities[{i}]", world)
+            for i, c in enumerate(capabilities)
+        ),
+        skills=tuple(
+            _parse_skill(s, f"{where}.skills[{i}]") for i, s in enumerate(skills)
+        ),
     )
 
 
@@ -237,14 +288,7 @@ def _parse_step(item, where: str, world: WorldModel) -> ProcessStep:
     values = entry.get("parameterValues", {})
     if not isinstance(values, dict):
         raise DocumentInvalidError(f"{where}.parameterValues: expected an object")
-    try:
-        required = parse_expression(
-            _string(entry, "requiredCapability", where), world
-        )
-    except CssError as exc:
-        raise DocumentInvalidError(
-            f"{where}.requiredCapability: {exc.message}"
-        ) from exc
+    required = _expression(entry, "requiredCapability", where, world)
     return ProcessStep(
         id=_string(entry, "id", where),
         required_capability=required,
@@ -253,14 +297,12 @@ def _parse_step(item, where: str, world: WorldModel) -> ProcessStep:
 
 
 def product_from_doc(doc: dict, world: WorldModel) -> Product:
-    body = _expect(doc, SCHEMA_PRODUCT, {"schema", "id", "steps"})
-    return _parse_product_body(body, SCHEMA_PRODUCT, world)
+    body = _document(doc, SCHEMA_PRODUCT, {"id", "steps"})
+    return _parse_product(body, SCHEMA_PRODUCT, world)
 
 
-def _parse_product_body(body: dict, where: str, world: WorldModel) -> Product:
-    steps = body.get("steps")
-    if not isinstance(steps, list):
-        raise DocumentInvalidError(f"{where}.steps: expected a list")
+def _parse_product(body: dict, where: str, world: WorldModel) -> Product:
+    steps = _list(body, "steps", where)
     return Product(
         id=_string(body, "id", where),
         steps=tuple(
@@ -272,18 +314,14 @@ def _parse_product_body(body: dict, where: str, world: WorldModel) -> Product:
 
 def build_world(docs: list[dict]) -> WorldModel:
     """Assemble a world from one css.world/1 plus optional taxonomy/product docs."""
-    world_docs = [d for d in docs if d.get("schema") == SCHEMA_WORLD]
-    taxonomy_docs = [d for d in docs if d.get("schema") == SCHEMA_TAXONOMY]
-    product_docs = [d for d in docs if d.get("schema") == SCHEMA_PRODUCT]
-    leftovers = [
-        d
-        for d in docs
-        if d.get("schema") not in (SCHEMA_WORLD, SCHEMA_TAXONOMY, SCHEMA_PRODUCT)
-    ]
-    if leftovers:
-        raise DocumentInvalidError(
-            f"cannot build a world from schema {leftovers[0].get('schema')!r}"
-        )
+    grouped = {SCHEMA_WORLD: [], SCHEMA_TAXONOMY: [], SCHEMA_PRODUCT: []}
+    for doc in docs:
+        if doc.get("schema") not in (SCHEMA_WORLD, SCHEMA_TAXONOMY, SCHEMA_PRODUCT):
+            raise DocumentInvalidError(
+                f"cannot build a world from schema {doc.get('schema')!r}"
+            )
+        grouped[doc["schema"]].append(doc)
+    world_docs, taxonomy_docs, product_docs = grouped.values()
     if len(world_docs) > 1:
         raise DocumentInvalidError("more than one css.world/1 document given")
     if len(taxonomy_docs) > 1:
@@ -291,10 +329,10 @@ def build_world(docs: list[dict]) -> WorldModel:
 
     body = None
     if world_docs:
-        body = _expect(
+        body = _document(
             world_docs[0],
             SCHEMA_WORLD,
-            {"schema", "properties", "resources"},
+            {"properties", "resources"},
             {"taxonomy", "products", "catalog"},
         )
 
@@ -306,69 +344,38 @@ def build_world(docs: list[dict]) -> WorldModel:
             raise DocumentInvalidError(
                 "taxonomy given both inline and as a separate document"
             )
-        inline = _expect(body["taxonomy"], f"{SCHEMA_WORLD}.taxonomy", {"classes"})
-        taxonomy = _parse_classes(inline["classes"], f"{SCHEMA_WORLD}.taxonomy")
+        where = f"{SCHEMA_WORLD}.taxonomy"
+        taxonomy = _parse_taxonomy(_expect(body["taxonomy"], where, {"classes"}), where)
     if taxonomy is None:
         raise DocumentInvalidError("no taxonomy provided")
 
     if body is None:
         return WorldModel(taxonomy=taxonomy)
 
-    raw_properties = body.get("properties", [])
-    if not isinstance(raw_properties, list):
-        raise DocumentInvalidError(f"{SCHEMA_WORLD}.properties: expected a list")
     properties = tuple(
         _parse_property(p, f"{SCHEMA_WORLD}.properties[{i}]")
-        for i, p in enumerate(raw_properties)
+        for i, p in enumerate(_list(body, "properties", SCHEMA_WORLD))
     )
     world = WorldModel(taxonomy=taxonomy, property_defs=properties)
-
-    raw_resources = body.get("resources", [])
-    if not isinstance(raw_resources, list):
-        raise DocumentInvalidError(f"{SCHEMA_WORLD}.resources: expected a list")
-    resources = []
-    for i, item in enumerate(raw_resources):
-        where = f"{SCHEMA_WORLD}.resources[{i}]"
-        entry = _expect(item, where, {"id"}, {"capabilities", "skills"})
-        raw_capabilities = entry.get("capabilities", [])
-        raw_skills = entry.get("skills", [])
-        if not isinstance(raw_capabilities, list) or not isinstance(raw_skills, list):
-            raise DocumentInvalidError(f"{where}: capabilities/skills must be lists")
-        resources.append(
-            Resource(
-                id=_string(entry, "id", where),
-                provided_capabilities=tuple(
-                    _parse_capability(c, f"{where}.capabilities[{j}]", world)
-                    for j, c in enumerate(raw_capabilities)
-                ),
-                skills=tuple(
-                    _parse_skill(s, f"{where}.skills[{j}]")
-                    for j, s in enumerate(raw_skills)
-                ),
-            )
-        )
+    resources = tuple(
+        _parse_resource(r, f"{SCHEMA_WORLD}.resources[{i}]", world)
+        for i, r in enumerate(_list(body, "resources", SCHEMA_WORLD))
+    )
     products = []
-    raw_products = body.get("products", [])
-    if not isinstance(raw_products, list):
-        raise DocumentInvalidError(f"{SCHEMA_WORLD}.products: expected a list")
-    for i, item in enumerate(raw_products):
+    for i, item in enumerate(_list(body, "products", SCHEMA_WORLD)):
         where = f"{SCHEMA_WORLD}.products[{i}]"
-        entry = _expect(item, where, {"id", "steps"})
-        products.append(_parse_product_body(entry, where, world))
-    for doc in product_docs:
-        products.append(product_from_doc(doc, world))
-
+        products.append(_parse_product(_expect(item, where, {"id", "steps"}), where, world))
+    products += (product_from_doc(doc, world) for doc in product_docs)
     catalog = []
-    raw_catalog = body.get("catalog", [])
-    if not isinstance(raw_catalog, list):
-        raise DocumentInvalidError(f"{SCHEMA_WORLD}.catalog: expected a list")
-    for i, item in enumerate(raw_catalog):
-        catalog.append(_parse_offer_body(item, f"{SCHEMA_WORLD}.catalog[{i}]", world))
+    for i, item in enumerate(_list(body, "catalog", SCHEMA_WORLD)):
+        where = f"{SCHEMA_WORLD}.catalog[{i}]"
+        entry = _expect(item, where, _OFFER_FIELDS, _OFFER_OPTIONAL | {"schema"})
+        catalog.append(_parse_offer(entry, where, world))
 
     return WorldModel(
         taxonomy=taxonomy,
         property_defs=properties,
-        resources=tuple(resources),
+        resources=resources,
         products=tuple(products),
         service_catalog=tuple(catalog),
     )
@@ -379,25 +386,18 @@ def build_world(docs: list[dict]) -> WorldModel:
 # ---------------------------------------------------------------------------
 
 def request_from_doc(doc: dict, world: WorldModel) -> ServiceRequest:
-    body = _expect(
+    body = _document(
         doc,
         SCHEMA_REQUEST,
-        {"schema", "requestId", "requiredCapabilities", "tender",
-         "submittedAt", "responseDeadline"},
+        {"requestId", "requiredCapabilities", "tender", "submittedAt", "responseDeadline"},
     )
-    raw_required = body["requiredCapabilities"]
-    if not isinstance(raw_required, list) or not raw_required:
-        raise DocumentInvalidError(
-            f"{SCHEMA_REQUEST}.requiredCapabilities: expected a non-empty list"
-        )
     required = []
-    for i, item in enumerate(raw_required):
+    for i, item in enumerate(
+        _list(body, "requiredCapabilities", SCHEMA_REQUEST, nonempty=True)
+    ):
         where = f"{SCHEMA_REQUEST}.requiredCapabilities[{i}]"
         entry = _expect(item, where, {"key", "expression"})
-        try:
-            expression = parse_expression(_string(entry, "expression", where), world)
-        except CssError as exc:
-            raise DocumentInvalidError(f"{where}.expression: {exc.message}") from exc
+        expression = _expression(entry, "expression", where, world)
         required.append((_string(entry, "key", where), expression))
 
     tender_where = f"{SCHEMA_REQUEST}.tender"
@@ -410,13 +410,7 @@ def request_from_doc(doc: dict, world: WorldModel) -> ServiceRequest:
     quantity = tender_body.get("quantity")
     if isinstance(quantity, bool) or not isinstance(quantity, int) or quantity <= 0:
         raise DocumentInvalidError(f"{tender_where}.quantity: expected a positive integer")
-    certifications = tender_body.get("requiredCertifications", [])
-    if not isinstance(certifications, list) or not all(
-        isinstance(v, str) for v in certifications
-    ):
-        raise DocumentInvalidError(
-            f"{tender_where}.requiredCertifications: expected a list of strings"
-        )
+    certifications = _strings(tender_body, "requiredCertifications", tender_where)
     tender = TenderCriteria(
         quantity=quantity,
         max_unit_price=_decimal(tender_body, "maxUnitPrice", tender_where),
@@ -444,60 +438,24 @@ def request_from_doc(doc: dict, world: WorldModel) -> ServiceRequest:
 
 
 def offer_from_doc(doc: dict, world: WorldModel) -> ServiceOffer:
-    body = _expect(
-        doc,
-        SCHEMA_OFFER,
-        {"schema", "offerId", "providerId", "requestId", "coveredCapKeys",
-         "providedCapabilities", "unitPrice", "co2PerUnit", "deliveryDate",
-         "validUntil"},
-        {"certifications", "ndaAccepted", "exclusiveGroup"},
-    )
-    return _parse_offer_body(body, SCHEMA_OFFER, world)
+    body = _document(doc, SCHEMA_OFFER, _OFFER_FIELDS, _OFFER_OPTIONAL)
+    return _parse_offer(body, SCHEMA_OFFER, world)
 
 
-def _parse_offer_body(body: dict, where: str, world: WorldModel) -> ServiceOffer:
-    entry = _expect(
-        body,
-        where,
-        {"offerId", "providerId", "requestId", "coveredCapKeys",
-         "providedCapabilities", "unitPrice", "co2PerUnit", "deliveryDate",
-         "validUntil"},
-        {"schema", "certifications", "ndaAccepted", "exclusiveGroup"},
-    )
-    covered = entry.get("coveredCapKeys")
-    if (
-        not isinstance(covered, list)
-        or not covered
-        or not all(isinstance(v, str) for v in covered)
-    ):
-        raise DocumentInvalidError(
-            f"{where}.coveredCapKeys: expected a non-empty list of strings"
-        )
+def _parse_offer(entry: dict, where: str, world: WorldModel) -> ServiceOffer:
+    """Read an offer whose fields the caller has checked against the offer field sets."""
+    covered = _strings(entry, "coveredCapKeys", where, nonempty=True)
     raw_provided = entry.get("providedCapabilities")
     if not isinstance(raw_provided, dict):
         raise DocumentInvalidError(f"{where}.providedCapabilities: expected an object")
     provided = {}
     for key, text in raw_provided.items():
+        path = f"{where}.providedCapabilities[{key}]"
         if not isinstance(text, str):
-            raise DocumentInvalidError(
-                f"{where}.providedCapabilities[{key}]: expected an expression string"
-            )
-        try:
-            provided[key] = parse_expression(text, world)
-        except CssError as exc:
-            raise DocumentInvalidError(
-                f"{where}.providedCapabilities[{key}]: {exc.message}"
-            ) from exc
-    certifications = entry.get("certifications", [])
-    if not isinstance(certifications, list) or not all(
-        isinstance(v, str) for v in certifications
-    ):
-        raise DocumentInvalidError(
-            f"{where}.certifications: expected a list of strings"
-        )
-    exclusive_group = entry.get("exclusiveGroup")
-    if exclusive_group is not None and not isinstance(exclusive_group, str):
-        raise DocumentInvalidError(f"{where}.exclusiveGroup: expected a string")
+            raise DocumentInvalidError(f"{path}: expected an expression string")
+        provided[key] = _expression(raw_provided, key, where, world, path)
+    certifications = _strings(entry, "certifications", where)
+    exclusive_group = _optional_string(entry, "exclusiveGroup", where)
     # selection's cost bound needs non-negative prices; negative CO2 is meaningless
     amounts = {key: _decimal(entry, key, where) for key in ("unitPrice", "co2PerUnit")}
     for key, amount in amounts.items():
@@ -520,8 +478,7 @@ def _parse_offer_body(body: dict, where: str, world: WorldModel) -> ServiceOffer
 
 
 def endpoints_from_doc(doc: dict) -> dict[str, str]:
-    body = _expect(doc, SCHEMA_ENDPOINTS, {"schema", "endpoints"})
-    endpoints = body["endpoints"]
+    endpoints = _document(doc, SCHEMA_ENDPOINTS, {"endpoints"})["endpoints"]
     if not isinstance(endpoints, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in endpoints.items()
     ):

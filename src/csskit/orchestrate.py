@@ -152,7 +152,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
     """Choose a provider, capability and skill for every product step.
 
     A candidate is skipped when a step value lies outside its envelope, when
-    it has no skill, or when its skill leaves a required input unbound.
+    it has no skill, or when the step's values do not bind to its skill.
     """
     report = validate_model(world)
     if not report.ok:
@@ -179,7 +179,9 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             descriptor = skills[0]
             try:
                 assignment = bind_parameters(step, capability, descriptor, world)
-            except UnboundRequiredParameterError:
+            except (
+                TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError
+            ):
                 continue
             qualifying.append(
                 PlanEntry(
@@ -201,13 +203,11 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
 class _TraceBuilder:
     def __init__(self):
         self.records: list[TraceRecord] = []
-        self._tick = 0
 
     def add(self, step_id: str, local_runtime_id: str, kind: str, detail: dict) -> None:
         self.records.append(
-            TraceRecord(self._tick, step_id, local_runtime_id, kind, detail)
+            TraceRecord(len(self.records), step_id, local_runtime_id, kind, detail)
         )
-        self._tick += 1
 
     def build(self) -> ExecutionTrace:
         return ExecutionTrace(records=tuple(self.records))

@@ -306,3 +306,19 @@ def test_market_accept_after_expiry_exit_one(tmp_path, world_file, capsys):
     code = run(["market", "accept", "--request", request_path, "--offers", *offers,
                 "--world", world_file, "--now", "2026-08-30T00:00:01Z"])
     assert code == 1
+
+
+def test_market_rejects_a_document_of_the_wrong_schema(tmp_path, world_file, capsys):
+    request_path = _write(tmp_path, "request.json", request_doc())
+    offer_path = _write(tmp_path, "offer.json", offer_doc())
+    now = ["--now", "2026-08-10T00:00:00Z"]
+    code = run(["market", "select", "--request", request_path, "--offers", request_path,
+                "--world", world_file, *now])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: css.offer/1: expected schema 'css.offer/1', found 'css.request/1'\n"
+    )
+    code = run(["market", "select", "--request", offer_path, "--offers", offer_path,
+                "--world", world_file, *now])
+    assert code == 2
+    assert "expected schema 'css.request/1', found 'css.offer/1'" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from csskit.documents import (
     offer_from_doc,
     product_from_doc,
     request_from_doc,
+    taxonomy_from_doc,
 )
 from csskit.errors import DocumentInvalidError, ParseError
 
@@ -221,3 +222,415 @@ def test_endpoints_doc():
     assert endpoints_from_doc(doc) == {"r-driller-a": "127.0.0.1:7007"}
     with pytest.raises(DocumentInvalidError):
         endpoints_from_doc({"schema": "css.endpoints/1", "endpoints": {"r": 7}})
+
+
+def _load_in_world(load, doc):
+    return load(doc, build_world([exec_world_doc()]))
+
+
+@pytest.mark.parametrize("schema, load, doc", [
+    ("css.taxonomy/1", taxonomy_from_doc,
+     {"schema": "css.product/1", "classes": taxonomy_doc_classes()}),
+    ("css.product/1", partial(_load_in_world, product_from_doc),
+     {**exec_world_doc()["products"][0], "schema": "css.offer/1"}),
+    ("css.request/1", partial(_load_in_world, request_from_doc),
+     {**request_doc(), "schema": "css.offer/1"}),
+    ("css.offer/1", partial(_load_in_world, offer_from_doc),
+     {**offer_doc(), "schema": "css.request/1"}),
+    ("css.endpoints/1", endpoints_from_doc,
+     {"schema": "css.world/1", "endpoints": {"r-driller-a": "h:1"}}),
+], ids=["taxonomy", "product", "request", "offer", "endpoints"])
+def test_standalone_readers_check_their_schema(schema, load, doc):
+    doc = dict(doc)
+    found = doc["schema"]
+    with pytest.raises(DocumentInvalidError) as excinfo:
+        load(doc)
+    assert excinfo.value.message == (
+        f"{schema}: expected schema {schema!r}, found {found!r}"
+    )
+    del doc["schema"]
+    with pytest.raises(DocumentInvalidError) as excinfo:
+        load(doc)
+    assert excinfo.value.message == f"{schema}: expected schema {schema!r}, found None"
+
+
+def test_catalog_entries_may_carry_any_schema_field():
+    doc = exec_world_doc()
+    doc["catalog"] = [offer_doc(), {**offer_doc(), "offerId": "off-8", "schema": "x"}]
+    world = build_world([doc])
+    assert [offer.offer_id for offer in world.service_catalog] == ["off-7", "off-8"]
+
+
+# ---------------------------------------------------------------------------
+# golden messages: one fault at a time in each record kind
+# ---------------------------------------------------------------------------
+
+DROP = object()
+
+
+def _world_with_catalog() -> dict:
+    doc = exec_world_doc()
+    doc["catalog"] = [{key: value for key, value in offer_doc().items() if key != "schema"}]
+    return doc
+
+
+#: record kind -> (base document, path of the record in it, loader)
+RECORD_KINDS = {
+    "class": (exec_world_doc, "taxonomy/classes/0", build_world),
+    "property": (exec_world_doc, "properties/0", build_world),
+    "parameter": (exec_world_doc, "resources/0/skills/0/parameters/0", build_world),
+    "skill": (exec_world_doc, "resources/0/skills/0", build_world),
+    "capability": (exec_world_doc, "resources/0/capabilities/0", build_world),
+    "resource": (exec_world_doc, "resources/0", build_world),
+    "step": (exec_world_doc, "products/0/steps/0", build_world),
+    "product": (exec_world_doc, "products/0", build_world),
+    "taxonomy": (exec_world_doc, "taxonomy", build_world),
+    "catalog": (_world_with_catalog, "catalog/0", build_world),
+    "world": (exec_world_doc, "", build_world),
+    "product-doc": (
+        lambda: {"schema": "css.product/1", **exec_world_doc()["products"][0]},
+        "",
+        partial(_load_in_world, product_from_doc),
+    ),
+    "taxonomy-doc": (
+        lambda: {"schema": "css.taxonomy/1", "classes": taxonomy_doc_classes()},
+        "",
+        taxonomy_from_doc,
+    ),
+    "request": (request_doc, "", partial(_load_in_world, request_from_doc)),
+    "request-key": (
+        request_doc, "requiredCapabilities/0", partial(_load_in_world, request_from_doc)
+    ),
+    "tender": (request_doc, "tender", partial(_load_in_world, request_from_doc)),
+    "offer": (offer_doc, "", partial(_load_in_world, offer_from_doc)),
+    "endpoints": (
+        lambda: {"schema": "css.endpoints/1", "endpoints": {"r-driller-a": "h:1"}},
+        "",
+        endpoints_from_doc,
+    ),
+}
+
+
+def _step_into(node, part: str):
+    return node[int(part)] if isinstance(node, list) else node[part]
+
+
+def _mutate(doc: dict, record: str, faults: dict) -> None:
+    for path, value in faults.items():
+        parts = [p for p in f"{record}/{path}".split("/") if p]
+        node = doc
+        for part in parts[:-1]:
+            node = _step_into(node, part)
+        if value is DROP:
+            del node[parts[-1]]
+        else:
+            node[parts[-1]] = value
+
+
+W = "css.world/1"
+CLS = f"{W}.taxonomy.classes[0]"
+PROP = f"{W}.properties[0]"
+RES = f"{W}.resources[0]"
+SKILL = f"{RES}.skills[0]"
+PARAM = f"{SKILL}.parameters[0]"
+CAP = f"{RES}.capabilities[0]"
+STEP = f"{W}.products[0].steps[0]"
+REQ = "css.request/1"
+KEY = f"{REQ}.requiredCapabilities[0]"
+TENDER = f"{REQ}.tender"
+OFF = "css.offer/1"
+
+#: (record kind, {field path: wrong value or DROP}, message). A case with two
+#: faults pins which of them is reported first. Every message reads as it did
+#: before the typed readers, except where a comment says otherwise.
+GOLDEN_MESSAGES = [
+    ("class", {"id": 5},
+     f"{CLS}.id: expected a non-empty string"),
+    ("class", {"parent": 5},
+     f"{CLS}.parent: expected a string"),
+    # newly checked
+    ("class", {"label": 5},
+     f"{CLS}.label: expected a string"),
+    ("class", {"id": DROP},
+     f"{CLS}: missing required fields ['id']"),
+    ("class", {"surprise": 1},
+     f"{CLS}: unknown fields ['surprise']"),
+    ("class", {"parent": 5, "id": 5},
+     f"{CLS}.parent: expected a string"),
+    ("property", {"id": 5},
+     f"{PROP}.id: expected a non-empty string"),
+    ("property", {"datatype": 5},
+     f"{PROP}.datatype: expected a non-empty string"),
+    ("property", {"unit": 5},
+     f"{PROP}.unit: expected a string"),
+    ("property", {"enumValues": "steel"},
+     f"{PROP}.enumValues: expected a list of strings"),
+    ("property", {"enumValues": [1]},
+     f"{PROP}.enumValues: expected a list of strings"),
+    ("property", {"declaredRange": "0..100"},
+     f"{PROP}.declaredRange: expected [lower, upper] numbers"),
+    ("property", {"datatype": DROP},
+     f"{PROP}: missing required fields ['datatype']"),
+    ("property", {"surprise": 1},
+     f"{PROP}: unknown fields ['surprise']"),
+    ("property", {"enumValues": "steel", "id": 5},
+     f"{PROP}.enumValues: expected a list of strings"),
+    ("parameter", {"paramId": 5},
+     f"{PARAM}.paramId: expected a non-empty string"),
+    ("parameter", {"direction": 5},
+     f"{PARAM}.direction: expected a non-empty string"),
+    ("parameter", {"datatype": 5},
+     f"{PARAM}.datatype: expected a non-empty string"),
+    ("parameter", {"unit": 5},
+     f"{PARAM}.unit: expected a string"),
+    ("parameter", {"paramId": DROP},
+     f"{PARAM}: missing required fields ['paramId']"),
+    ("parameter", {"surprise": 1},
+     f"{PARAM}: unknown fields ['surprise']"),
+    ("skill", {"skillId": 5},
+     f"{SKILL}.skillId: expected a non-empty string"),
+    ("skill", {"capabilityRef": 5},
+     f"{SKILL}.capabilityRef: expected a non-empty string"),
+    # newly checked
+    ("skill", {"name": ["x"]},
+     f"{SKILL}.name: expected a string"),
+    ("skill", {"parameters": {}},
+     f"{SKILL}.parameters: expected a list"),
+    ("skill", {"hasFeasibilityCheck": "yes"},
+     f"{SKILL}.hasFeasibilityCheck: expected true or false"),
+    ("skill", {"hasPreconditionCheck": "yes"},
+     f"{SKILL}.hasPreconditionCheck: expected true or false"),
+    # newly checked
+    ("skill", {"stateMachineProfile": 5},
+     f"{SKILL}.stateMachineProfile: expected a string"),
+    ("skill", {"skillId": DROP},
+     f"{SKILL}: missing required fields ['skillId']"),
+    ("skill", {"surprise": 1},
+     f"{SKILL}: unknown fields ['surprise']"),
+    ("skill", {"parameters": {}, "skillId": 5},
+     f"{SKILL}.parameters: expected a list"),
+    ("capability", {"id": 5},
+     f"{CAP}.id: expected a non-empty string"),
+    ("capability", {"iri": 5},
+     f"{CAP}.iri: expected a non-empty string"),
+    ("capability", {"expression": 5},
+     f"{CAP}.expression: {CAP}.expression: expected a non-empty string"),
+    ("capability", {"expression": "Drilling and (depth <= fast)"},
+     f"{CAP}.expression: non-numeric literal 'fast' on integer property 'depth'"),
+    ("capability", {"propertyToParameter": []},
+     f"{CAP}.propertyToParameter: expected a string-to-string map"),
+    ("capability", {"iri": DROP},
+     f"{CAP}: missing required fields ['iri']"),
+    ("capability", {"surprise": 1},
+     f"{CAP}: unknown fields ['surprise']"),
+    ("capability", {"propertyToParameter": [], "expression": 5},
+     f"{CAP}.propertyToParameter: expected a string-to-string map"),
+    ("resource", {"id": 5},
+     f"{RES}.id: expected a non-empty string"),
+    # reworded: each resource case below that ends in "expected a list"
+    # read "{RES}: capabilities/skills must be lists" before
+    ("resource", {"capabilities": {}},
+     f"{RES}.capabilities: expected a list"),
+    ("resource", {"skills": {}},
+     f"{RES}.skills: expected a list"),
+    ("resource", {"id": DROP},
+     f"{RES}: missing required fields ['id']"),
+    ("resource", {"surprise": 1},
+     f"{RES}: unknown fields ['surprise']"),
+    ("resource", {"capabilities/0/id": 5, "skills": {}},
+     f"{RES}.skills: expected a list"),
+    ("resource", {"id": 5, "skills": {}},
+     f"{RES}.skills: expected a list"),
+    ("step", {"id": 5},
+     f"{STEP}.id: expected a non-empty string"),
+    ("step", {"requiredCapability": 5},
+     f"{STEP}.requiredCapability: {STEP}.requiredCapability: expected a non-empty string"),
+    ("step", {"requiredCapability": "Drilling and (speed <= 3)"},
+     f"{STEP}.requiredCapability: property 'speed' is not defined"),
+    ("step", {"parameterValues": []},
+     f"{STEP}.parameterValues: expected an object"),
+    ("step", {"requiredCapability": DROP},
+     f"{STEP}: missing required fields ['requiredCapability']"),
+    ("step", {"surprise": 1},
+     f"{STEP}: unknown fields ['surprise']"),
+    ("step", {"parameterValues": [], "requiredCapability": 5},
+     f"{STEP}.parameterValues: expected an object"),
+    ("product", {"id": 5},
+     f"{W}.products[0].id: expected a non-empty string"),
+    ("product", {"steps": {}},
+     f"{W}.products[0].steps: expected a list"),
+    ("product", {"steps": DROP},
+     f"{W}.products[0]: missing required fields ['steps']"),
+    ("product", {"surprise": 1},
+     f"{W}.products[0]: unknown fields ['surprise']"),
+    ("product", {"steps": {}, "id": 5},
+     f"{W}.products[0].steps: expected a list"),
+    ("product-doc", {"id": 5},
+     "css.product/1.id: expected a non-empty string"),
+    ("product-doc", {"steps": {}},
+     "css.product/1.steps: expected a list"),
+    ("product-doc", {"id": DROP},
+     "css.product/1: missing required fields ['id']"),
+    ("product-doc", {"surprise": 1},
+     "css.product/1: unknown fields ['surprise']"),
+    ("taxonomy", {"classes": "x"},
+     f"{W}.taxonomy.classes: expected a list"),
+    ("taxonomy", {"classes": DROP},
+     f"{W}.taxonomy: missing required fields ['classes']"),
+    ("taxonomy", {"surprise": 1},
+     f"{W}.taxonomy: unknown fields ['surprise']"),
+    ("taxonomy-doc", {"classes": "x"},
+     "css.taxonomy/1.classes: expected a list"),
+    ("taxonomy-doc", {"classes": DROP},
+     "css.taxonomy/1: missing required fields ['classes']"),
+    ("taxonomy-doc", {"surprise": 1},
+     "css.taxonomy/1: unknown fields ['surprise']"),
+    ("catalog", {"coveredCapKeys": "cap-drill"},
+     f"{W}.catalog[0].coveredCapKeys: expected a non-empty list of strings"),
+    ("catalog", {"unitPrice": DROP},
+     f"{W}.catalog[0]: missing required fields ['unitPrice']"),
+    ("catalog", {"surprise": 1},
+     f"{W}.catalog[0]: unknown fields ['surprise']"),
+    ("world", {"taxonomy": 5},
+     f"{W}.taxonomy: expected an object"),
+    ("world", {"properties": {}},
+     f"{W}.properties: expected a list"),
+    ("world", {"resources": {}},
+     f"{W}.resources: expected a list"),
+    ("world", {"products": {}},
+     f"{W}.products: expected a list"),
+    ("world", {"catalog": {}},
+     f"{W}.catalog: expected a list"),
+    ("world", {"properties": DROP},
+     f"{W}: missing required fields ['properties']"),
+    ("world", {"surprise": 1},
+     f"{W}: unknown fields ['surprise']"),
+    ("world", {"properties": {}, "resources": {}},
+     f"{W}.properties: expected a list"),
+    ("world", {"resources/0/id": 5, "products/0/id": 5},
+     f"{RES}.id: expected a non-empty string"),
+    ("world", {"products": {}, "catalog": {}},
+     f"{W}.products: expected a list"),
+    ("world", {"properties/0/id": 5, "taxonomy/classes/0/id": 5},
+     f"{CLS}.id: expected a non-empty string"),
+    ("request", {"requestId": 5},
+     f"{REQ}.requestId: expected a non-empty string"),
+    ("request", {"requiredCapabilities": {}},
+     f"{REQ}.requiredCapabilities: expected a non-empty list"),
+    ("request", {"requiredCapabilities": []},
+     f"{REQ}.requiredCapabilities: expected a non-empty list"),
+    ("request", {"tender": []},
+     f"{TENDER}: expected an object"),
+    ("request", {"submittedAt": 5},
+     f"{REQ}.submittedAt: {REQ}.submittedAt: expected a non-empty string"),
+    ("request", {"responseDeadline": 5},
+     f"{REQ}.responseDeadline: {REQ}.responseDeadline: expected a non-empty string"),
+    ("request", {"requestId": DROP},
+     f"{REQ}: missing required fields ['requestId']"),
+    ("request", {"surprise": 1},
+     f"{REQ}: unknown fields ['surprise']"),
+    ("request", {"requiredCapabilities": {}, "tender": []},
+     f"{REQ}.requiredCapabilities: expected a non-empty list"),
+    ("request", {"tender": [], "requestId": 5},
+     f"{TENDER}: expected an object"),
+    ("request-key", {"key": 5},
+     f"{KEY}.key: expected a non-empty string"),
+    ("request-key", {"expression": 5},
+     f"{KEY}.expression: {KEY}.expression: expected a non-empty string"),
+    ("request-key", {"expression": "Drilling and (depth <= fast)"},
+     f"{KEY}.expression: non-numeric literal 'fast' on integer property 'depth'"),
+    ("request-key", {"key": DROP},
+     f"{KEY}: missing required fields ['key']"),
+    ("request-key", {"surprise": 1},
+     f"{KEY}: unknown fields ['surprise']"),
+    ("request-key", {"key": 5, "expression": 5},
+     f"{KEY}.expression: {KEY}.expression: expected a non-empty string"),
+    ("tender", {"quantity": "3"},
+     f"{TENDER}.quantity: expected a positive integer"),
+    ("tender", {"maxUnitPrice": "5"},
+     f"{TENDER}.maxUnitPrice: expected a number"),
+    ("tender", {"maxCo2PerUnit": "5"},
+     f"{TENDER}.maxCo2PerUnit: expected a number"),
+    ("tender", {"deliveryDeadline": 5},
+     f"{TENDER}.deliveryDeadline: {TENDER}.deliveryDeadline: expected a non-empty string"),
+    ("tender", {"requiredCertifications": "iso9001"},
+     f"{TENDER}.requiredCertifications: expected a list of strings"),
+    ("tender", {"ndaRequired": "yes"},
+     f"{TENDER}.ndaRequired: expected true or false"),
+    ("tender", {"quantity": DROP},
+     f"{TENDER}: missing required fields ['quantity']"),
+    ("tender", {"surprise": 1},
+     f"{TENDER}: unknown fields ['surprise']"),
+    ("tender", {"requiredCertifications": "iso9001", "quantity": "3"},
+     f"{TENDER}.quantity: expected a positive integer"),
+    ("tender", {"ndaRequired": "yes", "maxUnitPrice": "5"},
+     f"{TENDER}.maxUnitPrice: expected a number"),
+    ("offer", {"offerId": 5},
+     f"{OFF}.offerId: expected a non-empty string"),
+    ("offer", {"providerId": 5},
+     f"{OFF}.providerId: expected a non-empty string"),
+    ("offer", {"requestId": 5},
+     f"{OFF}.requestId: expected a non-empty string"),
+    ("offer", {"coveredCapKeys": "cap-drill"},
+     f"{OFF}.coveredCapKeys: expected a non-empty list of strings"),
+    ("offer", {"coveredCapKeys": []},
+     f"{OFF}.coveredCapKeys: expected a non-empty list of strings"),
+    ("offer", {"providedCapabilities": []},
+     f"{OFF}.providedCapabilities: expected an object"),
+    ("offer", {"providedCapabilities": {"cap-drill": 5}},
+     f"{OFF}.providedCapabilities[cap-drill]: expected an expression string"),
+    ("offer", {"providedCapabilities": {"cap-drill": "Drilling and (depth <= fast)"}},
+     f"{OFF}.providedCapabilities[cap-drill]: "
+     "non-numeric literal 'fast' on integer property 'depth'"),
+    ("offer", {"unitPrice": "4.50"},
+     f"{OFF}.unitPrice: expected a number"),
+    ("offer", {"co2PerUnit": "1.2"},
+     f"{OFF}.co2PerUnit: expected a number"),
+    ("offer", {"deliveryDate": 5},
+     f"{OFF}.deliveryDate: {OFF}.deliveryDate: expected a non-empty string"),
+    ("offer", {"validUntil": 5},
+     f"{OFF}.validUntil: {OFF}.validUntil: expected a non-empty string"),
+    ("offer", {"certifications": "iso9001"},
+     f"{OFF}.certifications: expected a list of strings"),
+    ("offer", {"ndaAccepted": "yes"},
+     f"{OFF}.ndaAccepted: expected true or false"),
+    ("offer", {"exclusiveGroup": 5},
+     f"{OFF}.exclusiveGroup: expected a string"),
+    ("offer", {"unitPrice": DROP},
+     f"{OFF}: missing required fields ['unitPrice']"),
+    ("offer", {"surprise": 1},
+     f"{OFF}: unknown fields ['surprise']"),
+    ("offer", {"providedCapabilities": [], "coveredCapKeys": "cap-drill"},
+     f"{OFF}.coveredCapKeys: expected a non-empty list of strings"),
+    ("offer", {"unitPrice": "4.50", "exclusiveGroup": 5, "certifications": "x"},
+     f"{OFF}.certifications: expected a list of strings"),
+    ("offer", {"offerId": 5, "unitPrice": Decimal("-1")},
+     f"{OFF}.unitPrice: must not be negative"),
+    ("endpoints", {"endpoints": []},
+     "css.endpoints/1.endpoints: expected a map of resource id to host:port"),
+    ("endpoints", {"endpoints": {"r-driller-a": 7}},
+     "css.endpoints/1.endpoints: expected a map of resource id to host:port"),
+    ("endpoints", {"endpoints": DROP},
+     "css.endpoints/1: missing required fields ['endpoints']"),
+    ("endpoints", {"surprise": 1},
+     "css.endpoints/1: unknown fields ['surprise']"),
+]
+
+
+def _golden_id(case) -> str:
+    kind, faults, _ = case
+    return kind + ":" + ",".join(
+        f"{path}-{'drop' if value is DROP else type(value).__name__}"
+        for path, value in faults.items()
+    )
+
+
+@pytest.mark.parametrize("case", GOLDEN_MESSAGES, ids=_golden_id)
+def test_golden_document_messages(case):
+    kind, faults, message = case
+    make, record, load = RECORD_KINDS[kind]
+    doc = make()
+    _mutate(doc, record, faults)
+    with pytest.raises(DocumentInvalidError) as excinfo:
+        load([doc] if load is build_world else doc)
+    assert excinfo.value.message == message

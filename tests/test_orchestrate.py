@@ -206,6 +206,43 @@ def test_plan_without_a_bindable_candidate_has_no_match():
     assert excinfo.value.step_id == "step-drill"
 
 
+def _depth_in_metres(doc: dict, resource_id: str) -> dict:
+    """Take ``resource_id``'s depth input in metres, to which 12 mm does not
+    bind as an integer (``TypeMismatchError``)."""
+    resource = next(r for r in doc["resources"] if r["id"] == resource_id)
+    resource["skills"][0]["parameters"][0]["unit"] = "m"
+    return doc
+
+
+def _depth_onto_an_output(doc: dict, resource_id: str) -> dict:
+    """Map ``resource_id``'s depth property onto an output parameter
+    (``UnknownParameterError``)."""
+    resource = next(r for r in doc["resources"] if r["id"] == resource_id)
+    resource["capabilities"][0]["propertyToParameter"] = {"depth": "achievedDepth"}
+    return doc
+
+
+@pytest.mark.parametrize("unbindable", [_depth_in_metres, _depth_onto_an_output])
+def test_plan_drops_an_alternate_whose_binding_raises(exec_world, unbindable):
+    world = build_world([unbindable(exec_world_doc(), "r-driller-b")])
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    assert entry.resource_id == "r-driller-a"
+    assert entry.alternates == ()
+    bound = plan(exec_world.product("prod-bracket"), exec_world).entries[0]
+    assert entry == replace(bound, alternates=())
+
+    world = build_world([unbindable(exec_world_doc(), "r-driller-a")])
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    assert entry.resource_id == "r-driller-b"
+    assert entry.alternates == ()
+
+    doc = unbindable(exec_world_doc(), "r-driller-a")
+    world = build_world([unbindable(doc, "r-driller-b")])
+    with pytest.raises(NoMatchForStepError) as excinfo:
+        plan(world.product("prod-bracket"), world)
+    assert excinfo.value.step_id == "step-drill"
+
+
 def test_plan_requires_clean_validation(exec_world):
     broken = replace(
         exec_world,
