@@ -148,8 +148,7 @@ def _load_world(*paths):
 
 
 def _cmd_validate(args) -> int:
-    docs = [load_document_file(path) for path in args.files]
-    world = build_world(docs)
+    world = _load_world(*args.files)
     report = validate_model(world)
     for issue in report.issues:
         print(f"{issue.severity}: {issue.path}: {issue.message}")

@@ -72,7 +72,7 @@ def load_document_file(path: str | Path) -> dict:
 
 
 def document_to_text(doc: dict) -> str:
-    return jsonio.dumps(doc, indent=2) + "\n"
+    return jsonio.dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,9 @@ def _bool(obj, key: str, where: str) -> bool:
 
 
 def _timestamp(obj, key: str, where: str):
+    text = _string(obj, key, where)
     try:
-        return parse_timestamp(_string(obj, key, where))
+        return parse_timestamp(text)
     except CssError as exc:
         raise DocumentInvalidError(f"{where}.{key}: {exc.message}") from exc
 
@@ -159,8 +160,9 @@ def _expression(
     """Parse the expression string ``obj[key]`` against ``world``. A fault is
     reported under ``where.key``; an entry of a map, whose caller has checked
     that it is a string, is parsed as found and reported under ``path``."""
+    text = obj[key] if path else _string(obj, key, where)
     try:
-        return parse_expression(obj[key] if path else _string(obj, key, where), world)
+        return parse_expression(text, world)
     except CssError as exc:
         raise DocumentInvalidError(f"{path or f'{where}.{key}'}: {exc.message}") from exc
 
@@ -485,4 +487,11 @@ def endpoints_from_doc(doc: dict) -> dict[str, str]:
         raise DocumentInvalidError(
             f"{SCHEMA_ENDPOINTS}.endpoints: expected a map of resource id to host:port"
         )
+    for resource_id, endpoint in endpoints.items():
+        host, _, port = endpoint.rpartition(":")
+        if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise DocumentInvalidError(
+                f"{SCHEMA_ENDPOINTS}.endpoints[{resource_id}]: "
+                "expected host:port with a port from 0 to 65535"
+            )
     return dict(endpoints)

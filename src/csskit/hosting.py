@@ -6,13 +6,15 @@ the feasibility check accepts exactly the inputs inside the capability's
 feasible sets, and execution echoes inputs onto like-named output
 parameters (an output ``achievedDepth`` mirrors the input ``depth``),
 converting units for numeric values. Every acting state completes at once.
+A skill's capability is ``WorldModel.capability_named``, and feasibility tests
+exactly the inputs that ``model.bound_input`` binds, as ``plan`` binds them.
 """
 
 from __future__ import annotations
 
-from .errors import NotFoundError, UnitMismatchError, UnknownUnitError
+from .errors import NotFoundError, UnitMismatchError, UnknownParameterError, UnknownUnitError
 from .expressions import NormalForm
-from .model import Capability, Resource, SkillDescriptor, WorldModel
+from .model import Capability, SkillDescriptor, WorldModel, bound_input
 from .skills import FeasibilityResult, SkillBehavior, SkillHost
 from .values import (
     convert_between_units,
@@ -34,37 +36,36 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
         self._world = world
         self._descriptor = descriptor
         self._nf: NormalForm = world.normal_form(capability)
-        # parameter -> property, from explicit mappings plus name equality
-        self._param_to_property: dict[str, str] = {}
-        for property_id, param_id in capability.property_to_parameter.items():
-            self._param_to_property[param_id] = property_id
-        for spec in descriptor.input_parameters():
-            if spec.param_id not in self._param_to_property:
-                if world.property_def(spec.param_id) is not None:
-                    self._param_to_property[spec.param_id] = spec.param_id
+        # input -> (its spec, the property bound to it); a mapping beats a name
+        self._bound: dict[str, tuple] = {}
+        for prop in world.property_defs:
+            try:
+                spec = bound_input(capability, descriptor, prop.id)
+            except UnknownParameterError:
+                continue  # binds nowhere, as plan finds too
+            if spec is not None and (
+                spec.param_id != prop.id or spec.param_id not in self._bound
+            ):
+                self._bound[spec.param_id] = (spec, prop)
 
     def feasibility(self, inputs) -> FeasibilityResult:
         for param_id, value in inputs.items():
-            property_id = self._param_to_property.get(param_id)
-            prop = self._world.property_def(property_id) if property_id else None
-            if prop is None:
+            if param_id not in self._bound:
                 continue
+            spec, prop = self._bound[param_id]
             on_scale = value
             if prop.datatype in ("integer", "real"):
-                spec = self._descriptor.parameter(param_id)
                 try:
-                    on_scale = convert_between_units(
-                        to_fraction(value), spec.unit if spec else None, prop.unit
-                    )
+                    on_scale = convert_between_units(to_fraction(value), spec.unit, prop.unit)
                 except (UnitMismatchError, UnknownUnitError):
                     continue
-            fs = self._nf.feasible_or_domain(property_id, self._world)
+            fs = self._nf.feasible_or_domain(prop.id, self._world)
             if not fs.contains(on_scale):
                 return FeasibilityResult(
                     feasible=False,
                     reason=(
                         f"{param_id}={format_literal(value)} is outside the "
-                        f"provided limit for {property_id}"
+                        f"provided limit for {prop.id}"
                     ),
                 )
         return FeasibilityResult(
@@ -116,21 +117,11 @@ def build_resource_host(
     host = SkillHost(name=resource_id)
     factory = behavior_factory or CapabilityEnvelopeBehavior
     for descriptor in resource.skills:
-        capability = _capability_for(world, resource, descriptor)
-        behavior = factory(world, capability, descriptor)
-        host.register_skill(descriptor, behavior)
+        capability = world.capability_named(resource_id, descriptor)
+        if capability is None:
+            raise NotFoundError(
+                f"skill {descriptor.skill_id!r} references unknown capability "
+                f"{descriptor.capability_ref!r}"
+            )
+        host.register_skill(descriptor, factory(world, capability, descriptor))
     return host
-
-
-def _capability_for(world: WorldModel, resource: Resource,
-                    descriptor: SkillDescriptor) -> Capability:
-    for capability in resource.provided_capabilities:
-        if descriptor.capability_ref in (capability.iri, capability.id):
-            return capability
-    for _, capability in world.capabilities():
-        if descriptor.capability_ref in (capability.iri, capability.id):
-            return capability
-    raise NotFoundError(
-        f"skill {descriptor.skill_id!r} references unknown capability "
-        f"{descriptor.capability_ref!r}"
-    )

@@ -20,9 +20,9 @@ from .values import fraction_to_number
 _quote = json.encoder.encode_basestring
 
 
-def dumps(value, indent: int | None = None) -> str:
+def dumps(value) -> str:
     out: list[str] = []
-    _emit(value, out, indent, 0)
+    _emit(value, out)
     return "".join(out)
 
 
@@ -48,7 +48,7 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_reject_constant)
 
 
-def _emit(value, out: list[str], indent: int | None, depth: int) -> None:
+def _emit(value, out: list[str]) -> None:
     if value is None or value is True or value is False:
         out.append("null" if value is None else ("true" if value else "false"))
     elif isinstance(value, str):
@@ -60,51 +60,28 @@ def _emit(value, out: list[str], indent: int | None, depth: int) -> None:
             raise ValueError(f"non-finite Decimal {value} is not serializable")
         out.append(str(value))
     elif isinstance(value, Fraction):
-        _emit(fraction_to_number(value), out, indent, depth)
+        _emit(fraction_to_number(value), out)
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite float {value} is not serializable")
         out.append(repr(value))
     elif isinstance(value, (list, tuple)):
-        _emit_seq(value, out, indent, depth)
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
     elif isinstance(value, dict):
-        _emit_map(value, out, indent, depth)
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise ValueError("object keys must be strings")
+            if i:
+                out.append(",")
+            out.append(_quote(key) + ":")
+            _emit(value[key], out)
+        out.append("}")
     else:
         raise ValueError(f"value of type {type(value).__name__} is not serializable")
 
-
-def _emit_seq(value, out: list[str], indent: int | None, depth: int) -> None:
-    if not value:
-        out.append("[]")
-        return
-    out.append("[")
-    for i, item in enumerate(value):
-        if i:
-            out.append(",")
-        _newline(out, indent, depth + 1)
-        _emit(item, out, indent, depth + 1)
-    _newline(out, indent, depth)
-    out.append("]")
-
-
-def _emit_map(value: dict, out: list[str], indent: int | None, depth: int) -> None:
-    if not value:
-        out.append("{}")
-        return
-    out.append("{")
-    for i, key in enumerate(sorted(value)):
-        if not isinstance(key, str):
-            raise ValueError("object keys must be strings")
-        if i:
-            out.append(",")
-        _newline(out, indent, depth + 1)
-        out.append(_quote(key))
-        out.append(": " if indent is not None else ":")
-        _emit(value[key], out, indent, depth + 1)
-    _newline(out, indent, depth)
-    out.append("}")
-
-
-def _newline(out: list[str], indent: int | None, depth: int) -> None:
-    if indent is not None:
-        out.append("\n" + " " * indent * depth)

@@ -4,6 +4,9 @@ The world ties a class taxonomy and property definitions to resources (which
 provide capabilities and expose skills) and products (whose process steps
 require capabilities). All types are immutable value data after load and safe
 to share between threads.
+
+The skill → capability → parameter relation is decided only here: ``WorldModel``
+pairs skills with capabilities, and ``bound_input`` binds properties to inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from decimal import Decimal
 from typing import TYPE_CHECKING
 
 from . import expressions
+from .errors import UnknownParameterError
 from .taxonomy import Taxonomy
 from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
@@ -122,6 +126,7 @@ class WorldModel:
     _capabilities: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _domains: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _normal_forms: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _skill_index: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
     _report: ValidationReport | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -169,14 +174,46 @@ class WorldModel:
             self._normal_forms[capability.id] = nf
         return nf
 
-    def skills_for_capability(self, resource: Resource, capability: Capability):
-        """The resource's skills implementing a capability, by skill id order."""
-        matches = [
-            s
-            for s in resource.skills
-            if s.capability_ref in (capability.iri, capability.id)
-        ]
-        return sorted(matches, key=lambda s: s.skill_id)
+    def capability_named(self, resource_id: str, skill: SkillDescriptor) -> Capability | None:
+        """The capability a skill's ref names by iri or id, the resource's own first."""
+        return self._skills()[0].get((resource_id, skill.capability_ref))
+
+    def skill_implementing(self, resource_id: str, capability: Capability):
+        """The resource's lowest-id skill that names the capability, or None."""
+        return self._skills()[1].get((resource_id, capability.id))
+
+    def _skills(self) -> tuple[dict, dict]:
+        """Both directions of the skill → capability relation, kept from first use."""
+        if self._skill_index is None:
+            named, implementing, anywhere = {}, {}, {}
+            for resource, capability in self.capabilities():
+                for ref in (capability.iri, capability.id):
+                    named.setdefault((resource.id, ref), capability)
+                    anywhere.setdefault(ref, capability)
+            for resource in self.resources:
+                for skill in sorted(resource.skills, key=lambda s: s.skill_id):
+                    key = (resource.id, skill.capability_ref)
+                    capability = named.setdefault(key, anywhere.get(skill.capability_ref))
+                    if capability is not None:
+                        implementing.setdefault((resource.id, capability.id), skill)
+            object.__setattr__(self, "_skill_index", (named, implementing))
+        return self._skill_index
+
+
+def bound_input(capability: Capability, skill: SkillDescriptor, property_id: str):
+    """The skill input a capability property binds to: the parameter that
+    ``propertyToParameter`` names, else the input named like the property, else
+    None. An explicit target that is not an input raises UnknownParameterError."""
+    target = capability.property_to_parameter.get(property_id)
+    spec = skill.parameter(property_id if target is None else target)
+    if spec is not None and spec.direction == "input":
+        return spec
+    if target is not None:
+        raise UnknownParameterError(
+            f"mapping targets {target!r}, which is not an input parameter "
+            f"of skill {skill.skill_id!r}"
+        )
+    return None
 
 
 def _first_by_id(items) -> dict:
@@ -270,12 +307,6 @@ def _validate_resources(world: WorldModel, error) -> None:
     capability_ids: set[str] = set()
     capability_iris: set[str] = set()
     skill_ids: set[str] = set()
-    known_refs: set[str] = set()
-    for resource in world.resources:
-        for capability in resource.provided_capabilities:
-            known_refs.add(capability.iri)
-            known_refs.add(capability.id)
-
     for resource in world.resources:
         rpath = f"resources[{resource.id}]"
         if resource.id in resource_ids:
@@ -300,7 +331,7 @@ def _validate_resources(world: WorldModel, error) -> None:
             skill_ids.add(skill.skill_id)
             if not skill.capability_ref:
                 error(f"{spath}.capabilityRef", "capabilityRef must be specified")
-            elif skill.capability_ref not in known_refs:
+            elif world.capability_named(resource.id, skill) is None:
                 error(
                     f"{spath}.capabilityRef",
                     f"dangling reference: {skill.capability_ref!r} names no capability",

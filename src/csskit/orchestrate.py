@@ -1,19 +1,20 @@
 """Plan product steps onto resources and execute them over protocol clients.
 
-Planning consults the capability matcher per step and keeps the full ranked
-candidate list, so execution can fail over to the next-ranked provider when
-a feasibility check rejects, a run aborts, or any request fails: an error
-response (a violated precondition among them), a timeout or a lost
-connection, each recorded as one ``error`` entry; an attempt that times out
-also aborts its skill. A skill found resting in Aborted, Stopped or Complete
-is first walked back to Idle (Clear, then Reset), so one failed run does not
-block the next. Within one run each client is asked for ``list_skills`` once
-and each of its runtime ids is described once; a request that fails is asked
-again by the next attempt. Every attempt still subscribes and unsubscribes,
-and reads the skill's state before the walk. The trace records every state
-change, parameter write, feasibility verdict and output read with a logical
-timestamp, which makes repeated runs over identical worlds byte-for-byte
-reproducible.
+Planning ranks each step's candidates with the matcher and keeps them all. A
+candidate's skill is ``WorldModel.skill_implementing``, and step values bind
+to its inputs by ``model.bound_input``. Execution fails over to the
+next-ranked provider when a feasibility check rejects, a run aborts, or any
+request fails: an error response (a violated precondition among them), a
+timeout or a lost connection, each recorded as one ``error`` entry; an
+attempt that times out also aborts its skill. A skill found resting in
+Aborted, Stopped or Complete is first walked back to Idle (Clear, then
+Reset), so one failed run does not block the next. Within one run each
+client is asked for ``list_skills`` once and each runtime id is described
+once; a request that fails is asked again by the next attempt. Every attempt
+still subscribes, unsubscribes and reads the state before the walk. The trace
+records every state change, parameter write, feasibility verdict and output
+read with a logical timestamp, so reruns over identical worlds are
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .expressions import normalize  # noqa: F401 - bench/tracing.py patches this name
 from .matching import MatchDegree, rank_providers
-from .model import validate_model
+from .model import bound_input, validate_model
 from .values import (
     Literal,
     convert_between_units,
@@ -100,23 +101,16 @@ def bind_parameters(
 ) -> dict[str, Literal]:
     """Map step property values onto skill input parameters.
 
-    Explicit property-to-parameter mappings win; unmapped properties bind to
-    the equally named parameter when one exists. Values are rescaled from the
-    property's declared unit onto the parameter's unit. Inputs left unbound
-    fall back to descriptor defaults.
+    Each property binds to the input ``model.bound_input`` names, if any, and
+    its value is rescaled from the property's declared unit onto the input's.
+    Inputs left unbound fall back to descriptor defaults.
     """
     assignment: dict[str, Literal] = {}
     for property_id, value in step.parameter_values.items():
-        explicit = property_id in capability.property_to_parameter
-        target = capability.property_to_parameter.get(property_id, property_id)
-        spec = descriptor.parameter(target)
-        if spec is None or spec.direction != "input":
-            if explicit:
-                raise UnknownParameterError(
-                    f"mapping targets {target!r}, which is not an input parameter "
-                    f"of skill {descriptor.skill_id!r}"
-                )
-            continue  # property not taken by this skill
+        spec = bound_input(capability, descriptor, property_id)
+        if spec is None:
+            continue
+        target = spec.param_id
         prop = world.property_def(property_id)
         if prop is not None and prop.datatype in ("integer", "real"):
             scaled = convert_between_units(to_fraction(value), prop.unit, spec.unit)
@@ -165,7 +159,6 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
         ranked = rank_providers(step.required_capability, candidates, world)
         qualifying: list[PlanEntry] = []
         for resource_id, capability, result in ranked:
-            resource = world.resource(resource_id)
             provided_nf = world.normal_form(capability)
             inside = all(
                 provided_nf.feasible_or_domain(property_id, world).contains(value)
@@ -173,10 +166,9 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             )
             if not inside:
                 continue
-            skills = world.skills_for_capability(resource, capability)
-            if not skills:
+            descriptor = world.skill_implementing(resource_id, capability)
+            if descriptor is None:
                 continue
-            descriptor = skills[0]
             try:
                 assignment = bind_parameters(step, capability, descriptor, world)
             except (

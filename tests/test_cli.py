@@ -9,7 +9,6 @@ from conftest import exec_world_doc
 
 from csskit import jsonio
 from csskit.cli import run
-from csskit.documents import document_to_text
 from csskit.hosting import build_resource_host
 from csskit.protocol import serve
 
@@ -19,7 +18,7 @@ from test_documents import offer_doc, request_doc
 @pytest.fixture
 def world_file(tmp_path):
     path = tmp_path / "world.json"
-    path.write_text(document_to_text(exec_world_doc()), encoding="utf-8")
+    path.write_text(jsonio.dumps(exec_world_doc()), encoding="utf-8")
     return str(path)
 
 
@@ -28,13 +27,13 @@ def product_file(tmp_path):
     doc = exec_world_doc()["products"][0]
     doc = {"schema": "css.product/1", **doc}
     path = tmp_path / "product.json"
-    path.write_text(document_to_text(doc), encoding="utf-8")
+    path.write_text(jsonio.dumps(doc), encoding="utf-8")
     return str(path)
 
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(document_to_text(doc), encoding="utf-8")
+    path.write_text(jsonio.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -322,3 +321,25 @@ def test_market_rejects_a_document_of_the_wrong_schema(tmp_path, world_file, cap
                 "--world", world_file, *now])
     assert code == 2
     assert "expected schema 'css.request/1', found 'css.offer/1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["localhost", "127.0.0.1:", "127.0.0.1:7x", "127.0.0.1:65536", ":7007"]
+)
+def test_run_rejects_an_endpoint_that_is_not_host_port(
+    tmp_path, world_file, product_file, capsys, endpoint
+):
+    endpoints_file = _write(
+        tmp_path, "endpoints.json",
+        {"schema": "css.endpoints/1", "endpoints": {
+            "r-driller-a": endpoint, "r-driller-b": "127.0.0.1:1",
+            "r-screwer": "127.0.0.1:1",
+        }},
+    )
+    code = run(["run", "--product", product_file, "--world", world_file,
+                "--endpoints", endpoints_file])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: css.endpoints/1.endpoints[r-driller-a]: "
+        "expected host:port with a port from 0 to 65535\n"
+    )

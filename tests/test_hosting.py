@@ -1,9 +1,15 @@
 from __future__ import annotations
 
-from csskit.documents import build_world
-from csskit.hosting import build_resource_host
+from decimal import Decimal
 
-from conftest import exec_world_doc
+import pytest
+
+from csskit.documents import build_world
+from csskit.errors import NotFoundError
+from csskit.hosting import CapabilityEnvelopeBehavior, build_resource_host
+from csskit.orchestrate import plan
+
+from conftest import _drill_skill, exec_world_doc
 
 
 def enum_skill_world():
@@ -45,3 +51,80 @@ def test_envelope_execution_echoes_enum_and_boolean_inputs():
     assert snapshot.output_values == {
         "achievedDepth": 12, "achievedMaterial": "steel", "achievedCoolant": True,
     }
+
+
+def _recorded_capabilities(world, resource_id):
+    """skill id -> id of the capability that build_resource_host gave its behavior."""
+    seen = {}
+
+    def factory(world, capability, descriptor):
+        seen[descriptor.skill_id] = capability.id
+        return CapabilityEnvelopeBehavior(world, capability, descriptor)
+
+    build_resource_host(world, resource_id, behavior_factory=factory)
+    return seen
+
+
+def test_host_resolves_a_capability_by_iri_by_id_and_on_another_resource():
+    doc = exec_world_doc()
+    skills = doc["resources"][0]["skills"]
+    skills.append({**_drill_skill("by-id"), "capabilityRef": "cap-drill-a"})
+    skills.append({
+        **doc["resources"][2]["skills"][0], "skillId": "skill-screw-on-a",
+    })
+    assert _recorded_capabilities(build_world([doc]), "r-driller-a") == {
+        "skill-drill-a": "cap-drill-a",
+        "skill-drill-by-id": "cap-drill-a",
+        "skill-screw-on-a": "cap-screw",
+    }
+
+
+def test_host_rejects_a_reference_that_names_no_capability():
+    doc = exec_world_doc()
+    doc["resources"][0]["skills"][0]["capabilityRef"] = "urn:cap:nowhere"
+    with pytest.raises(NotFoundError) as excinfo:
+        build_resource_host(build_world([doc]), "r-driller-a")
+    assert excinfo.value.message == (
+        "skill 'skill-drill-a' references unknown capability 'urn:cap:nowhere'"
+    )
+
+
+def _depth_mapped_to_metres(default_depth: int | None = None) -> dict:
+    """r-driller-a's capability maps depth (mm) onto a drillDepth input in
+    metres; with ``default_depth`` its skill also keeps a ``depth`` input
+    with that default, which no property binds."""
+    doc = exec_world_doc()
+    resource = doc["resources"][0]
+    resource["capabilities"][0]["propertyToParameter"] = {"depth": "drillDepth"}
+    parameters = resource["skills"][0]["parameters"]
+    if default_depth is None:
+        parameters[0] = {
+            "paramId": "drillDepth", "direction": "input", "datatype": "real", "unit": "m",
+        }
+    else:
+        parameters[0]["default"] = default_depth
+        parameters.append(
+            {"paramId": "drillDepth", "direction": "input", "datatype": "real", "unit": "m"}
+        )
+    return doc
+
+
+def test_envelope_rescales_an_explicitly_mapped_parameter():
+    host = build_resource_host(build_world([_depth_mapped_to_metres()]), "r-driller-a")
+    (lrid,) = host.local_runtime_ids()
+    assert host.check_feasibility(lrid, {"drillDepth": Decimal("0.025")}).feasible
+    result = host.check_feasibility(lrid, {"drillDepth": Decimal("0.026")})
+    assert not result.feasible
+    assert result.reason == "drillDepth=0.026 is outside the provided limit for depth"
+
+
+def test_envelope_accepts_what_plan_bound_past_a_same_named_default():
+    """The envelope checks the parameters the binding rule binds: the mapped
+    drillDepth, not the unbound depth input, whose default lies outside."""
+    world = build_world([_depth_mapped_to_metres(default_depth=99)])
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    assert entry.resource_id == "r-driller-a"
+    assert entry.parameter_assignment == {"drillDepth": Decimal("0.012"), "depth": 99}
+    host = build_resource_host(world, "r-driller-a")
+    (lrid,) = host.local_runtime_ids()
+    assert host.check_feasibility(lrid, entry.parameter_assignment).feasible

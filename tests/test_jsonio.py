@@ -81,14 +81,6 @@ def test_exact_numbers_are_plain_literals():
     assert jsonio.loads('{"a": 4.50, "b": 1e3}') == {"a": Decimal("4.50"), "b": Decimal("1E+3")}
 
 
-def test_indented_document_layout():
-    value = {"b": [1, {"y": "ü", "x": None}], "a": {}, "c": [], "d": (True, 2.5)}
-    assert jsonio.dumps(value, indent=2) == (
-        '{\n  "a": {},\n  "b": [\n    1,\n    {\n      "x": null,\n      "y": "ü"\n'
-        '    }\n  ],\n  "c": [],\n  "d": [\n    true,\n    2.5\n  ]\n}'
-    )
-
-
 @pytest.mark.parametrize(
     "value", [{1: "a"}, float("nan"), [float("inf")], Decimal("NaN"), {"a": object()}]
 )

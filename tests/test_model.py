@@ -7,7 +7,8 @@ import pytest
 
 from conftest import exec_world_doc
 
-from csskit.documents import build_world, document_to_text, load_document_text
+from csskit import jsonio
+from csskit.documents import build_world, load_document_text
 from csskit.errors import ModelInvalidError
 from csskit.expressions import Atom, CapabilityExpression, parse_expression
 from csskit.hosting import build_resource_host
@@ -197,16 +198,16 @@ def test_clean_world_resolves_every_skill_reference(exec_world):
 
 
 def test_world_document_round_trip(exec_world):
-    text = document_to_text(exec_world_doc())
+    text = jsonio.dumps(exec_world_doc())
     reloaded = build_world([load_document_text(text)])
     assert reloaded == exec_world
 
 
 def test_world_round_trip_from_doc_fixture():
     doc = exec_world_doc()
-    text = document_to_text(doc)
+    text = jsonio.dumps(doc)
     assert load_document_text(text) == doc
-    assert document_to_text(load_document_text(text)) == text
+    assert jsonio.dumps(load_document_text(text)) == text
     assert build_world([load_document_text(text)]) == build_world([doc])
 
 

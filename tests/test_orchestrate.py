@@ -243,6 +243,19 @@ def test_plan_drops_an_alternate_whose_binding_raises(exec_world, unbindable):
     assert excinfo.value.step_id == "step-drill"
 
 
+@pytest.mark.parametrize("by_iri, by_id", [("m", "z"), ("z", "m")])
+def test_plan_uses_the_lowest_skill_id_naming_the_capability(by_iri, by_id):
+    """One skill names r-driller-a's capability by iri, another by id."""
+    doc = exec_world_doc()
+    doc["resources"][0]["skills"] = [
+        {**_drill_skill(by_iri), "capabilityRef": "urn:cap:drill-a"},
+        {**_drill_skill(by_id), "capabilityRef": "cap-drill-a"},
+    ]
+    world = build_world([doc])
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    assert (entry.resource_id, entry.skill_id) == ("r-driller-a", "skill-drill-m")
+
+
 def test_plan_requires_clean_validation(exec_world):
     broken = replace(
         exec_world,
