@@ -143,12 +143,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_world(*paths):
-    return build_world([load_document_file(path) for path in paths])
+def _read(path, reader, *args):
+    """``reader(document, *args)`` of the document at ``path``. A document
+    fault is re-raised with the path in front of its message."""
+    try:
+        return reader(load_document_file(path), *args)
+    except (DocumentInvalidError, ParseError) as exc:
+        raise DocumentInvalidError(f"{path}: {exc.message}") from exc
+
+
+def _load_world(path):
+    return _read(path, lambda doc: build_world([doc]))
 
 
 def _cmd_validate(args) -> int:
-    world = _load_world(*args.files)
+    # a fault of the world assembled from several files names no one file
+    world = build_world([_read(path, lambda doc: doc) for path in args.files])
     report = validate_model(world)
     for issue in report.issues:
         print(f"{issue.severity}: {issue.path}: {issue.message}")
@@ -200,13 +210,9 @@ def _cmd_match(args) -> int:
     return 1 if result.degree is MatchDegree.DISJOINT else 0
 
 
-def _load_product(args, world):
-    return product_from_doc(load_document_file(args.product), world)
-
-
 def _cmd_plan(args) -> int:
     world = _load_world(args.world)
-    product = _load_product(args, world)
+    product = _read(args.product, product_from_doc, world)
     production_plan = plan(product, world)
     for entry in production_plan.entries:
         if args.format == "lines":
@@ -259,8 +265,8 @@ def _cmd_serve(args) -> int:
 
 def _cmd_run(args) -> int:
     world = _load_world(args.world)
-    product = _load_product(args, world)
-    endpoints = endpoints_from_doc(load_document_file(args.endpoints))
+    product = _read(args.product, product_from_doc, world)
+    endpoints = _read(args.endpoints, endpoints_from_doc)
     production_plan = plan(product, world)
 
     needed = {entry.resource_id for entry in production_plan.entries}
@@ -299,8 +305,8 @@ def _cmd_run(args) -> int:
 
 def _load_market_inputs(args):
     world = _load_world(args.world)
-    request = request_from_doc(load_document_file(args.request), world)
-    offers = [offer_from_doc(load_document_file(path), world) for path in args.offers]
+    request = _read(args.request, request_from_doc, world)
+    offers = [_read(path, offer_from_doc, world) for path in args.offers]
     now = parse_timestamp(args.now)
     return world, request, offers, now
 

@@ -145,14 +145,14 @@ def evaluate_offers(
         for cap_key in offer.covered_cap_keys:
             if cap_key not in forms:
                 forms[cap_key] = normalize(required[cap_key], world)
-            result = match_normal_form(
+            degree = match_normal_form(
                 forms[cap_key], offer.provided_capabilities[cap_key], world
             )
-            if result.degree not in COVERING_DEGREES:
+            if degree not in COVERING_DEGREES:
                 violations.append(
                     Violation(
                         "capabilityCoverage",
-                        f"{cap_key}: degree {result.degree.value} does not cover "
+                        f"{cap_key}: degree {degree.value} does not cover "
                         "the requirement",
                     )
                 )

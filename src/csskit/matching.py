@@ -26,7 +26,9 @@ keeps one per capability it owns. ``match_normal_form`` takes a required
 side its caller has already normalized: offer selection normalizes each
 requested key once and compares every offer against that form. Provided
 expressions from callers (offers, the CLI) are normalized per call and never
-kept.
+kept. Ranking and offer selection decide a ``MatchDegree`` only;
+``match_capabilities`` alone builds ``MatchResult.per_property``, the
+per-property explanation that ``csskit match`` prints.
 """
 
 from __future__ import annotations
@@ -58,13 +60,8 @@ class MatchDegree(Enum):
         return _DEGREE_RANK[self]
 
 
-_DEGREE_RANK = {
-    MatchDegree.EXACT: 4,
-    MatchDegree.PLUGIN: 3,
-    MatchDegree.SUBSUME: 2,
-    MatchDegree.INTERSECT: 1,
-    MatchDegree.DISJOINT: 0,
-}
+#: EXACT 4, PLUGIN 3, SUBSUME 2, INTERSECT 1, DISJOINT 0
+_DEGREE_RANK = {degree: 4 - i for i, degree in enumerate(MatchDegree)}
 
 
 @dataclass(frozen=True)
@@ -99,23 +96,32 @@ def match_capabilities(
     provided: CapabilityExpression,
     world: WorldModel,
 ) -> MatchResult:
-    return match_normal_form(normalize(required, world), provided, world)
+    required_nf = normalize(required, world)
+    provided_nf = normalize(provided, world)
+    per_property = {
+        property_id: PropertyComparison(
+            required_nf.feasible_or_domain(property_id, world),
+            provided_nf.feasible_or_domain(property_id, world),
+        )
+        for property_id in sorted(required_nf.feasible.keys() | provided_nf.feasible.keys())
+    }
+    return MatchResult(_compare(required_nf, provided_nf, world), per_property)
 
 
 def match_normal_form(
     required_nf: NormalForm,
     provided: CapabilityExpression,
     world: WorldModel,
-) -> MatchResult:
-    """``match_capabilities`` for a required side that is already normalized."""
-    provided_nf = normalize(provided, world)
-    tax = world.taxonomy
-    return _compare(
-        required_nf,
-        provided_nf,
-        world,
-        is_subclass_of(tax, required_nf.class_id, provided_nf.class_id),
-        is_subclass_of(tax, provided_nf.class_id, required_nf.class_id),
+) -> MatchDegree:
+    """``match_capabilities(...).degree`` for an already normalized required side."""
+    return _compare(required_nf, normalize(provided, world), world)
+
+
+def _relation(tax, required_class: str, provided_class: str) -> tuple[bool, bool]:
+    """Both subclass tests: (required below provided, provided below required)."""
+    return (
+        is_subclass_of(tax, required_class, provided_class),
+        is_subclass_of(tax, provided_class, required_class),
     )
 
 
@@ -123,39 +129,32 @@ def _compare(
     required_nf: NormalForm,
     provided_nf: NormalForm,
     world: WorldModel,
-    required_below: bool,
-    provided_below: bool,
-) -> MatchResult:
-    """Classify two normal forms, given both subclass tests between their classes."""
-    property_ids = sorted(set(required_nf.feasible) | set(provided_nf.feasible))
-    per_property: dict[str, PropertyComparison] = {}
-    for property_id in property_ids:
+    relation: tuple[bool, bool] | None = None,
+) -> MatchDegree:
+    """Classify two normal forms in one pass over their constrained properties,
+    given ``_relation`` of their classes or deciding it here. The first
+    property whose sets do not meet decides DISJOINT; a refuted containment
+    is not tested again."""
+    if relation is None:
+        relation = _relation(world.taxonomy, required_nf.class_id, provided_nf.class_id)
+    required_in_provided, provided_in_required = relation
+    if not (required_in_provided or provided_in_required):
+        return MatchDegree.DISJOINT
+    for property_id in required_nf.feasible.keys() | provided_nf.feasible.keys():
         r = required_nf.feasible_or_domain(property_id, world)
         p = provided_nf.feasible_or_domain(property_id, world)
-        per_property[property_id] = PropertyComparison(r, p)
-
-    if not (required_below or provided_below) or not all(
-        c.required.meets(c.provided) for c in per_property.values()
-    ):
-        return MatchResult(MatchDegree.DISJOINT, per_property)
-
-    required_in_provided = required_below and all(
-        c.required.subset_of(c.provided) for c in per_property.values()
-    )
-    provided_in_required = provided_below and all(
-        c.provided.subset_of(c.required) for c in per_property.values()
-    )
+        if not r.meets(p):
+            return MatchDegree.DISJOINT
+        required_in_provided = required_in_provided and r.subset_of(p)
+        provided_in_required = provided_in_required and p.subset_of(r)
 
     if required_in_provided and provided_in_required:
-        degree = MatchDegree.EXACT
-    elif required_in_provided:
-        degree = MatchDegree.PLUGIN
-    elif provided_in_required:
-        degree = MatchDegree.SUBSUME
-    else:
-        degree = MatchDegree.INTERSECT
-
-    return MatchResult(degree, per_property)
+        return MatchDegree.EXACT
+    if required_in_provided:
+        return MatchDegree.PLUGIN
+    if provided_in_required:
+        return MatchDegree.SUBSUME
+    return MatchDegree.INTERSECT
 
 
 def _as_literal(value) -> Literal:
@@ -172,11 +171,11 @@ def rank_providers(
     """Non-disjoint candidates ordered by degree, then resource and capability id.
 
     ``candidates`` is an iterable of (resource_id, Capability); the result is a
-    list of (resource_id, Capability, MatchResult), each result equal to
-    ``match_capabilities`` of the pair. The required side is normalized once
-    and the class relation is decided once per distinct candidate class. A
-    class-disjoint candidate is dropped without being normalized, so its
-    normal form is neither read nor kept.
+    list of (resource_id, Capability, MatchDegree), each degree equal to
+    ``match_capabilities(...).degree`` of the pair. The required side is
+    normalized once and the class relation is decided once per distinct
+    candidate class. A class-disjoint candidate is dropped without being
+    normalized, so its normal form is neither read nor kept.
     """
     required_nf = normalize(required, world)
     required_class = required_nf.class_id
@@ -187,16 +186,11 @@ def rank_providers(
         class_id = capability.expression.class_id
         relation = relations.get(class_id)
         if relation is None:
-            relation = relations[class_id] = (
-                is_subclass_of(tax, required_class, class_id),
-                is_subclass_of(tax, class_id, required_class),
-            )
-        required_below, provided_below = relation
-        if not (required_below or provided_below):
+            relation = relations[class_id] = _relation(tax, required_class, class_id)
+        if not any(relation):
             continue
-        provided_nf = world.normal_form(capability)
-        result = _compare(required_nf, provided_nf, world, required_below, provided_below)
-        if result.degree is not MatchDegree.DISJOINT:
-            scored.append((resource_id, capability, result))
-    scored.sort(key=lambda item: (-item[2].degree.rank, item[0], item[1].id))
+        degree = _compare(required_nf, world.normal_form(capability), world, relation)
+        if degree is not MatchDegree.DISJOINT:
+            scored.append((resource_id, capability, degree))
+    scored.sort(key=lambda item: (-item[2].rank, item[0], item[1].id))
     return scored

@@ -103,14 +103,20 @@ def bind_parameters(
 
     Each property binds to the input ``model.bound_input`` names, if any, and
     its value is rescaled from the property's declared unit onto the input's.
-    Inputs left unbound fall back to descriptor defaults.
+    Two properties binding one input raise ``TypeMismatchError``. Inputs left
+    unbound fall back to descriptor defaults.
     """
     assignment: dict[str, Literal] = {}
+    bound_by: dict[str, str] = {}  # input -> the property that bound it
     for property_id, value in step.parameter_values.items():
         spec = bound_input(capability, descriptor, property_id)
         if spec is None:
             continue
         target = spec.param_id
+        if bound_by.setdefault(target, property_id) != property_id:
+            raise TypeMismatchError(
+                f"{target}: bound by both {bound_by[target]!r} and {property_id!r}"
+            )
         prop = world.property_def(property_id)
         if prop is not None and prop.datatype in ("integer", "real"):
             scaled = convert_between_units(to_fraction(value), prop.unit, spec.unit)
@@ -158,7 +164,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
     for step in product.steps:
         ranked = rank_providers(step.required_capability, candidates, world)
         qualifying: list[PlanEntry] = []
-        for resource_id, capability, result in ranked:
+        for resource_id, capability, degree in ranked:
             provided_nf = world.normal_form(capability)
             inside = all(
                 provided_nf.feasible_or_domain(property_id, world).contains(value)
@@ -181,7 +187,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
                     resource_id=resource_id,
                     capability_id=capability.id,
                     skill_id=descriptor.skill_id,
-                    match_degree=result.degree,
+                    match_degree=degree,
                     parameter_assignment=assignment,
                 )
             )

@@ -20,6 +20,7 @@ not valid UTF-8 also gets one ``ParseError`` and is never executed.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import queue
 import socket
@@ -38,7 +39,6 @@ from .errors import (
 from .skills import SkillEvent, SkillHost
 
 PROTOCOL_VERSION = "css/1"
-DEFAULT_PORT = 7007
 DEFAULT_TIMEOUT = 5.0
 #: longest request line a server reads, in UTF-8 bytes without the LF
 MAX_LINE_BYTES = 1 << 20
@@ -298,7 +298,7 @@ class ServerSession:
 class ProtocolServer:
     """TCP server handle; one thread per connection, sessions independent."""
 
-    def __init__(self, host: SkillHost, endpoint=None):
+    def __init__(self, host: SkillHost, endpoint):
         address = _as_address(endpoint)
         self.host = host
         try:
@@ -351,34 +351,25 @@ class ProtocolServer:
             pass
         finally:
             session.close()
-            try:
+            with contextlib.suppress(OSError):
                 conn.close()
-            except OSError:
-                pass
 
     def close(self) -> None:
         self._closing = True
-        try:
+        with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
-        except OSError:
-            pass
-        try:
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
         self._accept_thread.join(timeout=2.0)
 
 
-def serve(host: SkillHost, endpoint=None) -> ProtocolServer:
+def serve(host: SkillHost, endpoint) -> ProtocolServer:
     """Bind and start serving a skill host; returns the running server handle."""
     return ProtocolServer(host, endpoint)
 
 
 def _as_address(endpoint) -> tuple[str, int]:
-    if endpoint is None:
-        return ("127.0.0.1", DEFAULT_PORT)
-    if isinstance(endpoint, int):
-        return ("127.0.0.1", endpoint)
+    """A ``"host:port"`` string or a ``(host, port)`` pair as a socket address."""
     if isinstance(endpoint, str):
         host_part, _, port_part = endpoint.rpartition(":")
         return (host_part or "127.0.0.1", int(port_part))
@@ -564,10 +555,8 @@ def connect_tcp(address, client_name: str = "tcp-client") -> SkillClient:
             sock.sendall((line + "\n").encode("utf-8"))
 
     def on_close() -> None:
-        try:
+        with contextlib.suppress(OSError):
             sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         sock.close()
 
     client = SkillClient(send_line=send_line, on_close=on_close, name=client_name)

@@ -115,6 +115,16 @@ def test_validate_world_plus_product_file(tmp_path, world_file, capsys):
     assert "violates" in capsys.readouterr().out
 
 
+def test_validate_names_a_file_only_for_its_own_load_fault(tmp_path, world_file, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json", encoding="utf-8")
+    assert run(["validate", world_file, str(malformed)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {malformed}: ")
+    # two worlds are a fault of the assembly, which no one file owns
+    assert run(["validate", world_file, world_file]) == 2
+    assert capsys.readouterr().err == "error: more than one css.world/1 document given\n"
+
+
 def test_validate_broken_world_lists_issue(tmp_path, capsys):
     doc = exec_world_doc()
     doc["resources"][0]["skills"][0]["capabilityRef"] = "cap-missing"
@@ -315,12 +325,33 @@ def test_market_rejects_a_document_of_the_wrong_schema(tmp_path, world_file, cap
                 "--world", world_file, *now])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: css.offer/1: expected schema 'css.offer/1', found 'css.request/1'\n"
+        f"error: {request_path}: css.offer/1: expected schema 'css.offer/1', "
+        "found 'css.request/1'\n"
     )
     code = run(["market", "select", "--request", offer_path, "--offers", offer_path,
                 "--world", world_file, *now])
     assert code == 2
-    assert "expected schema 'css.request/1', found 'css.offer/1'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {offer_path}: css.request/1: expected schema 'css.request/1', "
+        "found 'css.offer/1'\n"
+    )
+
+
+def test_market_names_the_offer_file_at_fault(tmp_path, world_file, capsys):
+    request_path = _write(tmp_path, "request.json", request_doc())
+    offers = []
+    for i in range(3):
+        doc = offer_doc()
+        doc.update(offerId=f"off-{i}")
+        if i == 1:
+            doc["unitPrice"] = "cheap"
+        offers.append(_write(tmp_path, f"offer-{i}.json", doc))
+    code = run(["market", "select", "--request", request_path, "--offers", *offers,
+                "--world", world_file, "--now", "2026-08-10T00:00:00Z"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {offers[1]}: css.offer/1.unitPrice: expected a number\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -340,6 +371,6 @@ def test_run_rejects_an_endpoint_that_is_not_host_port(
                 "--endpoints", endpoints_file])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: css.endpoints/1.endpoints[r-driller-a]: "
+        f"error: {endpoints_file}: css.endpoints/1.endpoints[r-driller-a]: "
         "expected host:port with a port from 0 to 65535\n"
     )

@@ -2,17 +2,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from decimal import Decimal
 
-from conftest import evaluate_expression, sample_taxonomy
+from conftest import evaluate_expression, exec_world_doc, sample_taxonomy
+from test_documents import offer_doc, request_doc
 
+import csskit.matching
+from csskit.documents import build_world, offer_from_doc, request_from_doc
 from csskit.expressions import (
     Atom,
     CapabilityExpression,
     normalize,
 )
-from csskit.matching import MatchDegree, match_capabilities, rank_providers
+from csskit.market import select_offers
+from csskit.matching import MatchDegree, match_capabilities, match_normal_form, rank_providers
 from csskit.model import Capability, PropertyDefinition, Resource, WorldModel
+from csskit.orchestrate import plan
 from csskit.taxonomy import is_subclass_of
+from csskit.values import parse_timestamp
 
 
 def _expr(world, text):
@@ -230,7 +237,7 @@ def test_rank_tie_breaks_on_resource_id(base_world):
     ]
     ranked = rank_providers(required, candidates, base_world)
     assert [r[0] for r in ranked] == ["r-a", "r-b"]
-    assert all(r[2].degree is MatchDegree.PLUGIN for r in ranked)
+    assert all(r[2] is MatchDegree.PLUGIN for r in ranked)
 
 
 def test_rank_orders_by_degree(base_world):
@@ -340,7 +347,8 @@ def test_random_pairs_against_enumeration_oracle():
 
 def test_pruned_ranking_equals_sorted_pairwise_matches():
     """rank_providers (one required normal form, kept candidate normal forms,
-    class pruning) against matching every pair through match_capabilities."""
+    class pruning) and match_normal_form against the degree of every pair
+    through match_capabilities."""
     rng = random.Random(23)
     class_disjoint = 0
     for _ in range(8):
@@ -361,14 +369,15 @@ def test_pruned_ranking_equals_sorted_pairwise_matches():
         candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
         for _ in range(6):
             required = _random_expression(rng, world)
-            pairs = [
-                (resource_id, capability,
-                 match_capabilities(required, capability.expression, world))
-                for resource_id, capability in candidates
-            ]
+            required_nf = normalize(required, world)
+            pairs = []
+            for resource_id, capability in candidates:
+                degree = match_capabilities(required, capability.expression, world).degree
+                assert match_normal_form(required_nf, capability.expression, world) is degree
+                pairs.append((resource_id, capability, degree))
             expected = sorted(
-                (item for item in pairs if item[2].degree is not MatchDegree.DISJOINT),
-                key=lambda item: (-item[2].degree.rank, item[0], item[1].id),
+                (item for item in pairs if item[2] is not MatchDegree.DISJOINT),
+                key=lambda item: (-item[2].rank, item[0], item[1].id),
             )
             assert rank_providers(required, candidates, world) == expected
             class_disjoint += sum(
@@ -424,3 +433,28 @@ def test_tightening_monotonicity():
                 MatchDegree.EXACT,
                 MatchDegree.DISJOINT,
             )
+
+
+def test_plan_and_offer_selection_build_no_per_property_explanation(monkeypatch):
+    """Ranking and offer selection decide a degree only; the per-property
+    comparisons are built by match_capabilities alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("PropertyComparison built outside match_capabilities")
+
+    monkeypatch.setattr(csskit.matching, "PropertyComparison", refuse)
+    world = build_world([exec_world_doc()])
+    entries = plan(world.product("prod-bracket"), world).entries
+    assert [entry.resource_id for entry in entries] == ["r-driller-a", "r-screwer"]
+
+    screw_offer = offer_doc()
+    screw_offer.update(
+        offerId="off-8",
+        coveredCapKeys=["cap-screw"],
+        providedCapabilities={"cap-screw": "Screwing"},
+        unitPrice=Decimal("0.40"),
+        exclusiveGroup="lot-b",
+    )
+    request = request_from_doc(request_doc(), world)
+    offers = [offer_from_doc(doc, world) for doc in (offer_doc(), screw_offer)]
+    award = select_offers(request, offers, parse_timestamp("2026-08-10T00:00:00Z"), world)
+    assert award.offer_ids() == ("off-7", "off-8")

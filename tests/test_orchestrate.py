@@ -26,6 +26,7 @@ from csskit.model import (
     ProcessStep,
     Resource,
     SkillDescriptor,
+    validate_model,
 )
 from csskit.orchestrate import (
     bind_parameters,
@@ -241,6 +242,26 @@ def test_plan_drops_an_alternate_whose_binding_raises(exec_world, unbindable):
     with pytest.raises(NoMatchForStepError) as excinfo:
         plan(world.product("prod-bracket"), world)
     assert excinfo.value.step_id == "step-drill"
+
+
+def test_plan_drops_a_candidate_that_binds_one_input_twice():
+    """On r-driller-a both depth (by name) and diameter (mapped) bind the
+    depth input; neither step value may silently win."""
+    doc = exec_world_doc()
+    doc["resources"][0]["capabilities"][0]["propertyToParameter"] = {"diameter": "depth"}
+    doc["products"][0]["steps"][0]["parameterValues"] = {"depth": 12, "diameter": 3}
+    world = build_world([doc])
+    assert validate_model(world).ok
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    assert (entry.resource_id, entry.parameter_assignment) == ("r-driller-b", {"depth": 12})
+    assert entry.alternates == ()
+
+    step = world.product("prod-bracket").steps[0]
+    capability = world.resource("r-driller-a").provided_capabilities[0]
+    skill = world.skill_implementing("r-driller-a", capability)
+    with pytest.raises(TypeMismatchError) as excinfo:
+        bind_parameters(step, capability, skill, world)
+    assert excinfo.value.message == "depth: bound by both 'depth' and 'diameter'"
 
 
 @pytest.mark.parametrize("by_iri, by_id", [("m", "z"), ("z", "m")])
