@@ -279,7 +279,7 @@ def _cmd_run(args) -> int:
     connections = {}
     try:
         for resource_id in sorted(needed):
-            client = connect_tcp(endpoints[resource_id], client_name="csskit-run")
+            client = connect_tcp(endpoints[resource_id])
             client.hello()
             connections[resource_id] = client
         code = 0

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import (
+    CssError,
     ExpressionSyntaxError,
     TypeMismatchError,
     UnitMismatchError,
@@ -403,6 +404,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent. Each part of an atom is checked at its own token, by
+    the function ``validate_expression`` calls for that part."""
+
     def __init__(self, tokens: list[_Token], world: WorldModel):
         self.tokens = tokens
         self.world = world
@@ -419,17 +423,12 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None, expected: str = "") -> _Token:
         token = self.peek()
         if token.kind != kind or (text is not None and token.text != text):
-            raise ExpressionSyntaxError(
-                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-                token.pos,
-                (expected or text or kind,),
-            )
+            raise _unexpected(token, expected or text or kind)
         return self.advance()
 
     def parse(self) -> CapabilityExpression:
         class_token = self.expect("ident", expected="class name")
-        if not self.world.taxonomy.has_class(class_token.text):
-            raise UnknownClassError(f"class {class_token.text!r} is not in the taxonomy")
+        _check_class(self.world, class_token.text)
         atoms: list[Atom] = []
         while self.peek().kind != "end":
             self.expect("ident", "and")
@@ -439,72 +438,57 @@ class _Parser:
         return CapabilityExpression(class_id=class_token.text, atoms=tuple(atoms))
 
     def parse_atom(self) -> Atom:
-        prop_token = self.expect("ident", expected="property name")
-        prop = self.world.property_def(prop_token.text)
-        if prop is None:
-            raise UnknownPropertyError(f"property {prop_token.text!r} is not defined")
-        token = self.peek()
-        if token.kind == "ident" and token.text == "in":
-            self.advance()
-            return self.parse_membership(prop)
-        if token.kind != "op":
+        prop = _property(self.world, self.expect("ident", expected="property name").text)
+        token = self.advance()
+        if token.kind != "op" and (token.kind, token.text) != ("ident", "in"):
             raise ExpressionSyntaxError(
                 f"unexpected {token.text!r}", token.pos, ("comparator", "in")
             )
-        comparator = self.advance().text
-        _check_comparator(prop, comparator)
-        literal = self.parse_literal(prop)
-        unit = None
-        if self.peek().kind == "ident" and self.peek().text != "and":
-            unit_token = self.advance()
-            unit = unit_token.text
-            _check_unit(prop, unit)
-        return Atom(prop.id, comparator, literal, unit)
-
-    def parse_membership(self, prop) -> Atom:
-        _check_comparator(prop, "in")
+        _check_comparator(prop, token.text)
+        if token.text != "in":
+            literal = self.parse_literal(prop)
+            unit = None
+            if self.peek().kind == "ident" and self.peek().text != "and":
+                unit = self.advance().text
+                _check_unit(prop, unit)
+            return Atom(prop.id, token.text, literal, unit)
         self.expect("punct", "{")
         values = [self.parse_literal(prop)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        while self.peek().text == ",":
             self.advance()
             values.append(self.parse_literal(prop))
         self.expect("punct", "}")
-        return Atom(prop.id, "in", tuple(values), None)
+        return Atom(prop.id, "in", tuple(values))
 
     def parse_literal(self, prop) -> Literal:
-        token = self.peek()
+        """Decode one literal token, then check it against the property."""
+        token = self.advance()
         if token.kind == "number":
-            if prop.datatype not in ("integer", "real"):
-                raise TypeMismatchError(
-                    f"numeric literal {token.text} on {prop.datatype} property {prop.id!r}"
-                )
-            self.advance()
-            if "." in token.text:
-                return Decimal(token.text)
-            return int(token.text)
-        if token.kind == "ident":
-            if prop.datatype == "boolean":
-                if token.text not in ("true", "false"):
-                    raise TypeMismatchError(
-                        f"{token.text!r} is not a boolean literal (property {prop.id!r})"
-                    )
-                self.advance()
-                return token.text == "true"
-            if prop.datatype == "enum":
-                if token.text not in prop.enum_values:
-                    raise TypeMismatchError(
-                        f"{token.text!r} is not a member of enum property {prop.id!r}"
-                    )
-                self.advance()
-                return token.text
-            raise TypeMismatchError(
-                f"non-numeric literal {token.text!r} on {prop.datatype} property {prop.id!r}"
-            )
-        raise ExpressionSyntaxError(
-            f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-            token.pos,
-            ("literal",),
-        )
+            value = Decimal(token.text) if "." in token.text else int(token.text)
+        elif token.kind == "ident":
+            truth = prop.datatype == "boolean" and token.text in ("true", "false")
+            value = token.text == "true" if truth else token.text
+        else:
+            raise _unexpected(token, "literal")
+        _check_literal(prop, value)
+        return value
+
+
+def _unexpected(token: _Token, expected: str) -> ExpressionSyntaxError:
+    what = "end of input" if token.kind == "end" else repr(token.text)
+    return ExpressionSyntaxError(f"unexpected {what}", token.pos, (expected,))
+
+
+def _check_class(world: WorldModel, class_id: str) -> None:
+    if not world.taxonomy.has_class(class_id):
+        raise UnknownClassError(f"class {class_id!r} is not in the taxonomy")
+
+
+def _property(world: WorldModel, property_id: str) -> PropertyDefinition:
+    prop = world.property_def(property_id)
+    if prop is None:
+        raise UnknownPropertyError(f"property {property_id!r} is not defined")
+    return prop
 
 
 def _check_comparator(prop, comparator: str) -> None:
@@ -512,6 +496,25 @@ def _check_comparator(prop, comparator: str) -> None:
     if comparator not in allowed:
         raise TypeMismatchError(
             f"comparator {comparator!r} is not legal for {prop.datatype} property {prop.id!r}"
+        )
+
+
+def _check_literal(prop, value) -> None:
+    """A number fits a numeric property, a bool a boolean one, a member an enum one."""
+    if isinstance(value, (int, Decimal, Fraction)) and not isinstance(value, bool):
+        if prop.datatype not in ("integer", "real"):
+            raise TypeMismatchError(
+                f"numeric literal {value} on {prop.datatype} property {prop.id!r}"
+            )
+    elif prop.datatype == "boolean":
+        if not isinstance(value, bool):
+            raise TypeMismatchError(f"{value!r} is not a boolean literal (property {prop.id!r})")
+    elif prop.datatype == "enum":
+        if value not in prop.enum_values:
+            raise TypeMismatchError(f"{value!r} is not a member of enum property {prop.id!r}")
+    else:
+        raise TypeMismatchError(
+            f"non-numeric literal {value!r} on {prop.datatype} property {prop.id!r}"
         )
 
 
@@ -528,47 +531,31 @@ def _check_unit(prop, unit: str) -> None:
         )
 
 
+def _check_atom(world: WorldModel, atom: Atom) -> None:
+    """The parser's checks of one atom, in the parser's order."""
+    prop = _property(world, atom.property_id)
+    _check_comparator(prop, atom.comparator)
+    for value in atom.literal if atom.comparator == "in" else (atom.literal,):
+        _check_literal(prop, value)
+    if atom.unit is not None:
+        _check_unit(prop, atom.unit)
+
+
 def parse_expression(text: str, world: WorldModel) -> CapabilityExpression:
     """Parse ``ClassName ('and' '(' atom ')')*`` into a resolved expression."""
     return _Parser(_tokenize(text), world).parse()
 
 
 def validate_expression(expr: CapabilityExpression, world: WorldModel) -> list[str]:
-    """Non-raising re-check of a (possibly hand-built) expression."""
+    """Non-raising re-check of a (possibly hand-built) expression: the class,
+    then each atom's first fault, worded as the parse error of its text."""
     issues: list[str] = []
-    if not world.taxonomy.has_class(expr.class_id):
-        issues.append(f"class {expr.class_id!r} is not in the taxonomy")
-    for atom in expr.atoms:
-        prop = world.property_def(atom.property_id)
-        if prop is None:
-            issues.append(f"property {atom.property_id!r} is not defined")
-            continue
+    for check, part in ((_check_class, expr.class_id), *((_check_atom, a) for a in expr.atoms)):
         try:
-            _check_comparator(prop, atom.comparator)
-            if atom.unit is not None:
-                _check_unit(prop, atom.unit)
-            values = atom.literal if atom.comparator == "in" else (atom.literal,)
-            for value in values:
-                _check_atom_value(prop, value)
-        except (TypeMismatchError, UnitMismatchError) as exc:
-            issues.append(str(exc))
+            check(world, part)
+        except CssError as exc:
+            issues.append(exc.message)
     return issues
-
-
-def _check_atom_value(prop, value) -> None:
-    if prop.datatype in ("integer", "real"):
-        if isinstance(value, bool) or not isinstance(value, (int, Decimal, Fraction)):
-            raise TypeMismatchError(
-                f"{value!r} is not numeric (property {prop.id!r})"
-            )
-    elif prop.datatype == "enum":
-        if not isinstance(value, str) or value not in prop.enum_values:
-            raise TypeMismatchError(
-                f"{value!r} is not a member of enum property {prop.id!r}"
-            )
-    elif prop.datatype == "boolean":
-        if not isinstance(value, bool):
-            raise TypeMismatchError(f"{value!r} is not boolean (property {prop.id!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +582,7 @@ def normalize(expr: CapabilityExpression, world: WorldModel) -> NormalForm:
 
     feasible: dict[str, FeasibleSet] = {}
     for property_id, atoms in grouped.items():
-        prop = world.property_def(property_id)
-        if prop is None:
-            raise UnknownPropertyError(f"property {property_id!r} is not defined")
+        prop = _property(world, property_id)
         if prop.datatype in ("enum", "boolean"):
             feasible[property_id] = _normalize_members(prop, atoms)
         else:

@@ -7,14 +7,15 @@ feasible sets, and execution echoes inputs onto like-named output
 parameters (an output ``achievedDepth`` mirrors the input ``depth``),
 converting units for numeric values. Every acting state completes at once.
 A skill's capability is ``WorldModel.capability_named``, and feasibility tests
-exactly the inputs that ``model.bound_input`` binds, as ``plan`` binds them.
+exactly the inputs that ``model.bound_input`` binds, as ``plan`` binds them: an
+input that several properties bind is outside only when none of them holds it.
 """
 
 from __future__ import annotations
 
-from .errors import NotFoundError, UnitMismatchError, UnknownParameterError, UnknownUnitError
+from .errors import NotFoundError, UnitMismatchError, UnknownUnitError
 from .expressions import NormalForm
-from .model import Capability, SkillDescriptor, WorldModel, bound_input
+from .model import Capability, SkillDescriptor, WorldModel, input_bindings
 from .skills import FeasibilityResult, SkillBehavior, SkillHost
 from .values import (
     convert_between_units,
@@ -36,41 +37,33 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
         self._world = world
         self._descriptor = descriptor
         self._nf: NormalForm = world.normal_form(capability)
-        # input -> (its spec, the property bound to it); a mapping beats a name
-        self._bound: dict[str, tuple] = {}
-        for prop in world.property_defs:
-            try:
-                spec = bound_input(capability, descriptor, prop.id)
-            except UnknownParameterError:
-                continue  # binds nowhere, as plan finds too
-            if spec is not None and (
-                spec.param_id != prop.id or spec.param_id not in self._bound
-            ):
-                self._bound[spec.param_id] = (spec, prop)
+        # input -> the properties bound to it; plan may bind any one of them
+        self._bound, _ = input_bindings(world, capability, descriptor)
 
     def feasibility(self, inputs) -> FeasibilityResult:
         for param_id, value in inputs.items():
-            if param_id not in self._bound:
-                continue
-            spec, prop = self._bound[param_id]
-            on_scale = value
-            if prop.datatype in ("integer", "real"):
-                try:
-                    on_scale = convert_between_units(to_fraction(value), spec.unit, prop.unit)
-                except (UnitMismatchError, UnknownUnitError):
-                    continue
-            fs = self._nf.feasible_or_domain(prop.id, self._world)
-            if not fs.contains(on_scale):
+            props = self._bound.get(param_id)
+            spec = self._descriptor.parameter(param_id)
+            if props and not any(self._admits(prop, spec, value) for prop in props):
                 return FeasibilityResult(
                     feasible=False,
                     reason=(
                         f"{param_id}={format_literal(value)} is outside the "
-                        f"provided limit for {prop.id}"
+                        f"provided limit for {props[0].id}"
                     ),
                 )
         return FeasibilityResult(
             feasible=True, estimates={"durationSeconds": EXECUTE_DURATION}
         )
+
+    def _admits(self, prop, spec, value) -> bool:
+        """Whether the property's envelope holds the value; one that cannot be rescaled passes."""
+        if prop.datatype in ("integer", "real"):
+            try:
+                value = convert_between_units(to_fraction(value), spec.unit, prop.unit)
+            except (UnitMismatchError, UnknownUnitError):
+                return True
+        return self._nf.feasible_or_domain(prop.id, self._world).contains(value)
 
     def on_execute(self, inputs):
         outputs = {}

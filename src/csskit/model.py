@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
 from typing import TYPE_CHECKING
 
 from . import expressions
@@ -216,6 +217,27 @@ def bound_input(capability: Capability, skill: SkillDescriptor, property_id: str
     return None
 
 
+def input_bindings(world: WorldModel, capability: Capability, skill: SkillDescriptor):
+    """Each skill input's properties by ``bound_input``, in definition order, and
+    warnings: each mapping whose target is not an input, each input bound twice."""
+    bound: dict[str, list[PropertyDefinition]] = {}
+    issues: list[str] = []
+    for prop in world.property_defs:
+        try:
+            spec = bound_input(capability, skill, prop.id)
+        except UnknownParameterError as exc:
+            issues.append(exc.message)
+            continue
+        if spec is not None:
+            props = bound.setdefault(spec.param_id, [])
+            if props:
+                issues.append(
+                    f"input {spec.param_id!r} is bound by both {props[0].id!r} and {prop.id!r}"
+                )
+            props.append(prop)
+    return bound, issues
+
+
 def _first_by_id(items) -> dict:
     """Items by ``id``; on duplicate ids the first in order wins."""
     index: dict = {}
@@ -253,29 +275,40 @@ def validate_model(world: WorldModel) -> ValidationReport:
     The report is computed once per world and then kept.
     """
     if world._report is None:
-        object.__setattr__(world, "_report", _check_model(world))
+        object.__setattr__(world, "_report", _collect(partial(_check_model, world)))
     return world._report
 
 
-def _check_model(world: WorldModel) -> ValidationReport:
+def validate_product(world: WorldModel, product: Product) -> ValidationReport:
+    """Check one product as ``validate_model`` checks each product of the world;
+    only the world checks that product ids are unique."""
+    return _collect(partial(_check_product, world, product))
+
+
+def _collect(check) -> ValidationReport:
+    """Run ``check(error, warning)``; what it reports becomes entries ordered by path."""
     issues: list[ValidationIssue] = []
+    check(
+        lambda path, message: issues.append(ValidationIssue("error", path, message)),
+        lambda path, message: issues.append(ValidationIssue("warning", path, message)),
+    )
+    issues.sort(key=lambda issue: (issue.path, issue.message))
+    return ValidationReport(issues=tuple(issues))
 
-    def error(path: str, message: str) -> None:
-        issues.append(ValidationIssue("error", path, message))
 
-    def warning(path: str, message: str) -> None:
-        issues.append(ValidationIssue("warning", path, message))
-
+def _check_model(world: WorldModel, error, warning) -> None:
     for message in world.taxonomy.structural_issues():
         error("taxonomy", message)
 
     _validate_properties(world, error)
-    _validate_resources(world, error)
-    _validate_products(world, error, warning)
+    _validate_resources(world, error, warning)
+    product_ids: set[str] = set()
+    for product in world.products:
+        if product.id in product_ids:
+            error(f"products[{product.id}]", f"duplicate product id {product.id!r}")
+        product_ids.add(product.id)
+        _check_product(world, product, error, warning)
     _validate_catalog(world, error)
-
-    issues.sort(key=lambda issue: (issue.path, issue.message))
-    return ValidationReport(issues=tuple(issues))
 
 
 def _validate_properties(world: WorldModel, error) -> None:
@@ -302,7 +335,7 @@ def _validate_properties(world: WorldModel, error) -> None:
                 error(path, f"declaredRange lower {lo} exceeds upper {hi}")
 
 
-def _validate_resources(world: WorldModel, error) -> None:
+def _validate_resources(world: WorldModel, error, warning) -> None:
     resource_ids: set[str] = set()
     capability_ids: set[str] = set()
     capability_iris: set[str] = set()
@@ -329,13 +362,17 @@ def _validate_resources(world: WorldModel, error) -> None:
             if skill.skill_id in skill_ids:
                 error(spath, f"duplicate skill id {skill.skill_id!r}")
             skill_ids.add(skill.skill_id)
+            capability = world.capability_named(resource.id, skill)
             if not skill.capability_ref:
                 error(f"{spath}.capabilityRef", "capabilityRef must be specified")
-            elif world.capability_named(resource.id, skill) is None:
+            elif capability is None:
                 error(
                     f"{spath}.capabilityRef",
                     f"dangling reference: {skill.capability_ref!r} names no capability",
                 )
+            else:
+                for message in input_bindings(world, capability, skill)[1]:
+                    warning(spath, message)
             for message in descriptor_issues(skill):
                 error(spath, message)
 
@@ -374,45 +411,33 @@ def descriptor_issues(skill: SkillDescriptor) -> list[str]:
     return messages
 
 
-def _validate_products(world: WorldModel, error, warning) -> None:
-    product_ids: set[str] = set()
-    for product in world.products:
-        ppath = f"products[{product.id}]"
-        if product.id in product_ids:
-            error(ppath, f"duplicate product id {product.id!r}")
-        product_ids.add(product.id)
-        if not product.steps:
-            warning(ppath, "product has no steps and cannot be orchestrated")
-        step_ids: set[str] = set()
-        for step in product.steps:
-            spath = f"{ppath}.steps[{step.id}]"
-            if step.id in step_ids:
-                error(spath, f"duplicate step id {step.id!r}")
-            step_ids.add(step.id)
-            messages = expressions.validate_expression(step.required_capability, world)
-            for message in messages:
-                error(f"{spath}.requiredCapability", message)
-            if messages:
+def _check_product(world: WorldModel, product: Product, error, warning) -> None:
+    ppath = f"products[{product.id}]"
+    if not product.steps:
+        warning(ppath, "product has no steps and cannot be orchestrated")
+    step_ids: set[str] = set()
+    for step in product.steps:
+        spath = f"{ppath}.steps[{step.id}]"
+        if step.id in step_ids:
+            error(spath, f"duplicate step id {step.id!r}")
+        step_ids.add(step.id)
+        messages = expressions.validate_expression(step.required_capability, world)
+        for message in messages:
+            error(f"{spath}.requiredCapability", message)
+        if messages:
+            continue
+        nf = expressions.normalize(step.required_capability, world)
+        for property_id, value in step.parameter_values.items():
+            vpath = f"{spath}.parameterValues[{property_id}]"
+            prop = world.property_def(property_id)
+            if prop is None:
+                error(vpath, f"property {property_id!r} is not defined")
                 continue
-            nf = expressions.normalize(step.required_capability, world)
-            for property_id, value in step.parameter_values.items():
-                vpath = f"{spath}.parameterValues[{property_id}]"
-                prop = world.property_def(property_id)
-                if prop is None:
-                    error(vpath, f"property {property_id!r} is not defined")
-                    continue
-                if not literal_matches(prop.datatype, value):
-                    error(
-                        vpath,
-                        f"{value!r} is not a {prop.datatype} literal",
-                    )
-                    continue
-                fs = nf.feasible_or_domain(property_id, world)
-                if not fs.contains(value):
-                    error(
-                        vpath,
-                        f"value {value!r} violates the step's own constraints",
-                    )
+            if not literal_matches(prop.datatype, value):
+                error(vpath, f"{value!r} is not a {prop.datatype} literal")
+                continue
+            if not nf.feasible_or_domain(property_id, world).contains(value):
+                error(vpath, f"value {value!r} violates the step's own constraints")
 
 
 def _validate_catalog(world: WorldModel, error) -> None:

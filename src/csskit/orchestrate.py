@@ -37,7 +37,7 @@ from .errors import (
 )
 from .expressions import normalize  # noqa: F401 - bench/tracing.py patches this name
 from .matching import MatchDegree, rank_providers
-from .model import bound_input, validate_model
+from .model import bound_input, validate_model, validate_product
 from .values import (
     Literal,
     convert_between_units,
@@ -151,13 +151,15 @@ def bind_parameters(
 def plan(product: Product, world: WorldModel) -> ProductionPlan:
     """Choose a provider, capability and skill for every product step.
 
-    A candidate is skipped when a step value lies outside its envelope, when
-    it has no skill, or when the step's values do not bind to its skill.
+    The world, then the product, must pass validation. A candidate is skipped
+    when a step value lies outside its envelope, when it has no skill, or when
+    the step's values do not bind to its skill.
     """
-    report = validate_model(world)
-    if not report.ok:
-        details = "; ".join(f"{i.path}: {i.message}" for i in report.errors())
-        raise ModelInvalidError(f"world fails validation: {details}")
+    reports = (("world", validate_model(world)), ("product", validate_product(world, product)))
+    for what, report in reports:
+        if not report.ok:
+            details = "; ".join(f"{i.path}: {i.message}" for i in report.errors())
+            raise ModelInvalidError(f"{what} fails validation: {details}")
 
     candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
     entries: list[PlanEntry] = []

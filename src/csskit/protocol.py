@@ -386,8 +386,7 @@ class SkillClient:
     Works identically over the in-process loopback and TCP transports.
     """
 
-    def __init__(self, send_line, on_close=None, name: str = "client"):
-        self.name = name
+    def __init__(self, send_line, on_close=None):
         self._send_line = send_line
         self._on_close = on_close
         self._corr = itertools.count(1)
@@ -479,9 +478,7 @@ class SkillClient:
     # -- conveniences -------------------------------------------------------
 
     def hello(self) -> dict:
-        return self.invoke(
-            "hello", {"clientName": self.name, "version": PROTOCOL_VERSION}
-        )
+        return self.invoke("hello", {"version": PROTOCOL_VERSION})
 
     def list_skills(self) -> list[dict]:
         return self.invoke("list_skills", {})["skills"]
@@ -522,7 +519,7 @@ def _next(messages: queue.SimpleQueue, what: str) -> Message:
         raise TimeoutError(f"no {what} within {DEFAULT_TIMEOUT} s") from None
 
 
-def connect_loopback(host: SkillHost, client_name: str = "loopback-client") -> SkillClient:
+def connect_loopback(host: SkillHost) -> SkillClient:
     """In-process transport: requests dispatch synchronously on the caller."""
     client_ref: list[SkillClient] = []
 
@@ -530,16 +527,12 @@ def connect_loopback(host: SkillHost, client_name: str = "loopback-client") -> S
         client_ref[0].feed_line(line)
 
     session = ServerSession(host, host.name, deliver_to_client)
-    client = SkillClient(
-        send_line=session.handle_line,
-        on_close=session.close,
-        name=client_name,
-    )
+    client = SkillClient(send_line=session.handle_line, on_close=session.close)
     client_ref.append(client)
     return client
 
 
-def connect_tcp(address, client_name: str = "tcp-client") -> SkillClient:
+def connect_tcp(address) -> SkillClient:
     """TCP transport with a background reader thread."""
     addr = _as_address(address)
     try:
@@ -559,7 +552,7 @@ def connect_tcp(address, client_name: str = "tcp-client") -> SkillClient:
             sock.shutdown(socket.SHUT_RDWR)
         sock.close()
 
-    client = SkillClient(send_line=send_line, on_close=on_close, name=client_name)
+    client = SkillClient(send_line=send_line, on_close=on_close)
 
     def reader() -> None:
         try:

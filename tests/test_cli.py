@@ -374,3 +374,33 @@ def test_run_rejects_an_endpoint_that_is_not_host_port(
         f"error: {endpoints_file}: css.endpoints/1.endpoints[r-driller-a]: "
         "expected host:port with a port from 0 to 65535\n"
     )
+
+
+STEP = "products[prod-bracket].steps[step-drill]"
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+@pytest.mark.parametrize("values, repeat, message", [
+    ({"depth": 12, "speed": 3}, False,
+     f"{STEP}.parameterValues[speed]: property 'speed' is not defined"),
+    ({"depth": 24}, True,
+     f"{STEP}: duplicate step id 'step-drill'; "
+     f"{STEP}.parameterValues[depth]: value 24 violates the step's own constraints; "
+     f"{STEP}.parameterValues[depth]: value 24 violates the step's own constraints"),
+], ids=["undefined-property", "repeated-step-outside-own-constraints"])
+def test_plan_and_run_check_the_product_file(
+    tmp_path, world_file, capsys, command, values, repeat, message
+):
+    doc = {"schema": "css.product/1", **exec_world_doc()["products"][0]}
+    doc["steps"][0]["parameterValues"] = values
+    if repeat:
+        doc["steps"].append(doc["steps"][0])
+    product = _write(tmp_path, "product.json", doc)
+    endpoints = _write(tmp_path, "endpoints.json", {
+        "schema": "css.endpoints/1", "endpoints": {"r-driller-a": "127.0.0.1:1"},
+    })
+    argv = [command, "--product", product, "--world", world_file]
+    if command == "run":
+        argv += ["--endpoints", endpoints]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: product fails validation: {message}\n"

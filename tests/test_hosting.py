@@ -128,3 +128,24 @@ def test_envelope_accepts_what_plan_bound_past_a_same_named_default():
     host = build_resource_host(world, "r-driller-a")
     (lrid,) = host.local_runtime_ids()
     assert host.check_feasibility(lrid, entry.parameter_assignment).feasible
+
+
+def test_envelope_accepts_what_plan_bound_to_an_input_two_properties_bind():
+    """depth binds the depth input by name and diameter by mapping; plan binds
+    a step's depth there, so the envelope must not hold it to diameter's limit."""
+    doc = exec_world_doc()
+    capability = doc["resources"][0]["capabilities"][0]
+    capability["expression"] = "Drilling and (depth <= 25 mm) and (diameter <= 10 mm)"
+    capability["propertyToParameter"] = {"diameter": "depth"}
+    doc["products"][0]["steps"][0]["parameterValues"] = {"depth": 20}
+    world = build_world([doc])
+    entry = plan(world.product("prod-bracket"), world).entries[0]
+    placed = [(e.resource_id, e.parameter_assignment) for e in (entry, *entry.alternates)]
+    assert ("r-driller-a", {"depth": 20}) in placed
+    host = build_resource_host(world, "r-driller-a")
+    (lrid,) = host.local_runtime_ids()
+    assert host.check_feasibility(lrid, {"depth": 20}).feasible
+    assert host.check_feasibility(lrid, {"depth": 8}).feasible
+    result = host.check_feasibility(lrid, {"depth": 26})
+    assert not result.feasible
+    assert result.reason == "depth=26 is outside the provided limit for depth"

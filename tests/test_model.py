@@ -289,3 +289,20 @@ def test_invalid_world_builds_and_only_plan_raises():
     assert not validate_model(world).ok
     with pytest.raises(ModelInvalidError):
         plan(world.product("p-1"), world)
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"diameter": "depth"}, "input 'depth' is bound by both 'depth' and 'diameter'"),
+    ({"depth": "drillDepth"}, "mapping targets 'drillDepth', which is not an input "
+                              "parameter of skill 'skill-drill-a'"),
+    ({"diameter": "achievedDepth"}, "mapping targets 'achievedDepth', which is not an "
+                                    "input parameter of skill 'skill-drill-a'"),
+])
+def test_validation_warns_of_an_ambiguous_or_broken_binding(mapping, message):
+    doc = exec_world_doc()
+    doc["resources"][0]["capabilities"][0]["propertyToParameter"] = mapping
+    report = validate_model(build_world([doc]))
+    assert report.ok
+    assert [(i.severity, i.path, i.message) for i in report.issues] == [
+        ("warning", "resources[r-driller-a].skills[skill-drill-a]", message)
+    ]

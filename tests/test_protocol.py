@@ -14,6 +14,7 @@ from csskit.protocol import (
     Message,
     ProtocolServer,
     ServerSession,
+    SkillClient,
     connect_loopback,
     connect_tcp,
     decode,
@@ -103,6 +104,20 @@ def test_hello_returns_server_name_and_version():
     client = connect_loopback(host)
     assert client.hello() == {"serverName": "r-drill", "version": "css/1"}
     client.close()
+
+
+def test_hello_sends_only_the_protocol_version():
+    host, _ = make_host()
+    payloads, clients = [], []
+    session = ServerSession(host, host.name, lambda line: clients[0].feed_line(line))
+
+    def send_line(line: str) -> None:
+        payloads.append(decode(line).payload)
+        session.handle_line(line)
+
+    clients.append(SkillClient(send_line))
+    clients[0].hello()
+    assert payloads == [{"version": "css/1"}]
 
 
 def test_requests_before_hello_are_rejected():
