@@ -127,7 +127,7 @@ class FeasibleSet:
             return False
         if self.kind == "members":
             return value in self.members
-        v = value if type(value) is int else to_fraction(value)
+        v = value if type(value) is int or type(value) is Fraction else to_fraction(value)
         if self.datatype == "integer" and v.denominator != 1:
             return False
         if self.lower is not None:
@@ -441,9 +441,7 @@ class _Parser:
         prop = _property(self.world, self.expect("ident", expected="property name").text)
         token = self.advance()
         if token.kind != "op" and (token.kind, token.text) != ("ident", "in"):
-            raise ExpressionSyntaxError(
-                f"unexpected {token.text!r}", token.pos, ("comparator", "in")
-            )
+            raise _unexpected(token, "comparator", "in")
         _check_comparator(prop, token.text)
         if token.text != "in":
             literal = self.parse_literal(prop)
@@ -474,9 +472,9 @@ class _Parser:
         return value
 
 
-def _unexpected(token: _Token, expected: str) -> ExpressionSyntaxError:
+def _unexpected(token: _Token, *expected: str) -> ExpressionSyntaxError:
     what = "end of input" if token.kind == "end" else repr(token.text)
-    return ExpressionSyntaxError(f"unexpected {what}", token.pos, (expected,))
+    return ExpressionSyntaxError(f"unexpected {what}", token.pos, expected)
 
 
 def _check_class(world: WorldModel, class_id: str) -> None:

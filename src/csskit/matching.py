@@ -22,7 +22,11 @@ Ranking against a world normalizes the required side once and decides the
 class relation once per distinct candidate class, in a memo local to the
 call. Candidates whose class is disjoint from the required class are dropped
 before their normal form is read; the others take it from the world, which
-keeps one per capability it owns. ``match_normal_form`` takes a required
+keeps one per capability it owns. ``plan`` hands ranking only the world's
+class groups compatible with the step
+(``WorldModel.capabilities_related_to``), so it never visits a class-disjoint
+candidate; the sort key is unique in a valid world, so the order of the
+groups does not change the ranking. ``match_normal_form`` takes a required
 side its caller has already normalized: offer selection normalizes each
 requested key once and compares every offer against that form. Provided
 expressions from callers (offers, the CLI) are normalized per call and never
@@ -175,7 +179,9 @@ def rank_providers(
     ``match_capabilities(...).degree`` of the pair. The required side is
     normalized once and the class relation is decided once per distinct
     candidate class. A class-disjoint candidate is dropped without being
-    normalized, so its normal form is neither read nor kept.
+    normalized, so its normal form is neither read nor kept. The sort key is
+    unique when (resource id, capability id) pairs are, so the result does not
+    depend on the order of ``candidates``.
     """
     required_nf = normalize(required, world)
     required_class = required_nf.class_id

@@ -7,6 +7,10 @@ to share between threads.
 
 The skill → capability → parameter relation is decided only here: ``WorldModel``
 pairs skills with capabilities, and ``bound_input`` binds properties to inputs.
+A ``SkillDescriptor`` keeps its parameters by id and its inputs, so binding
+looks a parameter up rather than scanning for it. ``WorldModel`` groups its
+capabilities by class on first use; planning ranks only the groups whose
+class is related to a step's.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import expressions
 from .errors import UnknownParameterError
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, is_subclass_of
 from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
 if TYPE_CHECKING:
@@ -61,6 +65,10 @@ class ParameterSpec:
 
 @dataclass(frozen=True)
 class SkillDescriptor:
+    """A skill's interface. Its parameters by id (the first of a duplicate id
+    wins) and its inputs in order are kept when it is built, as ``WorldModel``
+    keeps its lookups."""
+
     skill_id: str
     capability_ref: str
     name: str | None = None
@@ -68,18 +76,26 @@ class SkillDescriptor:
     has_feasibility_check: bool = False
     has_precondition_check: bool = False
     state_machine_profile: str = STATE_MACHINE_PROFILE
+    _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _inputs: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
+
+    def __post_init__(self):
+        by_id: dict = {}
+        for spec in self.parameters:
+            by_id.setdefault(spec.param_id, spec)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(
+            self, "_inputs", tuple(p for p in self.parameters if p.direction == "input")
+        )
 
     def input_parameters(self) -> tuple[ParameterSpec, ...]:
-        return tuple(p for p in self.parameters if p.direction == "input")
+        return self._inputs
 
     def output_parameters(self) -> tuple[ParameterSpec, ...]:
         return tuple(p for p in self.parameters if p.direction == "output")
 
     def parameter(self, param_id: str) -> ParameterSpec | None:
-        for spec in self.parameters:
-            if spec.param_id == param_id:
-                return spec
-        return None
+        return self._by_id.get(param_id)
 
 
 @dataclass(frozen=True)
@@ -108,12 +124,13 @@ class WorldModel:
 
     Property, resource and product lookups are indexed when the world is
     built; on duplicate ids the first entry wins, as in model order. Each
-    property's full domain, the validation report and the normal form of each
-    capability the world owns are computed on first use and then kept, so
-    building an invalid world never raises. The kept data is only correct
-    because the world is never mutated after load: derive a changed world
-    with ``dataclasses.replace``, which builds fresh lookups. Two threads
-    filling the same entry store equal values.
+    property's full domain, the validation report, the normal form of each
+    capability the world owns, the skill index and the capabilities grouped by
+    class are computed on first use and then kept, so building an invalid
+    world never raises. The kept data is only correct because the world is
+    never mutated after load: derive a changed world with
+    ``dataclasses.replace``, which builds fresh lookups. Two threads filling
+    the same entry store equal values.
     """
 
     taxonomy: Taxonomy
@@ -128,6 +145,7 @@ class WorldModel:
     _domains: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _normal_forms: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _skill_index: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _class_groups: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _report: ValidationReport | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -150,6 +168,28 @@ class WorldModel:
         for resource in self.resources:
             for capability in resource.provided_capabilities:
                 yield resource, capability
+
+    def capabilities_related_to(self, class_id: str) -> list[tuple[str, Capability]]:
+        """(resource id, capability) pairs whose class is ``class_id``, one of its
+        ancestors or one of its descendants: every pair the matcher does not drop
+        as class-disjoint. The pairs are grouped by class once, on first use, and
+        kept; the result lists whole groups, each in model order. Every class
+        must be in the taxonomy, as validation ensures."""
+        if self._class_groups is None:
+            groups: dict[str, list] = {}
+            for resource, capability in self.capabilities():
+                groups.setdefault(capability.expression.class_id, []).append(
+                    (resource.id, capability)
+                )
+            object.__setattr__(self, "_class_groups", groups)
+        tax = self.taxonomy
+        return [
+            pair
+            for group_class, pairs in self._class_groups.items()
+            if is_subclass_of(tax, class_id, group_class)
+            or is_subclass_of(tax, group_class, class_id)
+            for pair in pairs
+        ]
 
     def resource(self, resource_id: str) -> Resource | None:
         return self._resources.get(resource_id)

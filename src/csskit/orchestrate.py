@@ -1,20 +1,26 @@
 """Plan product steps onto resources and execute them over protocol clients.
 
-Planning ranks each step's candidates with the matcher and keeps them all. A
-candidate's skill is ``WorldModel.skill_implementing``, and step values bind
-to its inputs by ``model.bound_input``. Execution fails over to the
-next-ranked provider when a feasibility check rejects, a run aborts, or any
-request fails: an error response (a violated precondition among them), a
-timeout or a lost connection, each recorded as one ``error`` entry; an
-attempt that times out also aborts its skill. A skill found resting in
-Aborted, Stopped or Complete is first walked back to Idle (Clear, then
-Reset), so one failed run does not block the next. Within one run each
-client is asked for ``list_skills`` once and each runtime id is described
-once; a request that fails is asked again by the next attempt. Every attempt
-still subscribes, unsubscribes and reads the state before the walk. The trace
-records every state change, parameter write, feasibility verdict and output
-read with a logical timestamp, so reruns over identical worlds are
-byte-for-byte reproducible.
+Planning ranks each step's candidates with the matcher and keeps every one
+that qualifies. The candidates are the world's class groups that are
+compatible with the step's class (``WorldModel.capabilities_related_to``);
+the ranking's order does not depend on the order of the groups. Each step
+folds its real values to ``Fraction`` once for the envelope test, and
+converts each value once per (property, input unit, input datatype) for all
+its candidates. A candidate's skill is ``WorldModel.skill_implementing``,
+and step values bind to its inputs by ``model.bound_input``.
+
+Execution fails over to the next-ranked provider when a feasibility check
+rejects, a run aborts, or any request fails: an error response (a violated
+precondition among them), a timeout or a lost connection, each recorded as
+one ``error`` entry; an attempt that times out also aborts its skill. A
+skill found resting in Aborted, Stopped or Complete is first walked back to
+Idle (Clear, then Reset), so one failed run does not block the next. Within
+one run each client is asked for ``list_skills`` once and each runtime id is
+described once; a request that fails is asked again by the next attempt.
+Every attempt still subscribes, unsubscribes and reads the state before the
+walk. The trace records every state change, parameter write, feasibility
+verdict and output read with a logical timestamp, so reruns over identical
+worlds are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -106,6 +112,21 @@ def bind_parameters(
     Two properties binding one input raise ``TypeMismatchError``. Inputs left
     unbound fall back to descriptor defaults.
     """
+    return _bind(step, capability, descriptor, world, {})
+
+
+def _bind(
+    step: ProcessStep,
+    capability: Capability,
+    descriptor: SkillDescriptor,
+    world: WorldModel,
+    converted: dict,
+) -> dict[str, Literal]:
+    """``bind_parameters``, taking each step value's conversion from
+    ``converted`` by (property, input unit, input datatype) and storing it
+    there on first use, so a table the caller keeps for one step converts each
+    value once. A conversion that fails is stored as its reason and raises a
+    fresh ``TypeMismatchError`` naming each input it fails for."""
     assignment: dict[str, Literal] = {}
     bound_by: dict[str, str] = {}  # input -> the property that bound it
     for property_id, value in step.parameter_values.items():
@@ -117,28 +138,13 @@ def bind_parameters(
             raise TypeMismatchError(
                 f"{target}: bound by both {bound_by[target]!r} and {property_id!r}"
             )
-        prop = world.property_def(property_id)
-        if prop is not None and prop.datatype in ("integer", "real"):
-            scaled = convert_between_units(to_fraction(value), prop.unit, spec.unit)
-            if spec.datatype == "integer":
-                if scaled.denominator != 1:
-                    raise TypeMismatchError(
-                        f"{target}: {value!r} does not scale to an integer value"
-                    )
-                assignment[target] = int(scaled)
-            elif spec.datatype == "real":
-                assignment[target] = fraction_to_number(scaled)
-            else:
-                raise TypeMismatchError(
-                    f"{target}: numeric property {property_id!r} cannot bind to "
-                    f"{spec.datatype} parameter"
-                )
-        else:
-            if not literal_matches(spec.datatype, value):
-                raise TypeMismatchError(
-                    f"{target}: {value!r} is not a {spec.datatype} literal"
-                )
-            assignment[target] = value
+        key = (property_id, spec.unit, spec.datatype)
+        if key not in converted:
+            converted[key] = _convert(world, property_id, value, spec.unit, spec.datatype)
+        literal, reason = converted[key]
+        if reason is not None:
+            raise TypeMismatchError(f"{target}: {reason}")
+        assignment[target] = literal
     for spec in descriptor.input_parameters():
         if spec.param_id not in assignment:
             if spec.default is not None:
@@ -146,6 +152,24 @@ def bind_parameters(
             else:
                 raise UnboundRequiredParameterError(spec.param_id)
     return assignment
+
+
+def _convert(world: WorldModel, property_id: str, value: Literal, unit, datatype: str):
+    """(literal, None) for a step value bound to an input of this unit and
+    datatype, or (None, why it cannot bind)."""
+    prop = world.property_def(property_id)
+    if prop is not None and prop.datatype in ("integer", "real"):
+        scaled = convert_between_units(to_fraction(value), prop.unit, unit)
+        if datatype == "integer":
+            if scaled.denominator != 1:
+                return None, f"{value!r} does not scale to an integer value"
+            return int(scaled), None
+        if datatype == "real":
+            return fraction_to_number(scaled), None
+        return None, f"numeric property {property_id!r} cannot bind to {datatype} parameter"
+    if not literal_matches(datatype, value):
+        return None, f"{value!r} is not a {datatype} literal"
+    return value, None
 
 
 def plan(product: Product, world: WorldModel) -> ProductionPlan:
@@ -161,16 +185,21 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             details = "; ".join(f"{i.path}: {i.message}" for i in report.errors())
             raise ModelInvalidError(f"{what} fails validation: {details}")
 
-    candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
     entries: list[PlanEntry] = []
     for step in product.steps:
-        ranked = rank_providers(step.required_capability, candidates, world)
+        required = step.required_capability
+        candidates = world.capabilities_related_to(required.class_id)
+        folded = [
+            (property_id, _fold(world, property_id, value))
+            for property_id, value in step.parameter_values.items()
+        ]
+        converted: dict = {}
         qualifying: list[PlanEntry] = []
-        for resource_id, capability, degree in ranked:
+        for resource_id, capability, degree in rank_providers(required, candidates, world):
             provided_nf = world.normal_form(capability)
             inside = all(
                 provided_nf.feasible_or_domain(property_id, world).contains(value)
-                for property_id, value in step.parameter_values.items()
+                for property_id, value in folded
             )
             if not inside:
                 continue
@@ -178,7 +207,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             if descriptor is None:
                 continue
             try:
-                assignment = bind_parameters(step, capability, descriptor, world)
+                assignment = _bind(step, capability, descriptor, world, converted)
             except (
                 TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError
             ):
@@ -198,6 +227,12 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
         primary = replace(qualifying[0], alternates=tuple(qualifying[1:]))
         entries.append(primary)
     return ProductionPlan(product_id=product.id, entries=tuple(entries))
+
+
+def _fold(world: WorldModel, property_id: str, value: Literal) -> Literal:
+    """A valid step value as the envelope test compares it: a real property's
+    as a ``Fraction``, any other as it is (an integer property's is an ``int``)."""
+    return to_fraction(value) if world.property_def(property_id).datatype == "real" else value
 
 
 class _TraceBuilder:

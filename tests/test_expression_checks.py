@@ -2,8 +2,9 @@
 ``parse_expression`` answers, and every hand-built twin of those atoms gets the
 same verdict and first message from ``validate_expression``.
 
-``expression_atoms.json`` holds the table. Only when a message is meant to
-change, rewrite it from the generator with
+``expression_atoms.json`` holds the table: a row per seeded atom, then a row
+per text in ``EDGE_TEXTS``. Only when a message is meant to change, rewrite it
+from the generator with
 ``PYTHONPATH=src:tests python tests/test_expression_checks.py > tests/expression_atoms.json``.
 """
 
@@ -63,6 +64,11 @@ FITTING = {
 }
 
 
+#: malformed texts the seeded atoms never produce: a comparator missing at the
+#: end of the text (also after trailing blanks) and in front of a literal
+EDGE_TEXTS = ("Drilling and (depth", "Drilling and (material  ", "Drilling and (depth 5)")
+
+
 def generate_atoms(seed: int = 1502, count: int = 420):
     """Seeded atoms as (property, comparator, literal tokens, unit, tail). Each
     literal and the unit fit the property half of the time, and are drawn from
@@ -120,7 +126,8 @@ def parse_outcome(text: str, world: WorldModel) -> list:
 
 def table_rows() -> list:
     world = generator_world()
-    return [parse_outcome(atom_text(*atom), world) for atom in generate_atoms()]
+    texts = [atom_text(*atom) for atom in generate_atoms()] + list(EDGE_TEXTS)
+    return [parse_outcome(text, world) for text in texts]
 
 
 def test_table_covers_every_kind_of_atom():
