@@ -15,18 +15,17 @@ per-property interval or member-set operation. Emptiness is decided from the
 bounds (intervals by the larger lower against the smaller upper bound,
 member sets by a disjointness test); an intersection is built only when a set
 has excluded points, and ``PropertyComparison.intersection`` is computed on
-read. The two subclass tests are made once per pair and serve both the
-class-disjoint check and containment.
+read. The two subclass tests are made once per pair of classes (once per
+class group when ranking) and serve both the class-disjoint check and
+containment.
 
-Ranking against a world normalizes the required side once and decides the
-class relation once per distinct candidate class, in a memo local to the
-call. Candidates whose class is disjoint from the required class are dropped
-before their normal form is read; the others take it from the world, which
-keeps one per capability it owns. ``plan`` hands ranking only the world's
-class groups compatible with the step
-(``WorldModel.capabilities_related_to``), so it never visits a class-disjoint
-candidate; the sort key is unique in a valid world, so the order of the
-groups does not change the ranking. ``match_normal_form`` takes a required
+``rank_providers`` ranks the world's own capabilities. It normalizes the
+required side once and walks the world's class groups
+(``WorldModel.capabilities_by_class``). It decides each group's class
+relation once, here and nowhere else, and skips a class-disjoint group whole,
+so its members' normal forms are neither read nor kept. Each member of a
+related group is compared against the one required normal form, using the
+normal form the world keeps for it. ``match_normal_form`` takes a required
 side its caller has already normalized: offer selection normalizes each
 requested key once and compares every offer against that form. Provided
 expressions from callers (offers, the CLI) are normalized per call and never
@@ -167,36 +166,26 @@ def _as_literal(value) -> Literal:
     return value
 
 
-def rank_providers(
-    required: CapabilityExpression,
-    candidates,
-    world: WorldModel,
-):
-    """Non-disjoint candidates ordered by degree, then resource and capability id.
+def rank_providers(required: CapabilityExpression, world: WorldModel):
+    """The world's capabilities that ``required`` does not match as DISJOINT,
+    as (resource_id, Capability, MatchDegree) ordered by degree, then resource
+    and capability id.
 
-    ``candidates`` is an iterable of (resource_id, Capability); the result is a
-    list of (resource_id, Capability, MatchDegree), each degree equal to
-    ``match_capabilities(...).degree`` of the pair. The required side is
-    normalized once and the class relation is decided once per distinct
-    candidate class. A class-disjoint candidate is dropped without being
-    normalized, so its normal form is neither read nor kept. The sort key is
-    unique when (resource id, capability id) pairs are, so the result does not
-    depend on the order of ``candidates``.
+    Each degree equals ``match_capabilities(...).degree`` of the pair. The
+    required side is normalized once; the class relation is decided once per
+    class group of the world, and a class-disjoint group is skipped whole.
     """
     required_nf = normalize(required, world)
     required_class = required_nf.class_id
     tax = world.taxonomy
-    relations: dict[str, tuple[bool, bool]] = {}
     scored = []
-    for resource_id, capability in candidates:
-        class_id = capability.expression.class_id
-        relation = relations.get(class_id)
-        if relation is None:
-            relation = relations[class_id] = _relation(tax, required_class, class_id)
+    for class_id, group in world.capabilities_by_class().items():
+        relation = _relation(tax, required_class, class_id)
         if not any(relation):
             continue
-        degree = _compare(required_nf, world.normal_form(capability), world, relation)
-        if degree is not MatchDegree.DISJOINT:
-            scored.append((resource_id, capability, degree))
+        for resource_id, capability in group:
+            degree = _compare(required_nf, world.normal_form(capability), world, relation)
+            if degree is not MatchDegree.DISJOINT:
+                scored.append((resource_id, capability, degree))
     scored.sort(key=lambda item: (-item[2].rank, item[0], item[1].id))
     return scored

@@ -9,8 +9,8 @@ The skill → capability → parameter relation is decided only here: ``WorldMod
 pairs skills with capabilities, and ``bound_input`` binds properties to inputs.
 A ``SkillDescriptor`` keeps its parameters by id and its inputs, so binding
 looks a parameter up rather than scanning for it. ``WorldModel`` groups its
-capabilities by class on first use; planning ranks only the groups whose
-class is related to a step's.
+capabilities by class on first use and decides no class relation itself: the
+matcher ranks the groups and decides each group's relation once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import expressions
 from .errors import UnknownParameterError
-from .taxonomy import Taxonomy, is_subclass_of
+from .taxonomy import Taxonomy
 from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
 if TYPE_CHECKING:
@@ -127,10 +127,12 @@ class WorldModel:
     property's full domain, the validation report, the normal form of each
     capability the world owns, the skill index and the capabilities grouped by
     class are computed on first use and then kept, so building an invalid
-    world never raises. The kept data is only correct because the world is
-    never mutated after load: derive a changed world with
-    ``dataclasses.replace``, which builds fresh lookups. Two threads filling
-    the same entry store equal values.
+    world never raises. The class groups are a plain index: the matcher's
+    ``rank_providers`` walks them and decides each group's class relation
+    once. The kept data is only correct because the world is never mutated
+    after load: derive a changed world with ``dataclasses.replace``, which
+    builds fresh lookups. Two threads filling the same entry store equal
+    values.
     """
 
     taxonomy: Taxonomy
@@ -169,12 +171,10 @@ class WorldModel:
             for capability in resource.provided_capabilities:
                 yield resource, capability
 
-    def capabilities_related_to(self, class_id: str) -> list[tuple[str, Capability]]:
-        """(resource id, capability) pairs whose class is ``class_id``, one of its
-        ancestors or one of its descendants: every pair the matcher does not drop
-        as class-disjoint. The pairs are grouped by class once, on first use, and
-        kept; the result lists whole groups, each in model order. Every class
-        must be in the taxonomy, as validation ensures."""
+    def capabilities_by_class(self) -> dict[str, list[tuple[str, Capability]]]:
+        """(resource id, capability) pairs grouped by their expression's class,
+        each group in model order. Built on first use and kept; the matcher
+        decides which groups are related to a required class."""
         if self._class_groups is None:
             groups: dict[str, list] = {}
             for resource, capability in self.capabilities():
@@ -182,14 +182,7 @@ class WorldModel:
                     (resource.id, capability)
                 )
             object.__setattr__(self, "_class_groups", groups)
-        tax = self.taxonomy
-        return [
-            pair
-            for group_class, pairs in self._class_groups.items()
-            if is_subclass_of(tax, class_id, group_class)
-            or is_subclass_of(tax, group_class, class_id)
-            for pair in pairs
-        ]
+        return self._class_groups
 
     def resource(self, resource_id: str) -> Resource | None:
         return self._resources.get(resource_id)

@@ -1,13 +1,13 @@
 """Plan product steps onto resources and execute them over protocol clients.
 
 Planning ranks each step's candidates with the matcher and keeps every one
-that qualifies. The candidates are the world's class groups that are
-compatible with the step's class (``WorldModel.capabilities_related_to``);
-the ranking's order does not depend on the order of the groups. Each step
-folds its real values to ``Fraction`` once for the envelope test, and
-converts each value once per (property, input unit, input datatype) for all
-its candidates. A candidate's skill is ``WorldModel.skill_implementing``,
-and step values bind to its inputs by ``model.bound_input``.
+that qualifies. The matcher ranks the world's class groups and decides each
+group's class relation once; planning decides none. Each step folds its real
+values to ``Fraction`` once for the envelope test, and binds every candidate
+through ``bind_parameters`` with one conversion table, so each value is
+converted once per (property, input unit, input datatype). A candidate's
+skill is ``WorldModel.skill_implementing``, and step values bind to its
+inputs by ``model.bound_input``.
 
 Execution fails over to the next-ranked provider when a feasibility check
 rejects, a run aborts, or any request fails: an error response (a violated
@@ -104,6 +104,7 @@ def bind_parameters(
     capability: Capability,
     descriptor: SkillDescriptor,
     world: WorldModel,
+    converted: dict,
 ) -> dict[str, Literal]:
     """Map step property values onto skill input parameters.
 
@@ -111,22 +112,15 @@ def bind_parameters(
     its value is rescaled from the property's declared unit onto the input's.
     Two properties binding one input raise ``TypeMismatchError``. Inputs left
     unbound fall back to descriptor defaults.
+
+    Each conversion is taken from ``converted`` by (property, input unit,
+    input datatype) and stored there on first use; pass ``{}`` to bind one
+    candidate alone. ``plan`` binds every candidate the matcher ranked from
+    the world's class groups through this function, with one table per
+    step, so each value is converted once per step. A conversion that fails
+    is stored as its reason and raises a fresh ``TypeMismatchError`` naming
+    each input it fails for.
     """
-    return _bind(step, capability, descriptor, world, {})
-
-
-def _bind(
-    step: ProcessStep,
-    capability: Capability,
-    descriptor: SkillDescriptor,
-    world: WorldModel,
-    converted: dict,
-) -> dict[str, Literal]:
-    """``bind_parameters``, taking each step value's conversion from
-    ``converted`` by (property, input unit, input datatype) and storing it
-    there on first use, so a table the caller keeps for one step converts each
-    value once. A conversion that fails is stored as its reason and raises a
-    fresh ``TypeMismatchError`` naming each input it fails for."""
     assignment: dict[str, Literal] = {}
     bound_by: dict[str, str] = {}  # input -> the property that bound it
     for property_id, value in step.parameter_values.items():
@@ -187,15 +181,13 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
 
     entries: list[PlanEntry] = []
     for step in product.steps:
-        required = step.required_capability
-        candidates = world.capabilities_related_to(required.class_id)
         folded = [
             (property_id, _fold(world, property_id, value))
             for property_id, value in step.parameter_values.items()
         ]
         converted: dict = {}
         qualifying: list[PlanEntry] = []
-        for resource_id, capability, degree in rank_providers(required, candidates, world):
+        for resource_id, capability, degree in rank_providers(step.required_capability, world):
             provided_nf = world.normal_form(capability)
             inside = all(
                 provided_nf.feasible_or_domain(property_id, world).contains(value)
@@ -207,7 +199,7 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             if descriptor is None:
                 continue
             try:
-                assignment = _bind(step, capability, descriptor, world, converted)
+                assignment = bind_parameters(step, capability, descriptor, world, converted)
             except (
                 TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError
             ):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -56,3 +57,36 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def _module_level_imports(tree):
+    """Import statements of a module body and of its top-level ``if`` blocks
+    (``if TYPE_CHECKING:``); imports inside functions or classes are left out."""
+    for node in tree.body:
+        for statement in node.body + node.orelse if isinstance(node, ast.If) else [node]:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                yield statement
+
+
+def test_every_module_import_is_used():
+    """Each module-level import of a package module (``__init__`` re-exports,
+    so it is left out) is used in its module, or its line says why not with
+    ``# noqa: F401 - reason``."""
+    paths = sorted(Path(csskit.__file__).parent.glob("*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in _module_level_imports(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound in used or re.search(r"# noqa: F401 - \S", lines[alias.lineno - 1]):
+                    continue
+                unused.append(f"{path.name}:{alias.lineno}: {bound}")
+    assert unused == []

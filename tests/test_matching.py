@@ -229,34 +229,41 @@ def _cap(world, cid, iri, text):
     return Capability(id=cid, iri=iri, expression=_expr(world, text))
 
 
+def _world_of(world, candidates):
+    """The world with one resource per (resource id, capability) candidate."""
+    return replace(
+        world, resources=tuple(Resource(rid, (capability,)) for rid, capability in candidates)
+    )
+
+
 def test_rank_tie_breaks_on_resource_id(base_world):
     required = _expr(base_world, "Drilling and (depth >= 10 mm) and (depth <= 12 mm)")
-    candidates = [
+    world = _world_of(base_world, [
         ("r-b", _cap(base_world, "cap-b", "urn:b", "Drilling and (depth <= 15 mm)")),
         ("r-a", _cap(base_world, "cap-a", "urn:a", "Drilling and (depth <= 15 mm)")),
-    ]
-    ranked = rank_providers(required, candidates, base_world)
+    ])
+    ranked = rank_providers(required, world)
     assert [r[0] for r in ranked] == ["r-a", "r-b"]
     assert all(r[2] is MatchDegree.PLUGIN for r in ranked)
 
 
 def test_rank_orders_by_degree(base_world):
     required = _expr(base_world, "Drilling and (depth >= 10 mm) and (depth <= 20 mm)")
-    candidates = [
+    world = _world_of(base_world, [
         ("r-intersect", _cap(base_world, "cap-i", "urn:i", "Drilling and (depth <= 15 mm)")),
         ("r-plugin", _cap(base_world, "cap-p", "urn:p", "Drilling and (depth <= 30 mm)")),
-    ]
-    ranked = rank_providers(required, candidates, base_world)
+    ])
+    ranked = rank_providers(required, world)
     assert [r[0] for r in ranked] == ["r-plugin", "r-intersect"]
 
 
 def test_rank_drops_disjoint(base_world):
     required = _expr(base_world, "Milling")
-    candidates = [
+    world = _world_of(base_world, [
         ("r-a", _cap(base_world, "cap-a", "urn:a", "Drilling")),
         ("r-b", _cap(base_world, "cap-b", "urn:b", "Screwing")),
-    ]
-    assert rank_providers(required, candidates, base_world) == []
+    ])
+    assert rank_providers(required, world) == []
 
 
 # --- properties ------------------------------------------------------------------
@@ -379,7 +386,7 @@ def test_pruned_ranking_equals_sorted_pairwise_matches():
                 (item for item in pairs if item[2] is not MatchDegree.DISJOINT),
                 key=lambda item: (-item[2].rank, item[0], item[1].id),
             )
-            assert rank_providers(required, candidates, world) == expected
+            assert rank_providers(required, world) == expected
             class_disjoint += sum(
                 not is_subclass_of(world.taxonomy, required.class_id, provided)
                 and not is_subclass_of(world.taxonomy, provided, required.class_id)

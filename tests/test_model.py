@@ -10,9 +10,9 @@ from conftest import exec_world_doc
 from csskit import jsonio
 from csskit.documents import build_world, load_document_text
 from csskit.errors import ModelInvalidError
-from csskit.expressions import Atom, CapabilityExpression, parse_expression
+from csskit.expressions import Atom, CapabilityExpression, normalize, parse_expression
 from csskit.hosting import build_resource_host
-from csskit.matching import match_capabilities, rank_providers
+from csskit.matching import match_capabilities, match_normal_form, rank_providers
 from csskit.model import (
     Capability,
     ParameterSpec,
@@ -239,12 +239,13 @@ def _kept_sizes(world) -> dict:
 def test_caller_expressions_are_not_kept_by_the_world(two_resource_world):
     world = two_resource_world
     classes = [c.id for c in world.taxonomy.classes]
-    # fill everything bounded by the world itself: domains and the normal
-    # forms of the capabilities it owns (the taxonomy keeps nothing per query)
+    # fill everything bounded by the world itself: domains, class groups and
+    # the normal forms of the capabilities it owns (the taxonomy keeps nothing
+    # per query)
     for prop in world.property_defs:
         world.domain(prop.id)
-    candidates = [(resource.id, capability) for resource, capability in world.capabilities()]
-    for _, capability in candidates:
+    world.capabilities_by_class()
+    for _, capability in world.capabilities():
         world.normal_form(capability)
     before = _kept_sizes(world)
 
@@ -258,7 +259,9 @@ def test_caller_expressions_are_not_kept_by_the_world(two_resource_world):
         )
         match_capabilities(required, provided, world)
         caller_made = Capability(f"cap-{i}", f"urn:cap:{i}", provided)
-        rank_providers(required, candidates + [("r-caller", caller_made)], world)
+        assert world.normal_form(caller_made) == normalize(provided, world)
+        match_normal_form(normalize(required, world), caller_made.expression, world)
+        rank_providers(required, world)
     assert _kept_sizes(world) == before
 
 

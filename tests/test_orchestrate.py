@@ -71,7 +71,7 @@ def test_bind_explicit_mapping_with_unit_scaling(base_world):
         required_capability=capability.expression,
         parameter_values={"depth": 12},
     )
-    assignment = bind_parameters(step, capability, descriptor, base_world)
+    assignment = bind_parameters(step, capability, descriptor, base_world, {})
     assert assignment == {"drillDepth": Decimal("0.012")}
 
 
@@ -91,7 +91,7 @@ def test_bind_by_name_equality(base_world):
         required_capability=capability.expression,
         parameter_values={"depth": 12},
     )
-    assert bind_parameters(step, capability, descriptor, base_world) == {"depth": 12}
+    assert bind_parameters(step, capability, descriptor, base_world, {}) == {"depth": 12}
 
 
 def test_bind_unbound_required_parameter(base_world):
@@ -108,7 +108,7 @@ def test_bind_unbound_required_parameter(base_world):
         id="s1", required_capability=capability.expression, parameter_values={}
     )
     with pytest.raises(UnboundRequiredParameterError) as excinfo:
-        bind_parameters(step, capability, descriptor, base_world)
+        bind_parameters(step, capability, descriptor, base_world, {})
     assert excinfo.value.param_id == "feedRate"
 
 
@@ -129,7 +129,7 @@ def test_bind_defaults_fill_unmapped_inputs(base_world):
         id="s1", required_capability=capability.expression,
         parameter_values={"depth": 9},
     )
-    assignment = bind_parameters(step, capability, descriptor, base_world)
+    assignment = bind_parameters(step, capability, descriptor, base_world, {})
     assert assignment == {"depth": 9, "feedRate": Decimal("0.5")}
 
 
@@ -149,7 +149,7 @@ def test_bind_integer_parameter_rejects_fractional_scaling(base_world):
         parameter_values={"depth": 12},
     )
     with pytest.raises(TypeMismatchError):
-        bind_parameters(step, capability, descriptor, base_world)
+        bind_parameters(step, capability, descriptor, base_world, {})
 
 
 # --- plan ------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_plan_drops_a_candidate_that_binds_one_input_twice():
     capability = world.resource("r-driller-a").provided_capabilities[0]
     skill = world.skill_implementing("r-driller-a", capability)
     with pytest.raises(TypeMismatchError) as excinfo:
-        bind_parameters(step, capability, skill, world)
+        bind_parameters(step, capability, skill, world, {})
     assert excinfo.value.message == "depth: bound by both 'depth' and 'diameter'"
 
 

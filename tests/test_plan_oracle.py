@@ -1,9 +1,10 @@
 """``plan`` against a reference planner that repeats every per-step decision
 for every candidate: it ranks all of the world's capabilities through
 ``match_capabilities``, tests the envelope with the step values as written
-and binds with a fresh ``bind_parameters`` call per candidate. ``plan`` ranks
-only class-compatible candidates, folds each value once and converts it once
-per input unit and datatype; none of that may change a plan or an error.
+and binds each candidate through ``bind_parameters`` with a fresh conversion
+table. ``plan`` ranks only class-compatible groups, folds each value once and
+converts it once per input unit and datatype; none of that may change a plan
+or an error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from test_orchestrate import (
     two_holes_world,
 )
 
+import csskit.matching
+import csskit.model
+import csskit.orchestrate
 from csskit.documents import build_world
 from csskit.errors import (
     CssError,
@@ -36,10 +40,33 @@ from csskit.errors import (
 )
 from csskit.expressions import parse_expression
 from csskit.matching import MatchDegree, match_capabilities, rank_providers
-from csskit.model import Capability, validate_model, validate_product
-from csskit.orchestrate import PlanEntry, ProductionPlan, _bind, bind_parameters, plan
+from csskit.model import Capability, Resource, validate_model, validate_product
+from csskit.orchestrate import PlanEntry, ProductionPlan, bind_parameters, plan
+from csskit.taxonomy import is_subclass_of
 
 _UNBOUND = (TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError)
+
+
+def reference_candidates(step, world):
+    """(resource id, capability, degree, skill) of every candidate that
+    matches the step, holds its values and has a skill, in ranking order:
+    every candidate ``plan`` binds."""
+    ranked = []
+    for resource, capability in world.capabilities():
+        degree = match_capabilities(step.required_capability, capability.expression, world).degree
+        if degree is not MatchDegree.DISJOINT:
+            ranked.append((resource.id, capability, degree))
+    ranked.sort(key=lambda item: (-item[2].rank, item[0], item[1].id))
+    for resource_id, capability, degree in ranked:
+        provided_nf = world.normal_form(capability)
+        if not all(
+            provided_nf.feasible_or_domain(property_id, world).contains(value)
+            for property_id, value in step.parameter_values.items()
+        ):
+            continue
+        descriptor = world.skill_implementing(resource_id, capability)
+        if descriptor is not None:
+            yield resource_id, capability, degree, descriptor
 
 
 def reference_plan(product, world) -> ProductionPlan:
@@ -51,27 +78,10 @@ def reference_plan(product, world) -> ProductionPlan:
             raise ModelInvalidError(f"{what} fails validation: {details}")
     entries = []
     for step in product.steps:
-        ranked = []
-        for resource, capability in world.capabilities():
-            degree = match_capabilities(
-                step.required_capability, capability.expression, world
-            ).degree
-            if degree is not MatchDegree.DISJOINT:
-                ranked.append((resource.id, capability, degree))
-        ranked.sort(key=lambda item: (-item[2].rank, item[0], item[1].id))
         qualifying = []
-        for resource_id, capability, degree in ranked:
-            provided_nf = world.normal_form(capability)
-            if not all(
-                provided_nf.feasible_or_domain(property_id, world).contains(value)
-                for property_id, value in step.parameter_values.items()
-            ):
-                continue
-            descriptor = world.skill_implementing(resource_id, capability)
-            if descriptor is None:
-                continue
+        for resource_id, capability, degree, descriptor in reference_candidates(step, world):
             try:
-                assignment = bind_parameters(step, capability, descriptor, world)
+                assignment = bind_parameters(step, capability, descriptor, world, {})
             except _UNBOUND:
                 continue
             qualifying.append(PlanEntry(
@@ -256,8 +266,8 @@ def test_shared_conversions_fail_as_fresh_bindings_do():
                         continue
                     results = []
                     for bind in (
-                        lambda: _bind(step, capability, skill, world, converted),
-                        lambda: bind_parameters(step, capability, skill, world),
+                        lambda: bind_parameters(step, capability, skill, world, converted),
+                        lambda: bind_parameters(step, capability, skill, world, {}),
                     ):
                         try:
                             results.append(repr(bind()))
@@ -287,7 +297,7 @@ def test_a_kept_conversion_failure_names_each_input_it_fails_for():
         capability = world.resource(resource_id).provided_capabilities[0]
         skill = world.skill_implementing(resource_id, capability)
         with pytest.raises(TypeMismatchError) as excinfo:
-            _bind(step, capability, skill, world, converted)
+            bind_parameters(step, capability, skill, world, converted)
         messages.append(excinfo.value.message)
     assert messages == [
         f"{target}: 12 does not scale to an integer value"
@@ -328,6 +338,51 @@ def test_real_values_on_open_and_closed_bounds():
     assert primary.parameter_assignment == {"torque": 5}
 
 
+# --- one code path per decision -----------------------------------------------------
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_plan_binds_and_decides_class_relations_through_one_path(monkeypatch, seed):
+    """While ``plan`` runs, the public ``bind_parameters`` is called once per
+    ranked candidate inside the envelope that has a skill, and the matcher's
+    ``is_subclass_of`` twice per class group per step ranked; the world
+    decides no class relation. ``None`` stands for ``exec_world_doc``."""
+    world = build_world([exec_world_doc() if seed is None else seeded_world_doc(seed)])
+    groups = len({capability.expression.class_id for _, capability in world.capabilities()})
+    expected_binds, expected_tests = [], 0
+    for product in world.products:
+        assert validate_product(world, product).ok
+        for step in product.steps:  # up to the first step that nothing qualifies for
+            expected_tests += 2 * groups
+            bound = False
+            for _, capability, _, skill in reference_candidates(step, world):
+                expected_binds.append((step.id, capability.id, skill.skill_id))
+                try:
+                    bind_parameters(step, capability, skill, world, {})
+                    bound = True
+                except _UNBOUND:
+                    pass
+            if not bound:
+                break
+
+    binds, tests = [], []
+
+    def counted_bind(step, capability, skill, *rest):
+        binds.append((step.id, capability.id, skill.skill_id))
+        return bind_parameters(step, capability, skill, *rest)
+
+    def counted_test(*args):
+        tests.append(args)
+        return is_subclass_of(*args)
+
+    monkeypatch.setattr(csskit.orchestrate, "bind_parameters", counted_bind)
+    monkeypatch.setattr(csskit.matching, "is_subclass_of", counted_test)
+    for product in world.products:
+        outcome(plan, product, world)
+    assert binds == expected_binds
+    assert len(tests) == expected_tests
+    assert not hasattr(csskit.model, "is_subclass_of")
+
+
 # --- the order of the class groups -----------------------------------------------
 
 def test_plan_does_not_depend_on_the_order_of_class_groups():
@@ -342,29 +397,31 @@ def test_plan_does_not_depend_on_the_order_of_class_groups():
         assert world._class_groups is reversed_groups
 
 
-def test_rank_providers_on_explicit_lists_does_not_depend_on_their_order():
-    """Any order of an explicit candidate list, with a capability the world
-    does not own, ranks as the pairwise matches sorted."""
-    world = build_world([seeded_world_doc(1)])
-    caller_made = Capability(
-        "cap-caller", "urn:cap:caller",
-        parse_expression("Separating and (depth <= 40 mm)", world),
+def test_rank_providers_does_not_depend_on_the_order_of_resources():
+    """Any order of the world's resources, one extra resource among them,
+    ranks as the pairwise matches sorted."""
+    base = build_world([seeded_world_doc(1)])
+    extra = Capability(
+        "cap-extra", "urn:cap:extra", parse_expression("Separating and (depth <= 40 mm)", base),
     )
-    candidates = [(r.id, c) for r, c in world.capabilities()] + [("r-caller", caller_made)]
+    resources = [*base.resources, Resource("r-extra", (extra,))]
     rng = random.Random(5)
     for required in ("Drilling", "Separating", "ManufacturingProcess and (depth <= 15 mm)"):
-        expression = parse_expression(required, world)
+        expression = parse_expression(required, base)
         expected = sorted(
             (
-                (resource_id, capability, degree)
-                for resource_id, capability in candidates
-                if (degree := match_capabilities(expression, capability.expression, world).degree)
+                (resource.id, capability, degree)
+                for resource in resources
+                for capability in resource.provided_capabilities
+                if (degree := match_capabilities(expression, capability.expression, base).degree)
                 is not MatchDegree.DISJOINT
             ),
             key=lambda item: (-item[2].rank, item[0], item[1].id),
         )
-        assert ("r-caller", caller_made) in [(r, c) for r, c, _ in expected]
+        assert ("r-extra", extra) in [(r, c) for r, c, _ in expected]
         for _ in range(4):
-            rng.shuffle(candidates)
-            assert rank_providers(expression, candidates, world) == expected
-        assert rank_providers(expression, reversed(candidates), world) == expected
+            rng.shuffle(resources)
+            world = replace(base, resources=tuple(resources))
+            assert rank_providers(expression, world) == expected
+        world = replace(base, resources=tuple(reversed(resources)))
+        assert rank_providers(expression, world) == expected
