@@ -5,14 +5,22 @@ Wire format: one UTF-8 JSON object per LF-terminated line with the fields
 request receives exactly one ``result`` or ``error`` with the request's
 correlationId. Connections handshake with ``hello`` (protocol version
 "css/1"); state-change events flow only after a ``subscribe`` request and
-carry a per-connection strictly increasing ``seq``.
+carry a per-connection gap-free ``seq``.
+
+Responses leave in request order; an event that a request caused may leave
+before that request's response. A session never waits for its peer: each TCP
+connection queues its output for one writer thread, and a line that finds
+``MAX_QUEUED_LINES`` lines still waiting (the peer stopped reading) closes
+the connection instead.
 
 Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
 A client waits at most ``DEFAULT_TIMEOUT`` seconds for each response or
-event; every wait reads the constant when it starts. Each request waits on
-its own ``queue.SimpleQueue``, and events and unmatched responses queue on
-two more, so a round trip builds no locks or conditions of its own.
+event; every wait reads the constant when it starts. Once the transport
+closes, ``next_event`` returns the events received before, then raises
+``ConnectionLostError``. Each request waits on its own ``queue.SimpleQueue``,
+and events and unmatched responses queue on two more, so a round trip builds
+no locks or conditions of its own.
 A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
 TCP server reads such a line in bounded pieces and drops it. A line that is
 not valid UTF-8 also gets one ``ParseError`` and is never executed.
@@ -42,6 +50,8 @@ PROTOCOL_VERSION = "css/1"
 DEFAULT_TIMEOUT = 5.0
 #: longest request line a server reads, in UTF-8 bytes without the LF
 MAX_LINE_BYTES = 1 << 20
+#: most lines a TCP connection holds for a peer that stops reading; one more closes it
+MAX_QUEUED_LINES = 1 << 12
 
 REQUEST_KINDS = (
     "hello", "list_skills", "describe", "read", "write", "command",
@@ -116,19 +126,17 @@ def _error_line(correlation_id: str, code: str, message: str) -> str:
 class ServerSession:
     """Per-connection request dispatch plus subscription event fan-out.
 
-    Events raised while a request is being handled are buffered and flushed
-    right after the response line, keeping per-connection output ordered.
+    Each response and event line goes to ``send_line``, which must not block,
+    as soon as it exists: an event can precede its request's response.
     """
 
     def __init__(self, host: SkillHost, name: str, send_line):
         self.host = host
         self.name = name
         self._send_line = send_line
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # orders seq and guards the subscriptions
         self._subscriptions: set[str] = set()
         self._seq = itertools.count(1)
-        self._handling = False
-        self._event_buffer: list[str] = []
         self._hello_done = False
         host.add_listener(self._on_event)
 
@@ -139,43 +147,20 @@ class ServerSession:
         with self._lock:
             if event.local_runtime_id not in self._subscriptions:
                 return
-            line = encode(
-                Message(
-                    kind="event",
-                    correlation_id="",
-                    payload={
-                        "localRuntimeId": event.local_runtime_id,
-                        "previousState": event.previous_state,
-                        "newState": event.new_state,
-                        "instanceSeq": event.seq,
-                    },
-                    seq=next(self._seq),
-                )
-            )
-            if self._handling:
-                self._event_buffer.append(line)
-            else:
-                self._safe_send(line)
-
-    def _safe_send(self, line: str) -> None:
-        try:
-            self._send_line(line)
-        except OSError:
-            pass  # connection went away; reader side will clean up
+            payload = {
+                "localRuntimeId": event.local_runtime_id,
+                "previousState": event.previous_state,
+                "newState": event.new_state,
+                "instanceSeq": event.seq,
+            }
+            self._send_line(encode(Message("event", "", payload, next(self._seq))))
 
     def handle_line(self, line: str) -> None:
-        with self._lock:
-            self._handling = True
         try:
             response = self._respond(line)
         except Exception as exc:  # noqa: BLE001 - every line is owed one response
             response = _error_line("", "InternalError", str(exc))
-        with self._lock:
-            self._safe_send(response)
-            for buffered in self._event_buffer:
-                self._safe_send(buffered)
-            self._event_buffer.clear()
-            self._handling = False
+        self._send_line(response)
 
     def _respond(self, line: str) -> str:
         if len(line.encode("utf-8", "surrogatepass")) > MAX_LINE_BYTES:
@@ -296,7 +281,7 @@ class ServerSession:
 
 
 class ProtocolServer:
-    """TCP server handle; one thread per connection, sessions independent."""
+    """TCP server handle; each connection has a reader and a writer thread."""
 
     def __init__(self, host: SkillHost, endpoint):
         address = _as_address(endpoint)
@@ -311,6 +296,8 @@ class ProtocolServer:
         self.address = self._sock.getsockname()
         self.port = self.address[1]
         self._closing = False
+        self._conns: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"css-accept-{self.port}", daemon=True
         )
@@ -322,21 +309,29 @@ class ProtocolServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return
+            with self._conns_lock:
+                self._conns.add(conn)
             threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
+                target=self._serve_connection, args=(conn,),
+                name=f"css-conn-{self.port}", daemon=True,
             ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        send_lock = threading.Lock()
+        outbound: queue.SimpleQueue = queue.SimpleQueue()
 
         def send_line(line: str) -> None:
-            with send_lock:
-                conn.sendall((line + "\n").encode("utf-8"))
+            if outbound.qsize() < MAX_QUEUED_LINES:
+                outbound.put(line)
+            else:
+                _shutdown(conn)
 
+        threading.Thread(
+            target=_write_lines, args=(conn, outbound),
+            name=f"css-writer-{self.port}", daemon=True,
+        ).start()
         session = ServerSession(self.host, self.host.name, send_line)
         try:
-            # a response and its events go out as separate small writes; without
-            # this, Nagle's algorithm holds each back until the peer's delayed ACK
+            # no Nagle: a lone small line must not wait for the peer's delayed ACK
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reader = conn.makefile("rb")
             while raw := reader.readline(MAX_LINE_BYTES + 1):
@@ -351,16 +346,42 @@ class ProtocolServer:
             pass
         finally:
             session.close()
-            with contextlib.suppress(OSError):
-                conn.close()
+            outbound.put(None)  # the writer sends what is queued, then closes conn
+            with self._conns_lock:
+                self._conns.discard(conn)
 
     def close(self) -> None:
+        """Stop accepting, and end every open connection."""
         self._closing = True
-        with contextlib.suppress(OSError):
-            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        _shutdown(self._sock)  # wakes the blocked accept
         with contextlib.suppress(OSError):
             self._sock.close()
         self._accept_thread.join(timeout=2.0)
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            _shutdown(conn)  # its reader reads EOF, and its writer's send fails
+
+
+def _write_lines(conn: socket.socket, outbound: queue.SimpleQueue) -> None:
+    """Send what is queued, one ``sendall`` per batch, until ``None`` or a send fails."""
+    lines: list[str | None] = []
+    with contextlib.suppress(OSError):
+        while None not in lines:
+            lines = [outbound.get()]
+            while not outbound.empty():  # this thread is the only taker
+                lines.append(outbound.get())
+            text = "".join(f"{line}\n" for line in lines if line is not None)
+            # a lone surrogate can only sit in a JSON string: send it as \uXXXX
+            conn.sendall(text.encode("utf-8", "backslashreplace"))
+    _shutdown(conn)
+    conn.close()
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """End both directions of ``sock``, waking every thread blocked on it."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
 
 
 def serve(host: SkillHost, endpoint) -> ProtocolServer:
@@ -417,13 +438,15 @@ class SkillClient:
                 self._stray.put(msg)
 
     def connection_lost(self, reason: str) -> None:
-        """The transport closed: fail every pending and every later request."""
+        """The transport closed: fail every pending and every later request,
+        and every wait for an event once the events received are taken."""
         with self._lock:
             self._lost = reason
             waiters = list(self._pending.values())
             self._pending.clear()
         for waiter in waiters:
             waiter.put(None)
+        self._events.put(None)
 
     def send_raw(self, line: str) -> None:
         """Ship an arbitrary line (for protocol-level tests)."""
@@ -469,7 +492,11 @@ class SkillClient:
         return msg.payload
 
     def next_event(self) -> Message:
-        return _next(self._events, "event")
+        event = _next(self._events, "event")
+        if event is None:  # the transport closed after the events before it
+            self._events.put(None)
+            raise ConnectionLostError(self._lost)
+        return event
 
     def next_stray(self) -> Message:
         """Next response that matched no pending request (e.g. ParseError)."""

@@ -12,8 +12,9 @@ descriptor's check flags.
 
 Concurrency: one lock serializes commands, writes and completions; reads
 take the same lock and return consistent snapshots. Listeners run under that
-lock; one that raises is logged and skipped, and neither the transition nor
-the listeners after it are affected.
+lock, so a listener must not block (a protocol session only queues a line).
+One that raises is logged and skipped, and neither the transition nor the
+listeners after it are affected.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
@@ -508,6 +510,41 @@ def test_execute_lost_connection_fails_over(exec_world):
         {"code": "ConnectionLost", "message": "unplugged (injected)"}
     ]
     assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+
+
+def test_execute_connection_lost_mid_step_fails_over_at_once(exec_world):
+    """An attempt that waits for events ends as soon as its connection
+    drops, well before DEFAULT_TIMEOUT, and records ConnectionLost."""
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    unplug = []
+
+    class UnplugsInExecute(ParksOnFirstExecute):
+        def parks(self, state, inputs):
+            parked = super().parks(state, inputs)
+            if parked:
+                threading.Timer(0.05, unplug[0]).start()
+            return parked
+
+    connections, cleanups = _loopback_connections(
+        exec_world, {"r-driller-a": UnplugsInExecute}
+    )
+    unplug.append(
+        lambda: connections["r-driller-a"].connection_lost("unplugged mid-step (injected)")
+    )
+    started = time.monotonic()
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    assert time.monotonic() - started < protocol.DEFAULT_TIMEOUT / 5
+    errors = [r for r in trace.records if r.kind == "error"]
+    assert [r.detail for r in errors] == [
+        {"code": "ConnectionLost", "message": "unplugged mid-step (injected)"}
+    ]
+    drill = trace.state_changes("step-drill")
+    assert drill[:4] == ("Resetting", "Idle", "Starting", "Execute")  # on resource a
+    assert drill[4:] == SUCCESS_SEQUENCE  # on resource b
 
 
 def test_execute_missing_connection_still_raises(exec_world):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import socket
+import sys
 import threading
 import time
 from decimal import Decimal
@@ -349,8 +350,8 @@ def test_tcp_two_clients_command_different_skills(monkeypatch):
 
 
 def test_tcp_sockets_disable_nagle_on_both_ends(monkeypatch):
-    """A response and its events are separate small writes; with Nagle's
-    algorithm on, each waits for the peer's delayed ACK."""
+    """A connection's writer often sends one small line alone; with Nagle's
+    algorithm on, it waits for the peer's delayed ACK."""
     client_socks: list[socket.socket] = []
     server_socks: list[socket.socket] = []
     create_connection = socket.create_connection
@@ -406,6 +407,129 @@ def test_tcp_peer_disconnect_fails_requests_at_once(monkeypatch):
         peer.join(timeout=2)
         listener.close()
     assert not peer.is_alive()
+
+
+def test_a_subscriber_that_stops_reading_cannot_stall_the_host():
+    """A subscriber that never reads is cut off once its output backs up, and
+    meanwhile every other client is served at full speed."""
+    host, lrid = make_host()
+    server = serve(host, ("127.0.0.1", 0))
+    idle = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    idle.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    idle.settimeout(10)
+    idle.connect(("127.0.0.1", server.port))
+    idle_stream = idle.makefile("rb")
+    client = None
+    try:
+        hello = encode(Message("hello", "c-1", {"version": "css/1"}))
+        subscribe = encode(Message("subscribe", "c-2", {"localRuntimeId": lrid}))
+        idle.sendall(f"{hello}\n{subscribe}\n".encode())
+        answers = [decode(idle_stream.readline().decode()) for _ in range(2)]
+        assert [(a.kind, a.correlation_id) for a in answers] == [
+            ("result", "c-1"), ("result", "c-2"),
+        ]
+        # from here on the idle client reads nothing until the cycles are done
+        client = connect_tcp(("127.0.0.1", server.port))
+        client.hello()
+        client.command(lrid, "Reset")
+        for cycle in range(10_000):
+            client.write(lrid, {"depth": 5 + cycle % 20})
+            client.command(lrid, "Start")
+            client.command(lrid, "Reset")
+        rest = idle_stream.read()  # to EOF: the server has closed the idle session
+    finally:
+        if client is not None:
+            client.close()
+        idle_stream.close()
+        idle.close()
+        server.close()
+    *lines, cut = rest.split(b"\n")  # the last line may be cut short by the close
+    events = [decode(line.decode()) for line in lines]
+    assert len(events) > 2
+    assert {event.kind for event in events} == {"event"}
+    assert [event.seq for event in events] == list(range(1, len(events) + 1))
+    assert len(cut) < max(map(len, lines))
+
+
+def test_server_close_ends_open_connections(monkeypatch):
+    host, lrid = make_host()
+    server = serve(host, ("127.0.0.1", 0))
+    client = connect_tcp(("127.0.0.1", server.port))
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 2)
+    try:
+        client.hello()
+        server.close()
+        started = time.monotonic()
+        with pytest.raises(ConnectionLostError):
+            client.read(lrid)
+        assert time.monotonic() - started < 1
+    finally:
+        client.close()
+        server.close()
+
+
+def _threads_of(port: int) -> list[str]:
+    """Names of the live csskit threads that serve or read ``port``."""
+    return sorted(
+        thread.name.rsplit("-", 1)[0]
+        for thread in threading.enumerate()
+        if thread.name.startswith("css-") and thread.name.endswith(f"-{port}")
+    )
+
+
+def test_connection_threads_are_named_and_end_with_the_server():
+    host, _ = make_host()
+    server = serve(host, ("127.0.0.1", 0))
+    clients = [connect_tcp(("127.0.0.1", server.port)) for _ in range(4)]
+    try:
+        for client in clients:
+            client.hello()
+        assert _threads_of(server.port) == [
+            "css-accept", *["css-conn"] * 4, *["css-reader"] * 4, *["css-writer"] * 4,
+        ]
+        for client in clients[:2]:
+            client.close()
+        server.close()  # two clients are still connected
+        deadline = time.monotonic() + 2
+        while _threads_of(server.port) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _threads_of(server.port) == []
+    finally:
+        for client in clients:
+            client.close()
+        server.close()
+
+
+def test_connection_loss_ends_the_event_stream_after_delivered_events(monkeypatch):
+    client = SkillClient(send_line=lambda line: None)
+    for seq in (1, 2):
+        client.feed_line(encode(Message("event", "", {"newState": "Idle"}, seq=seq)))
+    client.connection_lost("unplugged (injected)")
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
+    assert [client.next_event().seq for _ in range(2)] == [1, 2]
+    for _ in range(2):  # every later call fails at once
+        started = time.monotonic()
+        with pytest.raises(ConnectionLostError, match="unplugged"):
+            client.next_event()
+        assert time.monotonic() - started < 0.5
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_an_escaped_lone_surrogate_correlation_id_is_answered(transport):
+    """JSON can escape a lone surrogate that UTF-8 cannot carry; the response
+    escapes it again instead of failing to encode."""
+    host, _ = make_host()
+    server = serve(host, ("127.0.0.1", 0)) if transport == "tcp" else None
+    client = connect_tcp(("127.0.0.1", server.port)) if server else connect_loopback(host)
+    try:
+        client.send_raw('{"correlationId": "\\ud800", "kind": "hello", "payload": {}}')
+        answer = client.next_stray()
+        assert (answer.kind, answer.correlation_id) == ("result", "\ud800")
+        assert client.hello()["version"] == "css/1"
+    finally:
+        client.close()
+        if server:
+            server.close()
 
 
 def _scripted_session(client, lrid) -> list[str]:
@@ -509,6 +633,62 @@ def test_tcp_concurrent_clients_stress():
         thread.join(timeout=30)
     server.close()
     assert not errors, errors
+
+
+def test_tcp_writers_keep_every_line_in_order_under_thread_switching():
+    """Four clients, all subscribed to every skill, cycle their own skill at
+    once while threads switch as often as the interpreter allows. Every
+    connection gets every event, in the order the host made them, with a
+    gap-free seq, and every request gets its response."""
+    host = SkillHost("r-switch")
+    lrids = [
+        host.register_skill(drill_descriptor(f"skill-{i}"), DrillBehavior())
+        for i in range(4)
+    ]
+    truth: list = []
+    host.add_listener(truth.append)
+    server = serve(host, ("127.0.0.1", 0))
+    subscribed, cycled = threading.Barrier(len(lrids)), threading.Barrier(len(lrids))
+    seen: dict[str, list] = {}
+    errors: list[Exception] = []
+
+    def worker(lrid: str) -> None:
+        client = connect_tcp(("127.0.0.1", server.port))
+        try:
+            client.hello()
+            for other in lrids:
+                client.subscribe(other)
+            subscribed.wait(timeout=10)
+            for _ in range(15):
+                assert client.command(lrid, "Reset")["newState"] == "Resetting"
+                assert client.command(lrid, "Start")["newState"] == "Starting"
+            cycled.wait(timeout=10)
+            seen[lrid] = [client.next_event() for _ in range(len(truth))]
+        except Exception as exc:  # noqa: BLE001 - surfaced to the main thread
+            errors.append(exc)
+        finally:
+            client.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(lrid,)) for lrid in lrids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    made = [(event.local_runtime_id, event.seq) for event in truth]
+    assert len(made) == 4 * 15 * 6
+    for events in seen.values():
+        assert [e.seq for e in events] == list(range(1, len(made) + 1))
+        assert [
+            (e.payload["localRuntimeId"], e.payload["instanceSeq"]) for e in events
+        ] == made
 
 
 # --- fuzz: exactly one response per correlationId -------------------------------------
