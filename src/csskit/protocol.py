@@ -9,9 +9,9 @@ carry a per-connection gap-free ``seq``.
 
 Responses leave in request order; an event that a request caused may leave
 before that request's response. A session never waits for its peer: each TCP
-connection queues its output for one writer thread, and a line that finds
-``MAX_QUEUED_LINES`` lines still waiting (the peer stopped reading) closes
-the connection instead.
+connection queues its output for one writer thread, and a line that would
+take the bytes waiting past ``MAX_QUEUED_BYTES`` (the peer stopped reading)
+closes the connection instead.
 
 Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
@@ -50,8 +50,8 @@ PROTOCOL_VERSION = "css/1"
 DEFAULT_TIMEOUT = 5.0
 #: longest request line a server reads, in UTF-8 bytes without the LF
 MAX_LINE_BYTES = 1 << 20
-#: most lines a TCP connection holds for a peer that stops reading; one more closes it
-MAX_QUEUED_LINES = 1 << 12
+#: most output bytes a TCP connection holds for its peer; a line past it closes it
+MAX_QUEUED_BYTES = 4 * MAX_LINE_BYTES
 
 REQUEST_KINDS = (
     "hello", "list_skills", "describe", "read", "write", "command",
@@ -317,19 +317,11 @@ class ProtocolServer:
             ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        outbound: queue.SimpleQueue = queue.SimpleQueue()
-
-        def send_line(line: str) -> None:
-            if outbound.qsize() < MAX_QUEUED_LINES:
-                outbound.put(line)
-            else:
-                _shutdown(conn)
-
+        outbound = _Outbound(conn)
         threading.Thread(
-            target=_write_lines, args=(conn, outbound),
-            name=f"css-writer-{self.port}", daemon=True,
+            target=outbound.write, name=f"css-writer-{self.port}", daemon=True
         ).start()
-        session = ServerSession(self.host, self.host.name, send_line)
+        session = ServerSession(self.host, self.host.name, outbound.send_line)
         try:
             # no Nagle: a lone small line must not wait for the peer's delayed ACK
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -346,7 +338,7 @@ class ProtocolServer:
             pass
         finally:
             session.close()
-            outbound.put(None)  # the writer sends what is queued, then closes conn
+            outbound.close()  # the writer sends what is queued, then closes conn
             with self._conns_lock:
                 self._conns.discard(conn)
 
@@ -363,19 +355,48 @@ class ProtocolServer:
             _shutdown(conn)  # its reader reads EOF, and its writer's send fails
 
 
-def _write_lines(conn: socket.socket, outbound: queue.SimpleQueue) -> None:
-    """Send what is queued, one ``sendall`` per batch, until ``None`` or a send fails."""
-    lines: list[str | None] = []
-    with contextlib.suppress(OSError):
-        while None not in lines:
-            lines = [outbound.get()]
-            while not outbound.empty():  # this thread is the only taker
-                lines.append(outbound.get())
-            text = "".join(f"{line}\n" for line in lines if line is not None)
-            # a lone surrogate can only sit in a JSON string: send it as \uXXXX
-            conn.sendall(text.encode("utf-8", "backslashreplace"))
-    _shutdown(conn)
-    conn.close()
+class _Outbound:
+    """A TCP connection's output: lines wait in one queue for one writer thread.
+
+    At most ``MAX_QUEUED_BYTES`` wait or are being sent; a line that would pass
+    that bound shuts the connection down instead of waiting for the peer.
+    """
+
+    def __init__(self, conn: socket.socket):
+        self._conn = conn
+        self._lines: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()  # guards _unsent
+        self._unsent = 0
+
+    def send_line(self, line: str) -> None:
+        # a lone surrogate can only sit in a JSON string: send it as \uXXXX
+        data = f"{line}\n".encode("utf-8", "backslashreplace")
+        with self._lock:
+            self._unsent += len(data)
+            fits = self._unsent <= MAX_QUEUED_BYTES
+        if fits:
+            self._lines.put(data)
+        else:  # the peer has stopped reading: end the connection
+            _shutdown(self._conn)
+
+    def close(self) -> None:
+        """Let the writer send what is queued, then close the connection."""
+        self._lines.put(None)
+
+    def write(self) -> None:
+        """Send what is queued, one ``sendall`` per batch, until closed or a send fails."""
+        batch: list[bytes | None] = []
+        with contextlib.suppress(OSError):
+            while None not in batch:
+                batch = [self._lines.get()]
+                while not self._lines.empty():  # this thread is the only taker
+                    batch.append(self._lines.get())
+                data = b"".join(line for line in batch if line is not None)
+                self._conn.sendall(data)
+                with self._lock:
+                    self._unsent -= len(data)
+        _shutdown(self._conn)
+        self._conn.close()
 
 
 def _shutdown(sock: socket.socket) -> None:
@@ -575,8 +596,7 @@ def connect_tcp(address) -> SkillClient:
             sock.sendall((line + "\n").encode("utf-8"))
 
     def on_close() -> None:
-        with contextlib.suppress(OSError):
-            sock.shutdown(socket.SHUT_RDWR)
+        _shutdown(sock)
         sock.close()
 
     client = SkillClient(send_line=send_line, on_close=on_close)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import sys
@@ -409,9 +410,11 @@ def test_tcp_peer_disconnect_fails_requests_at_once(monkeypatch):
     assert not peer.is_alive()
 
 
-def test_a_subscriber_that_stops_reading_cannot_stall_the_host():
+def test_a_subscriber_that_stops_reading_cannot_stall_the_host(monkeypatch):
     """A subscriber that never reads is cut off once its output backs up, and
     meanwhile every other client is served at full speed."""
+    # a small bound, so the events overflow it whatever the kernel buffers
+    monkeypatch.setattr(protocol, "MAX_QUEUED_BYTES", 1 << 16)
     host, lrid = make_host()
     server = serve(host, ("127.0.0.1", 0))
     idle = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -497,6 +500,46 @@ def test_connection_threads_are_named_and_end_with_the_server():
     finally:
         for client in clients:
             client.close()
+        server.close()
+
+
+def test_a_peer_that_sends_long_ids_and_never_reads_is_cut_off(monkeypatch):
+    """Each response echoes its request's correlationId, so a peer that sends
+    long ids and never reads would make the server hold its responses without
+    end; the server closes the connection once they pass ``MAX_QUEUED_BYTES``."""
+    monkeypatch.setattr(protocol, "MAX_QUEUED_BYTES", 1 << 18)
+    host, _ = make_host()
+    server = serve(host, ("127.0.0.1", 0))
+    peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    peer.connect(("127.0.0.1", server.port))
+    peer.sendall(f"{encode(Message('hello', 'c-1', {'version': 'css/1'}))}\n".encode())
+    assert decode(peer.makefile("rb").readline().decode()).kind == "result"
+    assert "css-writer" in _threads_of(server.port)
+    hello = f"{encode(Message('hello', 'c' * (1 << 16), {'version': 'css/1'}))}\n".encode()
+    sent = []
+
+    def send_hellos():
+        # 1,024 responses of 64 KiB would be 64 MiB held for this one peer;
+        # once the server closes, a send fails or waits until the shutdown below
+        with contextlib.suppress(OSError):
+            for _ in range(1024):
+                peer.sendall(hello)
+                sent.append(1)
+
+    sender = threading.Thread(target=send_hellos, daemon=True)
+    sender.start()
+    try:
+        deadline = time.monotonic() + 5
+        while _threads_of(server.port) != ["css-accept"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _threads_of(server.port) == ["css-accept"]  # the connection's threads ended
+        assert len(sent) < 1024
+    finally:
+        with contextlib.suppress(OSError):
+            peer.shutdown(socket.SHUT_RDWR)
+        sender.join(timeout=5)
+        peer.close()
         server.close()
 
 
