@@ -26,8 +26,6 @@ from .errors import (
     CssError,
     DocumentInvalidError,
     ExpressionSyntaxError,
-    NoFeasibleCombinationError,
-    OfferExpiredError,
     ParseError,
     StepFailedNoAlternativeError,
     TimeoutError,
@@ -331,11 +329,7 @@ def _cmd_market_eval(args) -> int:
 
 def _cmd_market_select(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
-    try:
-        award = select_offers(request, offers, now, world)
-    except NoFeasibleCombinationError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return 1
+    award = select_offers(request, offers, now, world)
     print(
         jsonio.dumps(
             {
@@ -352,12 +346,8 @@ def _cmd_market_select(args) -> int:
 
 def _cmd_market_accept(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
-    try:
-        award = select_offers(request, offers, now, world)
-        contract = form_contract(award, accepted_at=now)
-    except (NoFeasibleCombinationError, OfferExpiredError) as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return 1
+    award = select_offers(request, offers, now, world)
+    contract = form_contract(award, accepted_at=now)
     rendered = jsonio.dumps(
         {
             "contractId": contract.contract_id,

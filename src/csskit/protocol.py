@@ -5,7 +5,10 @@ Wire format: one UTF-8 JSON object per LF-terminated line with the fields
 request receives exactly one ``result`` or ``error`` with the request's
 correlationId. Connections handshake with ``hello`` (protocol version
 "css/1"); state-change events flow only after a ``subscribe`` request and
-carry a per-connection gap-free ``seq``.
+carry a per-connection gap-free ``seq``. Every line either end writes is valid
+UTF-8: ``encode`` writes each lone surrogate in a string as its ``\\uXXXX``
+escape, so a high surrogate directly followed by a low one reads back as one
+astral character.
 
 Responses leave in request order; an event that a request caused may leave
 before that request's response. A session never waits for its peer: each TCP
@@ -17,10 +20,11 @@ Both transports share the same server session logic, so a scripted request
 sequence produces identical result payloads in-process and over TCP.
 A client waits at most ``DEFAULT_TIMEOUT`` seconds for each response or
 event; every wait reads the constant when it starts. Once the transport
-closes, ``next_event`` returns the events received before, then raises
-``ConnectionLostError``. Each request waits on its own ``queue.SimpleQueue``,
-and events and unmatched responses queue on two more, so a round trip builds
-no locks or conditions of its own.
+closes, or ``close()`` ends the client on either transport, every pending and
+later request raises ``ConnectionLostError``, and ``next_event`` returns the
+events received before, then raises it. Each request waits on its own
+``queue.SimpleQueue``, and events and unmatched responses queue on two more,
+so a round trip builds no locks or conditions of its own.
 A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
 TCP server reads such a line in bounded pieces and drops it. A line that is
 not valid UTF-8 also gets one ``ParseError`` and is never executed.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import queue
+import re
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -69,8 +74,13 @@ class Message:
     seq: int | None = None
 
 
+#: a code point UTF-8 cannot carry; jsonio leaves it raw inside a JSON string
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def encode(msg: Message) -> str:
-    """One message as a single JSON line (without the trailing LF)."""
+    """One message as a single JSON line (without the trailing LF) that is
+    valid UTF-8: each lone surrogate is written as its ``\\uXXXX`` escape."""
     obj = {
         "kind": msg.kind,
         "correlationId": msg.correlation_id,
@@ -78,7 +88,10 @@ def encode(msg: Message) -> str:
     }
     if msg.seq is not None:
         obj["seq"] = msg.seq
-    return jsonio.dumps(obj)
+    line = jsonio.dumps(obj)
+    if line.isascii():
+        return line
+    return _LONE_SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", line)
 
 
 def decode(line: str) -> Message:
@@ -369,8 +382,7 @@ class _Outbound:
         self._unsent = 0
 
     def send_line(self, line: str) -> None:
-        # a lone surrogate can only sit in a JSON string: send it as \uXXXX
-        data = f"{line}\n".encode("utf-8", "backslashreplace")
+        data = f"{line}\n".encode("utf-8")
         with self._lock:
             self._unsent += len(data)
             fits = self._unsent <= MAX_QUEUED_BYTES
@@ -436,8 +448,7 @@ class SkillClient:
         self._events: queue.SimpleQueue = queue.SimpleQueue()
         self._stray: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
-        self._closed = False
-        self._lost: str | None = None  # why the transport closed, once it has
+        self._lost: str | None = None  # why the client closed or lost its transport
 
     # -- plumbing ---------------------------------------------------------
 
@@ -459,10 +470,12 @@ class SkillClient:
                 self._stray.put(msg)
 
     def connection_lost(self, reason: str) -> None:
-        """The transport closed: fail every pending and every later request,
-        and every wait for an event once the events received are taken."""
+        """The transport closed: fail every pending and every later request, and
+        every wait for an event once the events received are taken, all with
+        the first reason given."""
         with self._lock:
-            self._lost = reason
+            if self._lost is None:
+                self._lost = reason
             waiters = list(self._pending.values())
             self._pending.clear()
         for waiter in waiters:
@@ -474,9 +487,9 @@ class SkillClient:
         self._send_line(line)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """End this client on either transport: its connection is lost, so
+        every pending and every later request raises ``ConnectionLostError``."""
+        self.connection_lost("client closed")
         if self._on_close is not None:
             self._on_close()
 
@@ -493,16 +506,12 @@ class SkillClient:
             self._pending[correlation_id] = waiter
         try:
             self._send_line(encode(Message(kind, correlation_id, payload or {})))
-        except OSError as exc:
-            with self._lock:
-                self._pending.pop(correlation_id, None)
-            raise ConnectionLostError(str(exc)) from exc
-        try:
             msg = _next(waiter, f"response to {kind}")
-        except TimeoutError:
+        except OSError as exc:
+            raise ConnectionLostError(str(exc)) from exc
+        finally:
             with self._lock:
                 self._pending.pop(correlation_id, None)
-            raise
         if msg is None:
             raise ConnectionLostError(self._lost)
         if msg.kind == "error":
@@ -568,15 +577,12 @@ def _next(messages: queue.SimpleQueue, what: str) -> Message:
 
 
 def connect_loopback(host: SkillHost) -> SkillClient:
-    """In-process transport: requests dispatch synchronously on the caller."""
-    client_ref: list[SkillClient] = []
-
-    def deliver_to_client(line: str) -> None:
-        client_ref[0].feed_line(line)
-
-    session = ServerSession(host, host.name, deliver_to_client)
-    client = SkillClient(send_line=session.handle_line, on_close=session.close)
-    client_ref.append(client)
+    """In-process transport: each request is handled on the caller's thread,
+    and its response and events are fed straight back to the client.
+    ``close()`` detaches the session from the host."""
+    client = SkillClient(send_line=None)
+    session = ServerSession(host, host.name, client.feed_line)
+    client._send_line, client._on_close = session.handle_line, session.close
     return client
 
 

@@ -295,6 +295,9 @@ def test_market_select_no_combination_exit_one(tmp_path, world_file, capsys):
     code = run(["market", "select", "--request", request_path, "--offers", lonely,
                 "--world", world_file, "--now", "2026-08-10T00:00:00Z"])
     assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: no admissible combination covers ['cap-drill', 'cap-screw']\n"
+    )
 
 
 def test_market_accept_after_expiry_exit_one(tmp_path, world_file, capsys):
@@ -315,6 +318,9 @@ def test_market_accept_after_expiry_exit_one(tmp_path, world_file, capsys):
     code = run(["market", "accept", "--request", request_path, "--offers", *offers,
                 "--world", world_file, "--now", "2026-08-30T00:00:01Z"])
     assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: no admissible combination covers ['cap-drill', 'cap-screw']\n"
+    )
 
 
 def test_market_rejects_a_document_of_the_wrong_schema(tmp_path, world_file, capsys):

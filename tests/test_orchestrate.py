@@ -36,7 +36,7 @@ from csskit.orchestrate import (
     plan,
     trace_to_lines,
 )
-from csskit.protocol import connect_loopback
+from csskit.protocol import connect_loopback, connect_tcp, serve
 from csskit.skills import FeasibilityResult, SkillFault
 
 from conftest import _drill_skill, evaluate_expression, exec_world_doc
@@ -626,6 +626,46 @@ def test_execute_without_feasibility_option(exec_world):
         for close in cleanups:
             close()
     assert all(r.kind != "feasibility" for r in trace.records)
+
+
+def _tcp_connections(world):
+    connections = {}
+    cleanups = []
+    for resource in world.resources:
+        server = serve(build_resource_host(world, resource.id), ("127.0.0.1", 0))
+        cleanups.append(server.close)
+        client = connect_tcp(("127.0.0.1", server.port))
+        cleanups.append(client.close)
+        client.hello()
+        connections[resource.id] = client
+    return connections, cleanups
+
+
+def test_a_lone_surrogate_step_value_runs_alike_over_both_transports(monkeypatch):
+    """An enum value may hold a lone surrogate; each request carries it as its
+    JSON escape, so the run completes over loopback and TCP alike."""
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
+    doc = exec_world_doc()
+    doc["properties"][3]["enumValues"].append("\ud800")
+    for resource in doc["resources"][:2]:
+        resource["skills"][0]["parameters"].append(
+            {"paramId": "material", "direction": "input", "datatype": "enum"}
+        )
+    doc["products"][0]["steps"][0]["parameterValues"]["material"] = "\ud800"
+    world = build_world([doc])
+    production_plan = plan(world.product("prod-bracket"), world)
+    traces = []
+    for connect in (_loopback_connections, _tcp_connections):
+        connections, cleanups = connect(world)
+        try:
+            traces.append(trace_to_lines(execute_plan(production_plan, connections)))
+        finally:
+            for close in reversed(cleanups):
+                close()
+    loopback, tcp = traces
+    assert not any('"kind":"error"' in line for line in loopback)
+    assert '"values":{"depth":12,"material":"\ud800"}' in "\n".join(loopback)
+    assert loopback == tcp
 
 
 def test_trace_lines_are_wire_objects(exec_world):

@@ -25,6 +25,7 @@ from csskit.protocol import (
 )
 from csskit.skills import FeasibilityResult, SkillHost
 
+from test_jsonio import _decoded, _random_string, _random_value
 from test_skills import DrillBehavior, drill_descriptor
 
 
@@ -82,6 +83,33 @@ def test_decoder_is_stateless_about_seq():
     first = decode(encode(Message("event", "", {"localRuntimeId": "x", "newState": "Idle"}, seq=2)))
     second = decode(encode(Message("event", "", {"localRuntimeId": "x", "newState": "Execute"}, seq=3)))
     assert (first.seq, second.seq) == (2, 3)
+
+
+def _read_back(value):
+    """``value`` as ``decode(encode(...))`` gives it back: a high surrogate
+    directly followed by a low one is two escapes that read as one astral
+    character, as with ``json.dumps(ensure_ascii=True)``."""
+    if isinstance(value, str):
+        return value.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+    if isinstance(value, list):
+        return [_read_back(item) for item in value]
+    if isinstance(value, dict):
+        return {_read_back(key): _read_back(item) for key, item in value.items()}
+    return value
+
+
+def test_encode_writes_utf8_that_decodes_to_the_same_message():
+    rng = random.Random(19)
+    for _ in range(400):
+        payload = {_random_string(rng): _random_value(rng)}
+        line = encode(Message("write", _random_string(rng), payload))
+        line.encode("utf-8")  # strict: no lone surrogate is left raw
+        msg = decode(line)
+        assert msg.payload == _read_back(_decoded(payload))
+    # the escapes of a lone surrogate pair read back as one astral character
+    paired = encode(Message("write", "\ud83d\ude00", {"\udfff": "\ud800"}))
+    assert paired == '{"correlationId":"\\ud83d\\ude00","kind":"write","payload":{"\\udfff":"\\ud800"}}'
+    assert decode(paired).correlation_id == "\U0001f600"
 
 
 @pytest.mark.parametrize("seq", ["true", "false"])
@@ -164,12 +192,24 @@ def _hello_line(length: int) -> str:
     return line.replace('""}', '"' + "x" * (length - len(line)) + '"}')
 
 
-@pytest.mark.parametrize("transport", ["loopback", "tcp"])
-def test_over_long_line_yields_one_parse_error(transport, monkeypatch):
-    host, _ = make_host()
+@contextlib.contextmanager
+def _connected(transport: str, host: SkillHost):
+    """A client of ``host`` over ``transport``; the client and any server are
+    closed afterwards."""
     server = serve(host, ("127.0.0.1", 0)) if transport == "tcp" else None
     client = connect_tcp(("127.0.0.1", server.port)) if server else connect_loopback(host)
     try:
+        yield client
+    finally:
+        client.close()
+        if server:
+            server.close()
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_over_long_line_yields_one_parse_error(transport, monkeypatch):
+    host, _ = make_host()
+    with _connected(transport, host) as client:
         client.send_raw(_hello_line(protocol.MAX_LINE_BYTES))
         at_cap = client.next_stray()
         assert (at_cap.kind, at_cap.correlation_id) == ("result", "c-long")
@@ -179,10 +219,6 @@ def test_over_long_line_yields_one_parse_error(transport, monkeypatch):
         assert over.payload["code"] == "ParseError"
         assert_silent(client.next_stray, monkeypatch)
         assert client.hello()["version"] == "css/1"
-    finally:
-        client.close()
-        if server:
-            server.close()
 
 
 def test_invalid_utf8_line_yields_one_parse_error_over_tcp(monkeypatch):
@@ -562,17 +598,41 @@ def test_an_escaped_lone_surrogate_correlation_id_is_answered(transport):
     """JSON can escape a lone surrogate that UTF-8 cannot carry; the response
     escapes it again instead of failing to encode."""
     host, _ = make_host()
-    server = serve(host, ("127.0.0.1", 0)) if transport == "tcp" else None
-    client = connect_tcp(("127.0.0.1", server.port)) if server else connect_loopback(host)
-    try:
+    with _connected(transport, host) as client:
         client.send_raw('{"correlationId": "\\ud800", "kind": "hello", "payload": {}}')
         answer = client.next_stray()
         assert (answer.kind, answer.correlation_id) == ("result", "\ud800")
         assert client.hello()["version"] == "css/1"
-    finally:
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_closed_client_no_longer_commands_its_host(transport):
+    host, lrid = make_host()
+    with _connected(transport, host) as client:
+        client.hello()
         client.close()
-        if server:
-            server.close()
+        with pytest.raises(ConnectionLostError):
+            client.command(lrid, "Reset")
+        assert host.read_skill(lrid).state == "Stopped"
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_lone_surrogate_in_a_payload_is_answered_as_a_type_mismatch(
+    transport, monkeypatch
+):
+    """The request carries the surrogate as its JSON escape, so the server
+    reads it, and the same client goes on working."""
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
+    host, lrid = make_host()
+    with _connected(transport, host) as client:
+        client.hello()
+        started = time.monotonic()
+        with pytest.raises(RemoteError) as excinfo:
+            client.write(lrid, {"depth": "\ud800"})
+        assert excinfo.value.remote_code == "TypeMismatch"
+        assert time.monotonic() - started < 0.5
+        assert client._pending == {}
+        assert client.hello()["version"] == "css/1"
 
 
 def _scripted_session(client, lrid) -> list[str]:
