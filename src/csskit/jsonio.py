@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +25,20 @@ def dumps(value) -> str:
     out: list[str] = []
     _emit(value, out)
     return "".join(out)
+
+
+#: a code point UTF-8 cannot carry; ``dumps`` leaves it raw inside a JSON string
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def dumps_utf8(value) -> str:
+    """``dumps`` as text that encodes to valid UTF-8: each lone surrogate is
+    written as its ``\\uXXXX`` escape, so a high surrogate directly followed
+    by a low one reads back as one astral character."""
+    text = dumps(value)
+    if text.isascii():
+        return text
+    return _LONE_SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)
 
 
 def loads(text: str):

@@ -8,18 +8,26 @@ offers, at minimal total cost; the search is exact for any number of
 offers. Money and CO2 use exact decimal arithmetic; all bound comparisons
 are inclusive.
 
-A selection or an evaluation of several offers normalizes each requested
-key once, on first use, and matches every offer covering that key against
-that one normal form. Integer properties fold to plain ``int`` bounds, so
-their comparisons need no ``Fraction``.
+Evaluation and selection share one structural check per offer and one
+coverage decision per (offer, key); each requested key is normalized once, on
+first use. ``evaluate_offers`` matches every covered key of every offer.
+``select_offers`` matches lazily: it drops offers that break a tender
+criterion before it searches, branches over each key's offers in (unit price,
+offer id) order, skips an offer when one before it in that order was admitted
+with the same key mask (see ``_least_cost_cover``), and matches an offer only
+when the search first reaches it. So a
+hand-built offer whose expression cannot be matched raises only if the search
+reaches it; expressions read from documents were checked when they were
+parsed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
 from decimal import Decimal
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import NoFeasibleCombinationError, OfferExpiredError, UnknownCapKeyError
 from .expressions import normalize
@@ -120,34 +128,14 @@ def evaluate_offer(
 def evaluate_offers(
     request: ServiceRequest, offers, world: WorldModel
 ) -> Iterator[Admissibility]:
-    """``evaluate_offer`` of each offer in turn. Each requested key is
-    normalized once, on first use; a duplicated key keeps its first expression."""
-    required: dict[str, CapabilityExpression] = {}
-    for key, expression in request.required_capabilities:
-        required.setdefault(key, expression)
-    forms: dict[str, NormalForm] = {}
+    """``evaluate_offer`` of each offer in turn: every covered key is matched.
+    Each requested key is normalized once, on first use."""
+    coverage = _Coverage(request, world)
     for offer in offers:
-        if offer.request_id != request.request_id:
-            raise UnknownCapKeyError(
-                f"offer {offer.offer_id!r} answers request {offer.request_id!r}, "
-                f"not {request.request_id!r}"
-            )
-        for cap_key in offer.covered_cap_keys:
-            if cap_key not in required:
-                raise UnknownCapKeyError(f"request has no capability key {cap_key!r}")
-            if cap_key not in offer.provided_capabilities:
-                raise UnknownCapKeyError(
-                    f"offer {offer.offer_id!r} covers {cap_key!r} without a "
-                    "provided capability"
-                )
-
+        coverage.check(offer)
         violations: list[Violation] = []
         for cap_key in offer.covered_cap_keys:
-            if cap_key not in forms:
-                forms[cap_key] = normalize(required[cap_key], world)
-            degree = match_normal_form(
-                forms[cap_key], offer.provided_capabilities[cap_key], world
-            )
+            degree = coverage.degree(cap_key, offer)
             if degree not in COVERING_DEGREES:
                 violations.append(
                     Violation(
@@ -158,6 +146,51 @@ def evaluate_offers(
                 )
         violations += _tender_violations(request.tender, offer)
         yield Admissibility(admissible=not violations, violations=tuple(violations))
+
+
+class _Coverage:
+    """The capability side of one request, shared by evaluation and selection:
+    the structural check of an offer, and the match degree of one covered key.
+    A duplicated requested key keeps its first expression, and each requested
+    key is normalized once, on first use."""
+
+    def __init__(self, request: ServiceRequest, world: WorldModel):
+        self._request_id = request.request_id
+        self._required: dict[str, CapabilityExpression] = {}
+        for key, expression in request.required_capabilities:
+            self._required.setdefault(key, expression)
+        self._forms: dict[str, NormalForm] = {}
+        self._world = world
+
+    def check(self, offer: ServiceOffer) -> None:
+        """Raise ``UnknownCapKeyError`` unless the offer answers this request
+        and provides a capability for each covered key the request names."""
+        if offer.request_id != self._request_id:
+            raise UnknownCapKeyError(
+                f"offer {offer.offer_id!r} answers request {offer.request_id!r}, "
+                f"not {self._request_id!r}"
+            )
+        for cap_key in offer.covered_cap_keys:
+            if cap_key not in self._required:
+                raise UnknownCapKeyError(f"request has no capability key {cap_key!r}")
+            if cap_key not in offer.provided_capabilities:
+                raise UnknownCapKeyError(
+                    f"offer {offer.offer_id!r} covers {cap_key!r} without a "
+                    "provided capability"
+                )
+
+    def degree(self, cap_key: str, offer: ServiceOffer) -> MatchDegree:
+        form = self._forms.get(cap_key)
+        if form is None:
+            form = self._forms[cap_key] = normalize(self._required[cap_key], self._world)
+        return match_normal_form(form, offer.provided_capabilities[cap_key], self._world)
+
+    def covers(self, offer: ServiceOffer) -> bool:
+        """Every covered key matches EXACT or PLUGIN; stops at the first that does not."""
+        return all(
+            self.degree(cap_key, offer) in COVERING_DEGREES
+            for cap_key in offer.covered_cap_keys
+        )
 
 
 def _tender_violations(tender: TenderCriteria, offer: ServiceOffer) -> list[Violation]:
@@ -207,23 +240,32 @@ def select_offers(
 ) -> Award:
     """Cost-minimal covering combination of admissible, unexpired offers.
 
-    The search is exact for any number of offers. It prunes on cost, so unit
-    prices must be non-negative (offer documents reject negative ones). Cost
-    ties break toward the lexicographically smallest sorted offer-id tuple;
-    the award lists its offers in offer-id order.
+    Every unexpired offer is checked for structure (``UnknownCapKeyError``)
+    and against the tender criteria first; an offer that breaks a criterion is
+    never matched. The search is exact for any number of offers, and matches
+    an offer's capabilities only when it first reaches that offer (see
+    ``_least_cost_cover``), so an expression that cannot be matched raises only
+    if the search reaches it. It prunes on cost, so unit prices must be
+    non-negative (offer documents reject negative ones). Cost ties break
+    toward the lexicographically smallest sorted offer-id tuple, and offers
+    that share an id toward the one given first; the award lists its offers
+    in offer-id order.
     """
     live = [
         offer
         for offer in sorted(offers, key=lambda o: o.offer_id)
         if offer.valid_until is None or offer.valid_until >= now
     ]
-    evaluated = zip(live, evaluate_offers(request, live, world))
-    candidates = [offer for offer, result in evaluated if result.admissible]
+    coverage = _Coverage(request, world)
+    for offer in live:
+        coverage.check(offer)
     keys = sorted(set(request.cap_keys()))
     if not keys:
         raise NoFeasibleCombinationError("request has no capability keys")
-
-    chosen = _least_cost_cover(keys, candidates)
+    candidates = [
+        offer for offer in live if not _tender_violations(request.tender, offer)
+    ]
+    chosen = _least_cost_cover(keys, candidates, coverage.covers)
     if chosen is None:
         raise NoFeasibleCombinationError(
             f"no admissible combination covers {keys}"
@@ -240,46 +282,73 @@ def select_offers(
 
 
 def _least_cost_cover(
-    keys: list[str], candidates: list[ServiceOffer]
+    keys: list[str],
+    candidates: list[ServiceOffer],
+    covers: Callable[[ServiceOffer], bool],
 ) -> tuple[ServiceOffer, ...] | None:
-    """Least-cost exact cover of ``keys`` (Knuth's Algorithm X with a cost
-    bound): branch on the lowest uncovered key, over the offers covering it
-    that overlap no covered key and reuse no exclusive group."""
+    """Least (cost, sorted ids, input position) exact cover of ``keys`` by
+    candidates, given in offer-id order, that ``covers`` admits.
+
+    A branch and bound over Knuth's Algorithm X: branch on the lowest
+    uncovered key, over the offers covering it in (unit price, offer id)
+    order, and stop at the first whose price takes the cost above the best
+    cover found (strictly, so equal-cost covers still reach the tie-break).
+    Skip an offer that overlaps a covered key, reuses an exclusive group, or
+    is dominated: an earlier offer at the same node was admitted and has the
+    same key mask and no group or the same group. Swapping the dominated offer
+    for that one gives a cover no dearer whose sorted ids and positions are
+    smaller, so no least cover is lost. A group only one candidate carries
+    excludes nothing and counts as no group. ``covers`` is asked once per
+    offer, when the search first reaches it.
+    """
     bit = {key: 1 << i for i, key in enumerate(keys)}
     full = (1 << len(keys)) - 1
-    covering: list[list[tuple[ServiceOffer, int]]] = [[] for _ in keys]
-    for offer in candidates:
+    carriers = Counter(offer.exclusive_group for offer in candidates)
+    covering: list[list[tuple[Decimal, str, int, int, str | None]]] = [[] for _ in keys]
+    for position, offer in enumerate(candidates):
         mask = 0
         for key in offer.covered_cap_keys:
             mask |= bit[key]
+        group = offer.exclusive_group if carriers[offer.exclusive_group] > 1 else None
+        entry = (offer.unit_price, offer.offer_id, position, mask, group)
         for i in range(len(keys)):
             if mask >> i & 1:
-                covering[i].append((offer, mask))
-    best: tuple[Decimal, tuple[str, ...], tuple[ServiceOffer, ...]] | None = None
+                covering[i].append(entry)
+    for branches in covering:
+        branches.sort()  # positions are distinct, so masks and groups are never compared
+    admitted: dict[int, bool] = {}
+    best: tuple[Decimal, tuple[str, ...], list[int]] | None = None
 
     def walk(covered: int, groups: frozenset[str], cost: Decimal,
-             chosen: list[ServiceOffer]) -> None:
+             chosen: list[int]) -> None:
         nonlocal best
-        if best is not None and cost > best[0]:
-            return  # strict, so equal-cost covers still reach the tie-break
         if covered == full:
-            picked = tuple(sorted(chosen, key=lambda o: o.offer_id))
-            ids = tuple(offer.offer_id for offer in picked)
-            if best is None or (cost, ids) < best[:2]:
+            picked = sorted(chosen)
+            ids = tuple(candidates[position].offer_id for position in picked)
+            if best is None or (cost, ids, picked) < best:
                 best = (cost, ids, picked)
             return
         lowest = (~covered & (covered + 1)).bit_length() - 1
-        for offer, mask in covering[lowest]:
-            group = offer.exclusive_group
+        siblings: set[tuple[int, str | None]] = set()  # admitted (mask, group)
+        for price, _, position, mask, group in covering[lowest]:
+            if best is not None and cost + price > best[0]:
+                break
             if mask & covered or group in groups:
                 continue
-            chosen.append(offer)
+            if (mask, None) in siblings or (mask, group) in siblings:
+                continue
+            if position not in admitted:
+                admitted[position] = covers(candidates[position])
+            if not admitted[position]:
+                continue
+            siblings.add((mask, group))
+            chosen.append(position)
             walk(covered | mask, (groups | {group}) if group else groups,
-                 cost + offer.unit_price, chosen)
+                 cost + price, chosen)
             chosen.pop()
 
     walk(0, frozenset(), Decimal(0), [])
-    return None if best is None else best[2]
+    return None if best is None else tuple(candidates[p] for p in best[2])
 
 
 def form_contract(award: Award, accepted_at: datetime) -> Contract:

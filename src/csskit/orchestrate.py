@@ -440,9 +440,10 @@ def _await_state(
 
 
 def trace_to_lines(trace: ExecutionTrace) -> list[str]:
-    """One wire-format object per record, in order."""
+    """One wire-format object per record, in order, each valid UTF-8 (see
+    ``jsonio.dumps_utf8``)."""
     return [
-        jsonio.dumps(
+        jsonio.dumps_utf8(
             {
                 "timestamp": record.timestamp,
                 "stepId": record.step_id,

@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import queue
-import re
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -74,10 +73,6 @@ class Message:
     seq: int | None = None
 
 
-#: a code point UTF-8 cannot carry; jsonio leaves it raw inside a JSON string
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def encode(msg: Message) -> str:
     """One message as a single JSON line (without the trailing LF) that is
     valid UTF-8: each lone surrogate is written as its ``\\uXXXX`` escape."""
@@ -88,10 +83,7 @@ def encode(msg: Message) -> str:
     }
     if msg.seq is not None:
         obj["seq"] = msg.seq
-    line = jsonio.dumps(obj)
-    if line.isascii():
-        return line
-    return _LONE_SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", line)
+    return jsonio.dumps_utf8(obj)
 
 
 def decode(line: str) -> Message:
@@ -483,8 +475,14 @@ class SkillClient:
         self._events.put(None)
 
     def send_raw(self, line: str) -> None:
-        """Ship an arbitrary line (for protocol-level tests)."""
-        self._send_line(line)
+        """Ship an arbitrary line (for protocol-level tests). Like ``invoke``,
+        it raises ``ConnectionLostError`` once the client is closed or lost."""
+        if self._lost is not None:
+            raise ConnectionLostError(self._lost)
+        try:
+            self._send_line(line)
+        except OSError as exc:
+            raise ConnectionLostError(str(exc)) from exc
 
     def close(self) -> None:
         """End this client on either transport: its connection is lost, so

@@ -147,6 +147,19 @@ def exec_world_doc() -> dict:
     }
 
 
+def lone_surrogate_world_doc() -> dict:
+    """``exec_world_doc`` whose drill step also sets the enum property
+    ``material`` to a lone surrogate, an input of both drill skills."""
+    doc = exec_world_doc()
+    doc["properties"][3]["enumValues"].append("\ud800")
+    for resource in doc["resources"][:2]:
+        resource["skills"][0]["parameters"].append(
+            {"paramId": "material", "direction": "input", "datatype": "enum"}
+        )
+    doc["products"][0]["steps"][0]["parameterValues"]["material"] = "\ud800"
+    return doc
+
+
 @pytest.fixture
 def exec_world() -> WorldModel:
     return build_world([exec_world_doc()])

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import exec_world_doc
+from conftest import exec_world_doc, lone_surrogate_world_doc
 
 from csskit import jsonio
 from csskit.cli import run
@@ -187,6 +187,45 @@ def test_run_executes_over_tcp(tmp_path, world_file, product_file, capsys):
     assert [r["kind"] for r in records].count("outputRead") == 2
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_run_prints_a_lone_surrogate_as_its_escape(tmp_path, capsys, to_file):
+    """A trace line holding a lone surrogate is written as valid UTF-8, to
+    ``--out`` and to stdout alike, and reads back as the same value."""
+    from csskit.documents import build_world
+
+    def write_escaped(name, doc):  # as JSON escapes: UTF-8 cannot carry the surrogate
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(doc).replace("\ud800", "\\ud800"), encoding="utf-8")
+        return str(path)
+
+    doc = lone_surrogate_world_doc()
+    world_file = write_escaped("world.json", doc)
+    product_file = write_escaped(
+        "product.json", {"schema": "css.product/1", **doc["products"][0]}
+    )
+    world = build_world([doc])
+    servers = [serve(build_resource_host(world, r.id), ("127.0.0.1", 0))
+               for r in world.resources]
+    endpoints = {r.id: f"127.0.0.1:{s.port}" for r, s in zip(world.resources, servers)}
+    endpoints_file = _write(
+        tmp_path, "endpoints.json", {"schema": "css.endpoints/1", "endpoints": endpoints}
+    )
+    out_file = tmp_path / "trace.lines"
+    try:
+        code = run([
+            "run", "--product", product_file, "--world", world_file,
+            "--endpoints", endpoints_file, *(["--out", str(out_file)] if to_file else []),
+        ])
+    finally:
+        for server in servers:
+            server.close()
+    assert code == 0
+    text = out_file.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+    records = [jsonio.loads(line) for line in text.strip().splitlines()]
+    written = [r["detail"]["values"] for r in records if r["kind"] == "paramWrite"]
+    assert {"depth": 12, "material": "\ud800"} in written
+
+
 def test_run_unreachable_endpoint_exit_three(tmp_path, world_file, product_file):
     endpoints_file = _write(
         tmp_path, "endpoints.json",
@@ -285,8 +324,10 @@ def test_market_eval_normalizes_no_more_than_select(tmp_path, world_file, capsys
         counts[command] = dict(calls)
         if command == "eval":
             assert len(capsys.readouterr().out.splitlines()) == 6
-    # one normal form per requested key, one per covered key of each offer
-    assert counts["eval"] == counts["select"] == {"csskit.market": 1, "csskit.matching": 6}
+    # one normal form per requested key; eval matches the covered key of each
+    # offer, select only off-0's: the other five share its key mask and group
+    assert counts["eval"] == {"csskit.market": 1, "csskit.matching": 6}
+    assert counts["select"] == {"csskit.market": 1, "csskit.matching": 1}
 
 
 def test_market_select_no_combination_exit_one(tmp_path, world_file, capsys):

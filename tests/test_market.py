@@ -12,6 +12,7 @@ from csskit.errors import (
     NoFeasibleCombinationError,
     OfferExpiredError,
     UnknownCapKeyError,
+    UnknownPropertyError,
 )
 from csskit.expressions import Atom, CapabilityExpression, parse_expression
 from csskit.market import (
@@ -28,7 +29,7 @@ from csskit.market import (
 )
 from csskit import market
 from csskit.expressions import normalize
-from csskit.matching import MatchDegree, match_capabilities
+from csskit.matching import MatchDegree, match_capabilities, match_normal_form
 
 
 def ts(text: str) -> datetime:
@@ -534,3 +535,206 @@ def test_offer_evaluation_equals_match_capabilities_per_offer(base_world):
         else:
             assert select_offers(request, offers, NOW, base_world).total_cost == least
     assert degrees == set(MatchDegree)
+
+
+# --- equal prices: bounded search, tie-break and lazy matching ---------------------
+
+#: builds a family of 16 keys, each covered by 4 single-key offers at one price,
+#: times one selection and prints its offer ids and seconds
+_FAMILY_SCRIPT = """
+import sys, time
+from datetime import datetime, timezone
+from decimal import Decimal
+from csskit.expressions import CapabilityExpression
+from csskit.market import ServiceOffer, ServiceRequest, TenderCriteria, select_offers
+from csskit.model import WorldModel
+from csskit.taxonomy import Taxonomy, TaxonomyClass
+
+grouped = sys.argv[1] == "grouped"
+now = datetime(2026, 8, 10, tzinfo=timezone.utc)
+world = WorldModel(taxonomy=Taxonomy(classes=(TaxonomyClass("Drilling", None, "Drilling"),)),
+                   property_defs=())
+need = CapabilityExpression("Drilling", ())
+keys = [f"k{i:02d}" for i in range(16)]
+request = ServiceRequest(
+    request_id="req-f",
+    required_capabilities=tuple((key, need) for key in keys),
+    tender=TenderCriteria(quantity=1, max_unit_price=Decimal(10),
+                          max_co2_per_unit=Decimal(10), delivery_deadline=now),
+    submitted_at=now, response_deadline=now,
+)
+offers = [
+    ServiceOffer(
+        offer_id=f"o-{key}-{j}", provider_id="p", request_id="req-f",
+        covered_cap_keys=(key,), provided_capabilities={key: need},
+        unit_price=Decimal(3), co2_per_unit=Decimal(1), delivery_date=now,
+        exclusive_group=f"g-{key}-{j}" if grouped else None,
+    )
+    for key in keys for j in (3, 1, 0, 2)
+]
+started = time.perf_counter()
+award = select_offers(request, offers, now, world)
+elapsed = time.perf_counter() - started
+print(" ".join(award.offer_ids()), award.total_cost, elapsed)
+"""
+
+
+@pytest.mark.parametrize("family", ["plain", "grouped"])
+def test_equal_price_offers_are_selected_in_bounded_time(family):
+    """16 keys x 4 equal-price single-key offers, without groups and with every
+    offer in its own exclusive group: the search must not try all 4^16 covers.
+    It runs in a child process, so a search that does not end fails the test."""
+    import os
+    import subprocess
+    import sys
+
+    import csskit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(csskit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _FAMILY_SCRIPT, family],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("selection over 64 equal-price offers did not end within 60 s")
+    assert done.returncode == 0, done.stderr
+    *ids, total, seconds = done.stdout.split()
+    assert ids == [f"o-k{i:02d}-0" for i in range(16)]
+    assert Decimal(total) == 48
+    assert float(seconds) < 1.0  # a few milliseconds here; 1 s leaves >= 10x
+
+
+def _tie_instance(base_world, rng: random.Random):
+    """Prices from two or three values, shared and singleton groups, and some
+    non-covering, expired and tender-failing offers, plus one copy of an offer
+    under the same id."""
+    needs = {}
+    for i in range(rng.randint(1, 4)):
+        low = rng.randint(1, 80)
+        needs[f"k{i}"] = (rng.choice(sorted(_PROPERTY)), low, low + rng.randint(1, 19))
+    request = ServiceRequest(
+        request_id="req-t",
+        required_capabilities=tuple((k, _window(n[0], *n)) for k, n in needs.items()),
+        tender=TenderCriteria(
+            quantity=rng.randint(1, 3),
+            max_unit_price=Decimal(20),
+            max_co2_per_unit=Decimal(5),
+            delivery_deadline=ts("2026-09-01T00:00:00"),
+        ),
+        submitted_at=ts("2026-08-01T00:00:00"),
+        response_deadline=ts("2026-08-20T00:00:00"),
+    )
+    prices = rng.sample(["2", "3", "3.5", "4"], rng.randint(2, 3))
+    offers = []
+    for i in range(rng.randint(2, 9)):
+        covered = tuple(rng.sample(sorted(needs), rng.randint(1, len(needs))))
+        provided = {
+            k: _window(needs[k][0], *needs[k]) if rng.random() < 0.85
+            else _provided(rng, needs[k])
+            for k in covered
+        }
+        offers.append(ServiceOffer(
+            offer_id=f"o-{rng.randint(0, 99):02d}-{i}",
+            provider_id="p",
+            request_id="req-t",
+            covered_cap_keys=covered,
+            provided_capabilities=provided,
+            unit_price=Decimal(rng.choice(prices)),
+            co2_per_unit=Decimal(9) if rng.random() < 0.1 else Decimal(1),
+            delivery_date=ts("2026-08-25T00:00:00"),
+            valid_until=ts("2026-08-05T00:00:00") if rng.random() < 0.1
+            else ts("2026-08-30T00:00:00"),
+            exclusive_group=rng.choice([None, None, "g1", "g2", f"solo-{i}"]),
+        ))
+    twin = replace(
+        rng.choice(offers),
+        unit_price=Decimal(rng.choice(prices)),
+        exclusive_group=rng.choice([None, "g1", "solo-twin"]),
+    )
+    offers.insert(rng.randint(0, len(offers)), twin)
+    return request, offers
+
+
+def _least_covers(request, offers, now, world):
+    """Every exact cover by admissible, unexpired offers, least (cost, sorted
+    ids) first; offers sharing an id count in the order they were given."""
+    live = [o for o in sorted(offers, key=lambda o: o.offer_id) if o.valid_until >= now]
+    admissible = [o for o in live if evaluate_offer(request, o, world).admissible]
+    keys = sorted(set(request.cap_keys()))
+    covers = []
+    for r in range(1, len(admissible) + 1):
+        for subset in itertools.combinations(admissible, r):
+            covered = [k for o in subset for k in o.covered_cap_keys]
+            groups = [o.exclusive_group for o in subset if o.exclusive_group]
+            if sorted(covered) == keys and len(set(groups)) == len(groups):
+                cost = Decimal(request.tender.quantity) * sum(
+                    (o.unit_price for o in subset), Decimal(0)
+                )
+                covers.append((cost, tuple(o.offer_id for o in subset), subset))
+    return sorted(covers, key=lambda cover: cover[:2])  # stable: earlier offers win
+
+
+def test_selection_equals_exhaustive_least_cover_with_tied_prices(base_world):
+    rng = random.Random(2610)
+    solved = tied = 0
+    for _ in range(300):
+        request, offers = _tie_instance(base_world, rng)
+        covers = _least_covers(request, offers, NOW, base_world)
+        if not covers:
+            with pytest.raises(NoFeasibleCombinationError):
+                select_offers(request, offers, NOW, base_world)
+            continue
+        cost, ids, subset = covers[0]
+        award = select_offers(request, offers, NOW, base_world)
+        assert award.offer_ids() == ids
+        assert award.total_cost == cost
+        assert len(award.selected_offers) == len(subset)
+        assert all(a is b for a, b in zip(award.selected_offers, subset))
+        solved += 1
+        tied += len(covers) > 1 and covers[1][0] == cost
+    assert solved >= 100 and tied >= 30
+
+
+def test_selection_matches_only_offers_its_search_reaches(
+    base_world, request_two_caps, monkeypatch
+):
+    matched = []
+
+    def counted(required_nf, provided, world):
+        matched.append(provided)
+        return match_normal_form(required_nf, provided, world)
+
+    monkeypatch.setattr(market, "match_normal_form", counted)
+    dirty = make_offer(base_world, "T", ("cap-drill",), "1.0", co2_per_unit=Decimal("9"))
+    drill = make_offer(base_world, "A", ("cap-drill",), "2.0")
+    screw = make_offer(base_world, "B", ("cap-screw",), "2.0")
+    both = make_offer(base_world, "C", ("cap-drill", "cap-screw"), "5.0")
+    offers = [dirty, drill, screw, both]
+    award = select_offers(request_two_caps, offers, NOW, base_world)
+    assert award.offer_ids() == ("A", "B")
+    # T fails the CO2 bound and C costs more than the cover A + B
+    assert matched == [drill.provided_capabilities["cap-drill"],
+                       screw.provided_capabilities["cap-screw"]]
+    matched.clear()
+    list(evaluate_offers(request_two_caps, offers, base_world))
+    assert len(matched) == 5  # every covered key of every offer
+
+
+def test_a_bad_offer_expression_raises_only_where_selection_reaches_it(
+    base_world, request_two_caps
+):
+    broken = make_offer(base_world, "C", ("cap-drill", "cap-screw"), "5.0")
+    unknown = CapabilityExpression("Drilling", (Atom("nosuch", "<=", 3, None),))
+    broken = replace(broken, provided_capabilities={
+        **broken.provided_capabilities, "cap-drill": unknown})
+    drill = make_offer(base_world, "A", ("cap-drill",), "2.0")
+    screw = make_offer(base_world, "B", ("cap-screw",), "2.0")
+    award = select_offers(request_two_caps, [broken, drill, screw], NOW, base_world)
+    assert award.offer_ids() == ("A", "B")  # C costs more than A + B
+    with pytest.raises(UnknownPropertyError):
+        select_offers(request_two_caps, [broken, screw], NOW, base_world)
+    with pytest.raises(UnknownPropertyError):
+        list(evaluate_offers(request_two_caps, [broken, drill, screw], base_world))

@@ -39,7 +39,12 @@ from csskit.orchestrate import (
 from csskit.protocol import connect_loopback, connect_tcp, serve
 from csskit.skills import FeasibilityResult, SkillFault
 
-from conftest import _drill_skill, evaluate_expression, exec_world_doc
+from conftest import (
+    _drill_skill,
+    evaluate_expression,
+    exec_world_doc,
+    lone_surrogate_world_doc,
+)
 
 SUCCESS_SEQUENCE = (
     "Resetting", "Idle", "Starting", "Execute", "Completing", "Complete",
@@ -642,17 +647,11 @@ def _tcp_connections(world):
 
 
 def test_a_lone_surrogate_step_value_runs_alike_over_both_transports(monkeypatch):
-    """An enum value may hold a lone surrogate; each request carries it as its
-    JSON escape, so the run completes over loopback and TCP alike."""
+    """An enum value may hold a lone surrogate; each request and each trace
+    line carries it as its JSON escape, so the run completes over loopback and
+    TCP alike."""
     monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
-    doc = exec_world_doc()
-    doc["properties"][3]["enumValues"].append("\ud800")
-    for resource in doc["resources"][:2]:
-        resource["skills"][0]["parameters"].append(
-            {"paramId": "material", "direction": "input", "datatype": "enum"}
-        )
-    doc["products"][0]["steps"][0]["parameterValues"]["material"] = "\ud800"
-    world = build_world([doc])
+    world = build_world([lone_surrogate_world_doc()])
     production_plan = plan(world.product("prod-bracket"), world)
     traces = []
     for connect in (_loopback_connections, _tcp_connections):
@@ -664,7 +663,7 @@ def test_a_lone_surrogate_step_value_runs_alike_over_both_transports(monkeypatch
                 close()
     loopback, tcp = traces
     assert not any('"kind":"error"' in line for line in loopback)
-    assert '"values":{"depth":12,"material":"\ud800"}' in "\n".join(loopback)
+    assert '"values":{"depth":12,"material":"\\ud800"}' in "\n".join(loopback)
     assert loopback == tcp
 
 

@@ -613,6 +613,10 @@ def test_a_closed_client_no_longer_commands_its_host(transport):
         client.close()
         with pytest.raises(ConnectionLostError):
             client.command(lrid, "Reset")
+        with pytest.raises(ConnectionLostError):
+            client.send_raw(encode(Message(
+                "command", "c-raw", {"localRuntimeId": lrid, "command": "Reset"}
+            )))
         assert host.read_skill(lrid).state == "Stopped"
 
 
