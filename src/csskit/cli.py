@@ -27,6 +27,7 @@ from .errors import (
     DocumentInvalidError,
     ExpressionSyntaxError,
     ParseError,
+    RemoteError,
     StepFailedNoAlternativeError,
     TimeoutError,
     TypeMismatchError,
@@ -40,7 +41,7 @@ from .market import evaluate_offers, form_contract, select_offers
 from .matching import MatchDegree, match_capabilities
 from .model import validate_model
 from .orchestrate import execute_plan, plan, trace_to_lines
-from .protocol import connect_tcp, serve
+from .protocol import SkillClient, connect_tcp, serve
 from .values import format_literal, format_timestamp, parse_timestamp
 
 _USAGE_ERRORS = (
@@ -71,16 +72,16 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        _say(f"error: {exc.message}", file=sys.stderr)
         return 2
     except _IO_ERRORS as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        _say(f"error: {exc.message}", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", file=sys.stderr)
         return 3
     except CssError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        _say(f"error: {exc.message}", file=sys.stderr)
         return 1
 
 
@@ -141,6 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(line, file=None) -> None:
+    """Print one output line as text that encodes to valid UTF-8: a dict as
+    its ``jsonio.dumps_utf8`` line, a text line with each lone surrogate
+    escaped as ``dumps_utf8`` escapes it."""
+    text = jsonio.dumps_utf8(line) if isinstance(line, dict) else jsonio.escape_surrogates(line)
+    print(text, file=file)
+
+
 def _read(path, reader, *args):
     """``reader(document, *args)`` of the document at ``path``. A document
     fault is re-raised with the path in front of its message."""
@@ -159,11 +168,11 @@ def _cmd_validate(args) -> int:
     world = build_world([_read(path, lambda doc: doc) for path in args.files])
     report = validate_model(world)
     for issue in report.issues:
-        print(f"{issue.severity}: {issue.path}: {issue.message}")
+        _say(f"{issue.severity}: {issue.path}: {issue.message}")
     if report.ok:
-        print(f"ok: {len(report.issues)} issue(s), none are errors", file=sys.stderr)
+        _say(f"ok: {len(report.issues)} issue(s), none are errors", file=sys.stderr)
         return 0
-    print(f"invalid: {len(report.errors())} error(s)", file=sys.stderr)
+    _say(f"invalid: {len(report.errors())} error(s)", file=sys.stderr)
     return 1
 
 
@@ -175,31 +184,29 @@ def _cmd_match(args) -> int:
     witness = result.witness  # derived from per_property on each read
 
     if args.format == "lines":
-        print(
-            jsonio.dumps(
-                {
-                    "degree": result.degree.value,
-                    "witness": witness,
-                    "perProperty": {
-                        property_id: {
-                            "required": format_feasible_set(comparison.required),
-                            "provided": format_feasible_set(comparison.provided),
-                            "intersection": format_feasible_set(comparison.intersection),
-                        }
-                        for property_id, comparison in sorted(result.per_property.items())
-                    },
-                }
-            )
+        _say(
+            {
+                "degree": result.degree.value,
+                "witness": witness,
+                "perProperty": {
+                    property_id: {
+                        "required": format_feasible_set(comparison.required),
+                        "provided": format_feasible_set(comparison.provided),
+                        "intersection": format_feasible_set(comparison.intersection),
+                    }
+                    for property_id, comparison in sorted(result.per_property.items())
+                },
+            }
         )
     else:
-        print(f"degree: {result.degree.value}")
+        _say(f"degree: {result.degree.value}")
         if witness is not None:
             rendered = ", ".join(
                 f"{k} = {format_literal(v)}" for k, v in sorted(witness.items())
             )
-            print(f"witness: {rendered if rendered else '(unconstrained)'}")
+            _say(f"witness: {rendered if rendered else '(unconstrained)'}")
         for property_id, comparison in sorted(result.per_property.items()):
-            print(
+            _say(
                 f"property {property_id}: "
                 f"required={format_feasible_set(comparison.required)} "
                 f"provided={format_feasible_set(comparison.provided)} "
@@ -214,24 +221,22 @@ def _cmd_plan(args) -> int:
     production_plan = plan(product, world)
     for entry in production_plan.entries:
         if args.format == "lines":
-            print(
-                jsonio.dumps(
-                    {
-                        "stepId": entry.step_id,
-                        "resourceId": entry.resource_id,
-                        "capabilityId": entry.capability_id,
-                        "skillId": entry.skill_id,
-                        "degree": entry.match_degree.value,
-                        "parameters": entry.parameter_assignment,
-                    }
-                )
+            _say(
+                {
+                    "stepId": entry.step_id,
+                    "resourceId": entry.resource_id,
+                    "capabilityId": entry.capability_id,
+                    "skillId": entry.skill_id,
+                    "degree": entry.match_degree.value,
+                    "parameters": entry.parameter_assignment,
+                }
             )
         else:
             rendered = ", ".join(
                 f"{k}={format_literal(v)}"
                 for k, v in sorted(entry.parameter_assignment.items())
             )
-            print(
+            _say(
                 f"{entry.step_id}: {entry.resource_id}/{entry.skill_id} "
                 f"({entry.match_degree.value}) {rendered}"
             )
@@ -243,11 +248,11 @@ def _cmd_serve(args) -> int:
     report = validate_model(world)
     if not report.ok:
         for issue in report.errors():
-            print(f"error: {issue.path}: {issue.message}", file=sys.stderr)
+            _say(f"error: {issue.path}: {issue.message}", file=sys.stderr)
         return 1
     host = build_resource_host(world, args.resource)
     server = serve(host, ("127.0.0.1", args.port))
-    print(
+    _say(
         f"serving resource {args.resource} on port {server.port} "
         f"({len(host.local_runtime_ids())} skill(s))",
         file=sys.stderr,
@@ -267,19 +272,17 @@ def _cmd_run(args) -> int:
     endpoints = _read(args.endpoints, endpoints_from_doc)
     production_plan = plan(product, world)
 
-    needed = {entry.resource_id for entry in production_plan.entries}
-    for entry in production_plan.entries:
-        needed.update(alt.resource_id for alt in entry.alternates)
-    missing = sorted(r for r in needed if r not in endpoints)
+    primaries = sorted({entry.resource_id for entry in production_plan.entries})
+    missing = [r for r in primaries if r not in endpoints]
     if missing:
         raise DocumentInvalidError(f"endpoints file misses resources {missing}")
 
-    connections = {}
+    connections = _Connections(endpoints)
     try:
-        for resource_id in sorted(needed):
+        for resource_id in primaries:
             client = connect_tcp(endpoints[resource_id])
-            client.hello()
             connections[resource_id] = client
+            client.hello()
         code = 0
         try:
             trace = execute_plan(
@@ -287,18 +290,42 @@ def _cmd_run(args) -> int:
             )
         except StepFailedNoAlternativeError as exc:
             trace = exc.trace
-            print(f"error: {exc.message}", file=sys.stderr)
+            _say(f"error: {exc.message}", file=sys.stderr)
             code = 1
         lines = "\n".join(trace_to_lines(trace))
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(lines + "\n")
         else:
-            print(lines)
+            _say(lines)
         return code
     finally:
         for client in connections.values():
             client.close()
+
+
+class _Connections(dict):
+    """Resource id -> hello'd TCP client. A primary's client is connected
+    before the run; any other resource's when an attempt first needs it. A
+    resource without an endpoint, or whose connect or ``hello`` fails then,
+    gets a client that has lost its connection, so the attempt records one
+    ``ConnectionLost`` error and the run fails over."""
+
+    def __init__(self, endpoints):
+        super().__init__()
+        self._endpoints = endpoints
+
+    def __missing__(self, resource_id):
+        client = SkillClient(send_line=None)
+        try:
+            if resource_id not in self._endpoints:
+                raise ConnectionLostError(f"no endpoint for resource {resource_id!r}")
+            client = connect_tcp(self._endpoints[resource_id])
+            client.hello()
+        except (ConnectionLostError, RemoteError, TimeoutError) as exc:
+            client.connection_lost(exc.message)  # the run closes it with the others
+        self[resource_id] = client
+        return client
 
 
 def _load_market_inputs(args):
@@ -312,17 +339,15 @@ def _load_market_inputs(args):
 def _cmd_market_eval(args) -> int:
     world, request, offers, _ = _load_market_inputs(args)
     for offer, admissibility in zip(offers, evaluate_offers(request, offers, world)):
-        print(
-            jsonio.dumps(
-                {
-                    "offerId": offer.offer_id,
-                    "admissible": admissibility.admissible,
-                    "violations": [
-                        {"criterion": v.criterion, "detail": v.detail}
-                        for v in admissibility.violations
-                    ],
-                }
-            )
+        _say(
+            {
+                "offerId": offer.offer_id,
+                "admissible": admissibility.admissible,
+                "violations": [
+                    {"criterion": v.criterion, "detail": v.detail}
+                    for v in admissibility.violations
+                ],
+            }
         )
     return 0
 
@@ -330,16 +355,14 @@ def _cmd_market_eval(args) -> int:
 def _cmd_market_select(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
     award = select_offers(request, offers, now, world)
-    print(
-        jsonio.dumps(
-            {
-                "requestId": award.request_id,
-                "selectedOfferIds": list(award.offer_ids()),
-                "totalCost": award.total_cost,
-                "strategy": award.strategy,
-                "quantityAllocation": award.quantity_allocation,
-            }
-        )
+    _say(
+        {
+            "requestId": award.request_id,
+            "selectedOfferIds": list(award.offer_ids()),
+            "totalCost": award.total_cost,
+            "strategy": award.strategy,
+            "quantityAllocation": award.quantity_allocation,
+        }
     )
     return 0
 
@@ -348,7 +371,7 @@ def _cmd_market_accept(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
     award = select_offers(request, offers, now, world)
     contract = form_contract(award, accepted_at=now)
-    rendered = jsonio.dumps(
+    rendered = jsonio.dumps_utf8(
         {
             "contractId": contract.contract_id,
             "requestId": contract.request_id,
@@ -361,7 +384,7 @@ def _cmd_market_accept(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
     else:
-        print(rendered)
+        _say(rendered)
     return 0
 
 

@@ -32,10 +32,15 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def dumps_utf8(value) -> str:
-    """``dumps`` as text that encodes to valid UTF-8: each lone surrogate is
-    written as its ``\\uXXXX`` escape, so a high surrogate directly followed
-    by a low one reads back as one astral character."""
-    text = dumps(value)
+    """``dumps`` as text that encodes to valid UTF-8 (see ``escape_surrogates``),
+    so a high surrogate directly followed by a low one reads back as one
+    astral character."""
+    return escape_surrogates(dumps(value))
+
+
+def escape_surrogates(text: str) -> str:
+    """``text`` with each lone surrogate written as its ``\\uXXXX`` escape, so
+    it encodes to valid UTF-8."""
     if text.isascii():
         return text
     return _LONE_SURROGATE.sub(lambda m: f"\\u{ord(m.group()):04x}", text)

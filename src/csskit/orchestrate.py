@@ -1,18 +1,22 @@
 """Plan product steps onto resources and execute them over protocol clients.
 
-Planning ranks each step's candidates with the matcher and keeps every one
-that qualifies. The matcher ranks the world's class groups and decides each
-group's class relation once; planning decides none. Each step folds its real
-values to ``Fraction`` once for the envelope test, and binds every candidate
-through ``bind_parameters`` with one conversion table, so each value is
-converted once per (property, input unit, input datatype). A candidate's
-skill is ``WorldModel.skill_implementing``, and step values bind to its
-inputs by ``model.bound_input``.
+Planning ranks each step's candidates with the matcher and keeps the
+ranking (``StepCandidates``). The matcher ranks the world's class groups and
+decides each group's class relation once; planning decides none. One
+function, ``StepCandidates.qualify``, decides whether a ranked candidate
+qualifies: its envelope must hold the step's values, folded to ``Fraction``
+once per step, a skill must implement it (``WorldModel.skill_implementing``),
+and the step's values must bind to that skill's inputs (``bind_parameters``
+with the step's one conversion table, so each value is converted once per
+(property, input unit, input datatype)). ``plan`` qualifies candidates down
+the ranking up to the first that qualifies, its primary; the others are
+qualified only when execution reaches them.
 
-Execution fails over to the next-ranked provider when a feasibility check
-rejects, a run aborts, or any request fails: an error response (a violated
-precondition among them), a timeout or a lost connection, each recorded as
-one ``error`` entry; an attempt that times out also aborts its skill. A
+Execution fails over to the next-ranked candidate that qualifies when a
+feasibility check rejects, a run aborts, or any request fails: an error
+response (a violated precondition among them), a timeout or a lost
+connection, each recorded as one ``error`` entry; an attempt that times out
+also aborts its skill. A
 skill found resting in Aborted, Stopped or Complete is first walked back to
 Idle (Clear, then Reset), so one failed run does not block the next. Within
 one run each client is asked for ``list_skills`` once and each runtime id is
@@ -26,7 +30,9 @@ worlds are byte-for-byte reproducible.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+import itertools
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import jsonio
@@ -47,6 +53,7 @@ from .model import bound_input, validate_model, validate_product
 from .values import (
     Literal,
     convert_between_units,
+    format_literal,
     fraction_to_number,
     literal_matches,
     to_fraction,
@@ -65,7 +72,16 @@ class PlanEntry:
     skill_id: str
     match_degree: MatchDegree
     parameter_assignment: dict[str, Literal]
-    alternates: tuple[PlanEntry, ...] = ()
+    #: the step's ranking and this entry's place in it; neither takes part in
+    #: equality, so a step planned again compares equal
+    candidates: StepCandidates | None = field(default=None, compare=False, repr=False)
+    rank: int = field(default=0, compare=False, repr=False)
+
+    def alternates(self) -> Iterator[PlanEntry]:
+        """The candidates ranked below this one that qualify, in order, each
+        qualified only when the iteration reaches it."""
+        if self.candidates is not None:
+            yield from self.candidates.qualified(self.rank + 1)
 
 
 @dataclass(frozen=True)
@@ -115,11 +131,11 @@ def bind_parameters(
 
     Each conversion is taken from ``converted`` by (property, input unit,
     input datatype) and stored there on first use; pass ``{}`` to bind one
-    candidate alone. ``plan`` binds every candidate the matcher ranked from
-    the world's class groups through this function, with one table per
-    step, so each value is converted once per step. A conversion that fails
-    is stored as its reason and raises a fresh ``TypeMismatchError`` naming
-    each input it fails for.
+    candidate alone. ``StepCandidates.qualify`` binds each candidate it
+    reaches through this function, with one table per step, so each value
+    is converted once per step. A conversion that fails is stored as its
+    reason and raises a fresh ``TypeMismatchError`` naming each input it
+    fails for.
     """
     assignment: dict[str, Literal] = {}
     bound_by: dict[str, str] = {}  # input -> the property that bound it
@@ -166,12 +182,65 @@ def _convert(world: WorldModel, property_id: str, value: Literal, unit, datatype
     return value, None
 
 
-def plan(product: Product, world: WorldModel) -> ProductionPlan:
-    """Choose a provider, capability and skill for every product step.
+class StepCandidates:
+    """One step's candidates as ``rank_providers`` ranks them, with what
+    qualifying one takes: the step's values folded for the envelope test and
+    the step's one conversion table."""
 
-    The world, then the product, must pass validation. A candidate is skipped
-    when a step value lies outside its envelope, when it has no skill, or when
-    the step's values do not bind to its skill.
+    def __init__(self, step: ProcessStep, world: WorldModel):
+        self.step = step
+        self.world = world
+        self.ranked = rank_providers(step.required_capability, world)
+        self._folded = [
+            (property_id, _fold(world, property_id, value))
+            for property_id, value in step.parameter_values.items()
+        ]
+        self._converted: dict = {}
+
+    def qualify(self, rank: int) -> PlanEntry | str:
+        """The entry of the candidate at ``rank``, or why it does not qualify:
+        a step value outside its envelope, no skill, or a binding error."""
+        step, world = self.step, self.world
+        resource_id, capability, degree = self.ranked[rank]
+        provided_nf = world.normal_form(capability)
+        for property_id, value in self._folded:
+            if not provided_nf.feasible_or_domain(property_id, world).contains(value):
+                shown = format_literal(step.parameter_values[property_id])
+                return f"{property_id}={shown} is outside the envelope"
+        descriptor = world.skill_implementing(resource_id, capability)
+        if descriptor is None:
+            return "no skill implements the capability"
+        try:
+            assignment = bind_parameters(step, capability, descriptor, world, self._converted)
+        except (TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError) as exc:
+            return f"{exc.code}: {exc.message}"
+        return PlanEntry(
+            step_id=step.id,
+            resource_id=resource_id,
+            capability_id=capability.id,
+            skill_id=descriptor.skill_id,
+            match_degree=degree,
+            parameter_assignment=assignment,
+            candidates=self,
+            rank=rank,
+        )
+
+    def qualified(self, start: int = 0) -> Iterator[PlanEntry]:
+        """The entries of the candidates from ``start`` on that qualify, in
+        ranking order, each qualified only when the iteration reaches it."""
+        for rank in range(start, len(self.ranked)):
+            entry = self.qualify(rank)
+            if not isinstance(entry, str):
+                yield entry
+
+
+def plan(product: Product, world: WorldModel) -> ProductionPlan:
+    """Choose a provider, capability and skill for every product step: the
+    first candidate in ranking order that qualifies (see
+    ``StepCandidates.qualify``).
+
+    The world, then the product, must pass validation. A step that no
+    candidate qualifies for raises ``NoMatchForStepError``.
     """
     reports = (("world", validate_model(world)), ("product", validate_product(world, product)))
     for what, report in reports:
@@ -181,42 +250,9 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
 
     entries: list[PlanEntry] = []
     for step in product.steps:
-        folded = [
-            (property_id, _fold(world, property_id, value))
-            for property_id, value in step.parameter_values.items()
-        ]
-        converted: dict = {}
-        qualifying: list[PlanEntry] = []
-        for resource_id, capability, degree in rank_providers(step.required_capability, world):
-            provided_nf = world.normal_form(capability)
-            inside = all(
-                provided_nf.feasible_or_domain(property_id, world).contains(value)
-                for property_id, value in folded
-            )
-            if not inside:
-                continue
-            descriptor = world.skill_implementing(resource_id, capability)
-            if descriptor is None:
-                continue
-            try:
-                assignment = bind_parameters(step, capability, descriptor, world, converted)
-            except (
-                TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError
-            ):
-                continue
-            qualifying.append(
-                PlanEntry(
-                    step_id=step.id,
-                    resource_id=resource_id,
-                    capability_id=capability.id,
-                    skill_id=descriptor.skill_id,
-                    match_degree=degree,
-                    parameter_assignment=assignment,
-                )
-            )
-        if not qualifying:
+        primary = next(StepCandidates(step, world).qualified(), None)
+        if primary is None:
             raise NoMatchForStepError(step.id)
-        primary = replace(qualifying[0], alternates=tuple(qualifying[1:]))
         entries.append(primary)
     return ProductionPlan(product_id=product.id, entries=tuple(entries))
 
@@ -248,29 +284,29 @@ def execute_plan(
 ) -> ExecutionTrace:
     """Run every plan entry in order through the given protocol clients.
 
-    ``connections`` maps resource ids to connected, hello'd SkillClients.
-    With ``use_feasibility`` false no feasibility check is asked for, even
-    of a skill that offers one. On step failure the next-ranked candidate
-    from planning is tried; with none left a terminal error record is
-    appended and StepFailedNoAlternative (carrying the partial trace) is
-    raised.
+    ``connections`` maps resource ids to connected, hello'd SkillClients; it
+    is looked up only for a candidate about to be attempted, and a resource
+    it lacks raises ``ConnectionLostError``. With ``use_feasibility`` false
+    no feasibility check is asked for, even of a skill that offers one. On
+    step failure the next-ranked candidate that qualifies is qualified
+    (``PlanEntry.alternates``) and tried; with none left a terminal error
+    record is appended and StepFailedNoAlternative (carrying the partial
+    trace) is raised.
     """
     trace = _TraceBuilder()
     known: dict = {}  # this run's skill lists and descriptions, see _ask_once
 
     for entry in plan_.entries:
-        chain = (entry, *entry.alternates)
-        succeeded = False
-        for candidate in chain:
-            if candidate.resource_id not in connections:
+        for candidate in itertools.chain((entry,), entry.alternates()):
+            try:
+                client = connections[candidate.resource_id]
+            except KeyError:
                 raise ConnectionLostError(
                     f"no connection for resource {candidate.resource_id!r}"
-                )
-            client = connections[candidate.resource_id]
+                ) from None
             if _attempt_step(candidate, client, use_feasibility, trace, known):
-                succeeded = True
                 break
-        if not succeeded:
+        else:
             trace.add(
                 entry.step_id,
                 "",

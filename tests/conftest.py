@@ -147,6 +147,25 @@ def exec_world_doc() -> dict:
     }
 
 
+def many_drillers_world_doc(extra: int) -> dict:
+    """``exec_world_doc`` with ``extra`` more drill providers, r-driller-x00
+    on, each with a wider envelope and its own skill: every one qualifies
+    for the drill step, and all rank after r-driller-a and r-driller-b."""
+    doc = exec_world_doc()
+    for index in range(extra):
+        suffix = f"x{index:02d}"
+        doc["resources"].append({
+            "id": f"r-driller-{suffix}",
+            "capabilities": [{
+                "id": f"cap-drill-{suffix}",
+                "iri": f"urn:cap:drill-{suffix}",
+                "expression": "Drilling and (depth <= 40 mm)",
+            }],
+            "skills": [_drill_skill(suffix)],
+        })
+    return doc
+
+
 def lone_surrogate_world_doc() -> dict:
     """``exec_world_doc`` whose drill step also sets the enum property
     ``material`` to a lone surrogate, an input of both drill skills."""

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
-from conftest import exec_world_doc, lone_surrogate_world_doc
+from conftest import exec_world_doc, lone_surrogate_world_doc, many_drillers_world_doc
 
+import csskit
 from csskit import jsonio
 from csskit.cli import run
+from csskit.documents import build_world
 from csskit.hosting import build_resource_host
 from csskit.protocol import serve
 
 from test_documents import offer_doc, request_doc
+from test_orchestrate import RejectingFeasibility
 
 
 @pytest.fixture
@@ -34,6 +41,14 @@ def product_file(tmp_path):
 def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(jsonio.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _write_escaped(tmp_path, name, doc):
+    """``_write`` with each lone surrogate as its JSON escape, which UTF-8
+    cannot carry raw."""
+    path = tmp_path / name
+    path.write_text(jsonio.dumps_utf8(doc), encoding="utf-8")
     return str(path)
 
 
@@ -191,17 +206,10 @@ def test_run_executes_over_tcp(tmp_path, world_file, product_file, capsys):
 def test_run_prints_a_lone_surrogate_as_its_escape(tmp_path, capsys, to_file):
     """A trace line holding a lone surrogate is written as valid UTF-8, to
     ``--out`` and to stdout alike, and reads back as the same value."""
-    from csskit.documents import build_world
-
-    def write_escaped(name, doc):  # as JSON escapes: UTF-8 cannot carry the surrogate
-        path = tmp_path / name
-        path.write_text(jsonio.dumps(doc).replace("\ud800", "\\ud800"), encoding="utf-8")
-        return str(path)
-
     doc = lone_surrogate_world_doc()
-    world_file = write_escaped("world.json", doc)
-    product_file = write_escaped(
-        "product.json", {"schema": "css.product/1", **doc["products"][0]}
+    world_file = _write_escaped(tmp_path, "world.json", doc)
+    product_file = _write_escaped(
+        tmp_path, "product.json", {"schema": "css.product/1", **doc["products"][0]}
     )
     world = build_world([doc])
     servers = [serve(build_resource_host(world, r.id), ("127.0.0.1", 0))
@@ -224,6 +232,101 @@ def test_run_prints_a_lone_surrogate_as_its_escape(tmp_path, capsys, to_file):
     records = [jsonio.loads(line) for line in text.strip().splitlines()]
     written = [r["detail"]["values"] for r in records if r["kind"] == "paramWrite"]
     assert {"depth": 12, "material": "\ud800"} in written
+
+
+def _serve_for_run(tmp_path, world, endpoints, behaviors=None):
+    """Serve each resource that ``endpoints`` maps to ``None`` and write an
+    endpoints file of all of them: the servers, and the file's path."""
+    servers, addresses = [], {}
+    for resource_id, address in endpoints.items():
+        if address is None:
+            factory = (behaviors or {}).get(resource_id)
+            servers.append(serve(
+                build_resource_host(world, resource_id, behavior_factory=factory),
+                ("127.0.0.1", 0),
+            ))
+            address = f"127.0.0.1:{servers[-1].port}"
+        addresses[resource_id] = address
+    path = _write(tmp_path, "endpoints.json",
+                  {"schema": "css.endpoints/1", "endpoints": addresses})
+    return servers, path
+
+
+def _run_many_drillers(tmp_path, endpoints, behaviors):
+    """``csskit run --out`` of the bracket product on a world of 63 resources
+    (``many_drillers_world_doc(60)``): exit code and trace records."""
+    doc = many_drillers_world_doc(60)
+    world_file = _write(tmp_path, "world.json", doc)
+    product_file = _write(
+        tmp_path, "product.json", {"schema": "css.product/1", **doc["products"][0]}
+    )
+    servers, endpoints_file = _serve_for_run(
+        tmp_path, build_world([doc]), endpoints, behaviors
+    )
+    out_file = tmp_path / "trace.lines"
+    try:
+        code = run(["run", "--product", product_file, "--world", world_file,
+                    "--endpoints", endpoints_file, "--out", str(out_file)])
+    finally:
+        for server in servers:
+            server.close()
+    text = out_file.read_text(encoding="utf-8")
+    return code, [jsonio.loads(line) for line in text.splitlines()]
+
+
+def test_run_needs_endpoints_only_for_the_resources_it_tries(tmp_path):
+    """Of 63 resources, the run tries r-driller-a, whose feasibility check
+    rejects, then r-driller-b, and r-screwer: the endpoints file lists only
+    those three."""
+    code, records = _run_many_drillers(
+        tmp_path, dict.fromkeys(["r-driller-a", "r-driller-b", "r-screwer"]),
+        {"r-driller-a": RejectingFeasibility},
+    )
+    assert code == 0
+    assert [r["detail"] for r in records if r["kind"] == "feasibility"][0] == {
+        "feasible": False, "reason": "tool broken (injected)",
+    }
+    assert not any(r["kind"] == "error" for r in records)
+    completes = [
+        r["stepId"] for r in records
+        if r["kind"] == "stateChange" and r["detail"]["newState"] == "Complete"
+    ]
+    assert completes == ["step-drill", "step-screw"]
+
+
+def test_run_fails_over_past_a_resource_it_cannot_reach(tmp_path):
+    """An alternate's resource with no endpoint, or whose endpoint refuses the
+    connection, is one failed attempt with a ConnectionLost record."""
+    code, records = _run_many_drillers(
+        tmp_path,
+        {"r-driller-a": None, "r-driller-b": None, "r-driller-x01": "127.0.0.1:1",
+         "r-driller-x02": None, "r-screwer": None},
+        {"r-driller-a": RejectingFeasibility, "r-driller-b": RejectingFeasibility},
+    )
+    assert code == 0
+    errors = [r["detail"] for r in records if r["kind"] == "error"]
+    assert [e["code"] for e in errors] == ["ConnectionLost", "ConnectionLost"]
+    assert errors[0]["message"] == "no endpoint for resource 'r-driller-x00'"
+    assert errors[1]["message"].startswith("cannot connect to ")
+    drill = [r for r in records if r["stepId"] == "step-drill"]
+    assert [r["kind"] for r in drill].count("feasibility") == 3  # a, b, then x02
+    assert [r["detail"]["outputs"] for r in drill if r["kind"] == "outputRead"] == [
+        {"achievedDepth": 12}
+    ]
+
+
+def test_run_refuses_a_primary_without_an_endpoint(tmp_path, world_file, product_file,
+                                                  capsys):
+    endpoints_file = _write(
+        tmp_path, "endpoints.json",
+        {"schema": "css.endpoints/1", "endpoints": {"r-driller-b": "127.0.0.1:1"}},
+    )
+    code = run(["run", "--product", product_file, "--world", world_file,
+                "--endpoints", endpoints_file])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: endpoints file misses resources ['r-driller-a', 'r-screwer']\n"
+    )
 
 
 def test_run_unreachable_endpoint_exit_three(tmp_path, world_file, product_file):
@@ -451,3 +554,54 @@ def test_plan_and_run_check_the_product_file(
         argv += ["--endpoints", endpoints]
     assert run(argv) == 1
     assert capsys.readouterr().err == f"error: product fails validation: {message}\n"
+
+
+# --- output that UTF-8 cannot carry raw ----------------------------------------------
+
+def _csskit_strict(*argv) -> subprocess.CompletedProcess:
+    """``python -m csskit argv`` with stdout encoding strictly to UTF-8."""
+    env = {
+        **os.environ,
+        "PYTHONIOENCODING": "utf-8:strict",
+        "PYTHONPATH": str(Path(csskit.__file__).resolve().parents[1]),
+    }
+    return subprocess.run([sys.executable, "-m", "csskit", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("form", ["text", "lines"])
+def test_plan_prints_a_lone_surrogate_as_its_escape(tmp_path, form):
+    doc = lone_surrogate_world_doc()
+    world_file = _write_escaped(tmp_path, "world.json", doc)
+    product_file = _write_escaped(
+        tmp_path, "product.json", {"schema": "css.product/1", **doc["products"][0]}
+    )
+    done = _csskit_strict("plan", "--product", product_file, "--world", world_file,
+                          "--format", form)
+    assert (done.returncode, done.stderr) == (0, b"")
+    drill = done.stdout.decode("utf-8").splitlines()[0]
+    if form == "text":
+        assert drill == r"step-drill: r-driller-a/skill-drill-a (PLUGIN) depth=12, material=\ud800"
+    else:
+        assert jsonio.loads(drill)["parameters"] == {"depth": 12, "material": "\ud800"}
+
+
+@pytest.mark.parametrize("command", ["eval", "select", "accept"])
+def test_market_prints_a_lone_surrogate_as_its_escape(tmp_path, world_file, command):
+    offer_a = {**offer_doc(), "offerId": "\ud800"}
+    offer_b = {**offer_doc(), "offerId": "off-8", "coveredCapKeys": ["cap-screw"],
+               "providedCapabilities": {"cap-screw": "Screwing"},
+               "unitPrice": Decimal("0.40"), "exclusiveGroup": "lot-b"}
+    offers = [_write_escaped(tmp_path, f"offer-{i}.json", doc)
+              for i, doc in enumerate((offer_a, offer_b))]
+    done = _csskit_strict("market", command, "--request",
+                          _write(tmp_path, "request.json", request_doc()),
+                          "--offers", *offers, "--world", world_file,
+                          "--now", "2026-08-10T00:00:00Z")
+    assert (done.returncode, done.stderr) == (0, b"")
+    text = done.stdout.decode("utf-8")
+    assert "\\ud800" in text
+    ids = {"eval": lambda objs: [o["offerId"] for o in objs],
+           "select": lambda objs: objs[0]["selectedOfferIds"],
+           "accept": lambda objs: objs[0]["acceptedOfferIds"]}[command]
+    assert sorted(ids([jsonio.loads(line) for line in text.splitlines()])) == ["off-8", "\ud800"]

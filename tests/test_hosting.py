@@ -140,7 +140,7 @@ def test_envelope_accepts_what_plan_bound_to_an_input_two_properties_bind():
     doc["products"][0]["steps"][0]["parameterValues"] = {"depth": 20}
     world = build_world([doc])
     entry = plan(world.product("prod-bracket"), world).entries[0]
-    placed = [(e.resource_id, e.parameter_assignment) for e in (entry, *entry.alternates)]
+    placed = [(e.resource_id, e.parameter_assignment) for e in (entry, *entry.alternates())]
     assert ("r-driller-a", {"depth": 20}) in placed
     host = build_resource_host(world, "r-driller-a")
     (lrid,) = host.local_runtime_ids()

@@ -31,6 +31,7 @@ from csskit.model import (
     validate_model,
 )
 from csskit.orchestrate import (
+    StepCandidates,
     bind_parameters,
     execute_plan,
     plan,
@@ -44,6 +45,7 @@ from conftest import (
     evaluate_expression,
     exec_world_doc,
     lone_surrogate_world_doc,
+    many_drillers_world_doc,
 )
 
 SUCCESS_SEQUENCE = (
@@ -183,7 +185,7 @@ def test_plan_tie_breaks_on_resource_id(exec_world):
     production_plan = plan(exec_world.product("prod-bracket"), exec_world)
     entry = production_plan.entries[0]
     assert entry.resource_id == "r-driller-a"
-    assert [alt.resource_id for alt in entry.alternates] == ["r-driller-b"]
+    assert [alt.resource_id for alt in entry.alternates()] == ["r-driller-b"]
 
 
 def _feed_rate_required(doc: dict, resource_id: str) -> dict:
@@ -200,10 +202,11 @@ def test_plan_drops_an_alternate_that_does_not_bind(exec_world):
     world = build_world([_feed_rate_required(exec_world_doc(), "r-driller-b")])
     entry = plan(world.product("prod-bracket"), world).entries[0]
     assert entry.resource_id == "r-driller-a"
-    assert entry.alternates == ()
+    assert list(entry.alternates()) == []
     # with every candidate binding, the plan is the one it always was
     bound = plan(exec_world.product("prod-bracket"), exec_world).entries[0]
-    assert entry == replace(bound, alternates=())
+    assert entry == bound
+    assert [alt.resource_id for alt in bound.alternates()] == ["r-driller-b"]
 
 
 def test_plan_without_a_bindable_candidate_has_no_match():
@@ -235,14 +238,15 @@ def test_plan_drops_an_alternate_whose_binding_raises(exec_world, unbindable):
     world = build_world([unbindable(exec_world_doc(), "r-driller-b")])
     entry = plan(world.product("prod-bracket"), world).entries[0]
     assert entry.resource_id == "r-driller-a"
-    assert entry.alternates == ()
+    assert list(entry.alternates()) == []
     bound = plan(exec_world.product("prod-bracket"), exec_world).entries[0]
-    assert entry == replace(bound, alternates=())
+    assert entry == bound
+    assert [alt.resource_id for alt in bound.alternates()] == ["r-driller-b"]
 
     world = build_world([unbindable(exec_world_doc(), "r-driller-a")])
     entry = plan(world.product("prod-bracket"), world).entries[0]
     assert entry.resource_id == "r-driller-b"
-    assert entry.alternates == ()
+    assert list(entry.alternates()) == []
 
     doc = unbindable(exec_world_doc(), "r-driller-a")
     world = build_world([unbindable(doc, "r-driller-b")])
@@ -261,7 +265,7 @@ def test_plan_drops_a_candidate_that_binds_one_input_twice():
     assert validate_model(world).ok
     entry = plan(world.product("prod-bracket"), world).entries[0]
     assert (entry.resource_id, entry.parameter_assignment) == ("r-driller-b", {"depth": 12})
-    assert entry.alternates == ()
+    assert list(entry.alternates()) == []
 
     step = world.product("prod-bracket").steps[0]
     capability = world.resource("r-driller-a").provided_capabilities[0]
@@ -282,6 +286,33 @@ def test_plan_uses_the_lowest_skill_id_naming_the_capability(by_iri, by_id):
     world = build_world([doc])
     entry = plan(world.product("prod-bracket"), world).entries[0]
     assert (entry.resource_id, entry.skill_id) == ("r-driller-a", "skill-drill-m")
+
+
+def test_qualify_says_why_a_candidate_does_not_qualify():
+    """Each ranked candidate qualifies as a plan entry or fails for one
+    reason: a step value outside its envelope, no skill, or a binding error."""
+    doc = _feed_rate_required(many_drillers_world_doc(2), "r-driller-b")
+    doc["resources"][0]["capabilities"][0]["expression"] = "Drilling and (depth <= 11 mm)"
+    doc["resources"][3]["skills"] = []
+    world = build_world([doc])
+    candidates = StepCandidates(world.product("prod-bracket").steps[0], world)
+    assert [r for r, _, _ in candidates.ranked] == [
+        "r-driller-b", "r-driller-x00", "r-driller-x01", "r-driller-a",
+    ]
+    unbound, no_skill, entry, outside = (
+        candidates.qualify(rank) for rank in range(len(candidates.ranked))
+    )
+    assert unbound == (
+        "UnboundRequiredParameter: input parameter feedRate has no bound value and no default"
+    )
+    assert no_skill == "no skill implements the capability"
+    assert outside == "depth=12 is outside the envelope"
+    assert (entry.resource_id, entry.rank, entry.parameter_assignment) == (
+        "r-driller-x01", 2, {"depth": 12}
+    )
+    primary = plan(world.product("prod-bracket"), world).entries[0]
+    assert primary == entry
+    assert list(primary.alternates()) == []
 
 
 def test_plan_requires_clean_validation(exec_world):
@@ -321,11 +352,13 @@ def test_plan_is_the_same_on_a_reused_and_a_fresh_world():
     world = build_world([doc])
     product = world.product("prod-bracket")
     first = plan(product, world)
-    assert len(first.entries[0].alternates) == 4  # all but the Milling provider
-    assert plan(product, world) == first
-    assert plan(product, replace(world)) == first
+    chain = (first.entries[0], *first.entries[0].alternates())
+    assert len(chain) == 5  # all but the Milling provider
     fresh = build_world([doc])
-    assert plan(fresh.product("prod-bracket"), fresh) == first
+    for again in (plan(product, world), plan(product, replace(world)),
+                  plan(fresh.product("prod-bracket"), fresh)):
+        assert again == first
+        assert (again.entries[0], *again.entries[0].alternates()) == chain
 
 
 def test_plan_soundness(exec_world):
@@ -562,6 +595,34 @@ def test_execute_missing_connection_still_raises(exec_world):
     finally:
         for close in cleanups:
             close()
+
+
+@pytest.mark.parametrize("rejected", [(), ("r-driller-a",), ("r-driller-a", "r-driller-b")])
+def test_execution_qualifies_only_the_candidates_it_tries(monkeypatch, rejected):
+    """A candidate ranked below a working primary is never qualified; after
+    each failed attempt exactly the next ranked candidate is."""
+    world = build_world([many_drillers_world_doc(30)])
+    production_plan = plan(world.product("prod-bracket"), world)
+    qualified = []
+    original = StepCandidates.qualify
+
+    def counted(self, rank):
+        qualified.append((self.step.id, rank))
+        return original(self, rank)
+
+    monkeypatch.setattr(StepCandidates, "qualify", counted)
+    connections, cleanups = _loopback_connections(
+        world, dict.fromkeys(rejected, RejectingFeasibility)
+    )
+    try:
+        trace = execute_plan(production_plan, connections)
+    finally:
+        for close in cleanups:
+            close()
+    assert qualified == [("step-drill", rank) for rank in range(1, len(rejected) + 1)]
+    assert not trace.failed
+    rejections = [r for r in trace.records if r.kind == "feasibility" and not r.detail["feasible"]]
+    assert len(rejections) == len(rejected)
 
 
 def test_aborted_skills_are_recovered_on_the_next_run(exec_world):

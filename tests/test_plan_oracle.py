@@ -2,9 +2,11 @@
 for every candidate: it ranks all of the world's capabilities through
 ``match_capabilities``, tests the envelope with the step values as written
 and binds each candidate through ``bind_parameters`` with a fresh conversion
-table. ``plan`` ranks only class-compatible groups, folds each value once and
-converts it once per input unit and datatype; none of that may change a plan
-or an error.
+table, and it keeps each step's chain of qualifying candidates eagerly.
+``plan`` ranks only class-compatible groups, folds each value once, converts
+it once per input unit and datatype and qualifies the candidates after a
+step's primary only when execution reaches them; none of that may change a
+plan, the chain of candidates execution would try, or an error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import exec_world_doc, taxonomy_doc_classes
+from conftest import exec_world_doc, many_drillers_world_doc, taxonomy_doc_classes
 from test_acceptance import scenario_world_doc
 from test_hosting import _depth_mapped_to_metres, enum_skill_world
 from test_orchestrate import (
@@ -40,8 +42,8 @@ from csskit.errors import (
 )
 from csskit.expressions import parse_expression
 from csskit.matching import MatchDegree, match_capabilities, rank_providers
-from csskit.model import Capability, Resource, validate_model, validate_product
-from csskit.orchestrate import PlanEntry, ProductionPlan, bind_parameters, plan
+from csskit.model import Capability, Resource, WorldModel, validate_model, validate_product
+from csskit.orchestrate import PlanEntry, bind_parameters, plan
 from csskit.taxonomy import is_subclass_of
 
 _UNBOUND = (TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError)
@@ -50,7 +52,7 @@ _UNBOUND = (TypeMismatchError, UnboundRequiredParameterError, UnknownParameterEr
 def reference_candidates(step, world):
     """(resource id, capability, degree, skill) of every candidate that
     matches the step, holds its values and has a skill, in ranking order:
-    every candidate ``plan`` binds."""
+    every candidate that planning and execution together may bind."""
     ranked = []
     for resource, capability in world.capabilities():
         degree = match_capabilities(step.required_capability, capability.expression, world).degree
@@ -69,8 +71,9 @@ def reference_candidates(step, world):
             yield resource_id, capability, degree, descriptor
 
 
-def reference_plan(product, world) -> ProductionPlan:
-    """``plan`` with no work shared between candidates or steps."""
+def reference_plan(product, world):
+    """``plan_chains`` with no work shared between candidates or steps: every
+    step's qualifying candidates, bound eagerly."""
     for what, report in (("world", validate_model(world)),
                          ("product", validate_product(world, product))):
         if not report.ok:
@@ -89,8 +92,17 @@ def reference_plan(product, world) -> ProductionPlan:
             ))
         if not qualifying:
             raise NoMatchForStepError(step.id)
-        entries.append(replace(qualifying[0], alternates=tuple(qualifying[1:])))
-    return ProductionPlan(product.id, tuple(entries))
+        entries.append(tuple(qualifying))
+    return product.id, entries
+
+
+def plan_chains(product, world):
+    """The product id and, per step, the primary ``plan`` chose followed by
+    the alternates ``execute_plan`` would qualify and try, in order."""
+    production_plan = plan(product, world)
+    return production_plan.product_id, [
+        (entry, *entry.alternates()) for entry in production_plan.entries
+    ]
 
 
 def outcome(planner, product, world) -> str:
@@ -106,7 +118,7 @@ def assert_plans_match_reference(world) -> int:
     planned = 0
     for product in world.products:
         expected = outcome(reference_plan, product, world)
-        assert outcome(plan, product, world) == expected, product.id
+        assert outcome(plan_chains, product, world) == expected, product.id
         planned += not expected.startswith(("NoMatchForStepError", "ModelInvalidError"))
     return planned
 
@@ -343,9 +355,10 @@ def test_real_values_on_open_and_closed_bounds():
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 def test_plan_binds_and_decides_class_relations_through_one_path(monkeypatch, seed):
     """While ``plan`` runs, the public ``bind_parameters`` is called once per
-    ranked candidate inside the envelope that has a skill, and the matcher's
-    ``is_subclass_of`` twice per class group per step ranked; the world
-    decides no class relation. ``None`` stands for ``exec_world_doc``."""
+    ranked candidate inside the envelope that has a skill, up to the first
+    that binds, and the matcher's ``is_subclass_of`` twice per class group per
+    step ranked; the world decides no class relation. ``None`` stands for
+    ``exec_world_doc``."""
     world = build_world([exec_world_doc() if seed is None else seeded_world_doc(seed)])
     groups = len({capability.expression.class_id for _, capability in world.capabilities()})
     expected_binds, expected_tests = [], 0
@@ -359,6 +372,7 @@ def test_plan_binds_and_decides_class_relations_through_one_path(monkeypatch, se
                 try:
                     bind_parameters(step, capability, skill, world, {})
                     bound = True
+                    break
                 except _UNBOUND:
                     pass
             if not bound:
@@ -383,17 +397,44 @@ def test_plan_binds_and_decides_class_relations_through_one_path(monkeypatch, se
     assert not hasattr(csskit.model, "is_subclass_of")
 
 
+def test_plan_binds_and_reads_the_envelope_of_each_primary_only(monkeypatch):
+    """With 42 drill providers that all qualify, ``plan`` binds once per step
+    and reads a normal form once per ranked candidate, for ranking, plus once
+    per step, for its primary's envelope."""
+    world = build_world([many_drillers_world_doc(40)])
+    product = world.product("prod-bracket")
+    ranked = sum(len(rank_providers(step.required_capability, world)) for step in product.steps)
+    assert ranked == 43  # 42 drill providers and one screwing provider
+    binds, reads = [], []
+
+    def counted_bind(step, *rest):
+        binds.append(step.id)
+        return bind_parameters(step, *rest)
+
+    original = WorldModel.normal_form
+
+    def counted_read(self, capability):
+        reads.append(capability.id)
+        return original(self, capability)
+
+    monkeypatch.setattr(csskit.orchestrate, "bind_parameters", counted_bind)
+    monkeypatch.setattr(WorldModel, "normal_form", counted_read)
+    plan(product, world)
+    assert binds == [step.id for step in product.steps]
+    assert len(reads) == ranked + len(product.steps)
+
+
 # --- the order of the class groups -----------------------------------------------
 
 def test_plan_does_not_depend_on_the_order_of_class_groups():
     for seed in range(8):
         world = build_world([seeded_world_doc(seed)])
-        before = [outcome(plan, product, world) for product in world.products]
+        before = [outcome(plan_chains, product, world) for product in world.products]
         groups = world._class_groups  # built by the plans above
         assert len(groups) >= 3
         reversed_groups = {c: pairs[::-1] for c, pairs in reversed(groups.items())}
         object.__setattr__(world, "_class_groups", reversed_groups)
-        assert [outcome(plan, product, world) for product in world.products] == before
+        assert [outcome(plan_chains, product, world) for product in world.products] == before
         assert world._class_groups is reversed_groups
 
 
