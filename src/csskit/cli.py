@@ -37,7 +37,7 @@ from .errors import (
 )
 from .expressions import format_feasible_set, parse_expression
 from .hosting import build_resource_host
-from .market import evaluate_offers, form_contract, select_offers
+from .market import FULL_QUANTITY_PER_OFFER, evaluate_offers, form_contract, select_offers
 from .matching import MatchDegree, match_capabilities
 from .model import validate_model
 from .orchestrate import execute_plan, plan, trace_to_lines
@@ -361,7 +361,7 @@ def _cmd_market_select(args) -> int:
             "selectedOfferIds": list(award.offer_ids()),
             "totalCost": award.total_cost,
             "strategy": award.strategy,
-            "quantityAllocation": award.quantity_allocation,
+            "quantityAllocation": FULL_QUANTITY_PER_OFFER,
         }
     )
     return 0

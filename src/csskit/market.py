@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 #: degrees that commit a provider commercially (full envelope of the need)
 COVERING_DEGREES = (MatchDegree.EXACT, MatchDegree.PLUGIN)
 
-#: how quantity is assigned to combined offers (see Award.quantity_allocation)
+#: how quantity is assigned to combined offers: each selected offer supplies it all
 FULL_QUANTITY_PER_OFFER = "full-quantity-per-offer"
 
 
@@ -101,7 +101,6 @@ class Award:
     selected_offers: tuple[ServiceOffer, ...]
     total_cost: Decimal
     strategy: str  # always "exact": selection is an exact, optimal search
-    quantity_allocation: str = FULL_QUANTITY_PER_OFFER
 
     def offer_ids(self) -> tuple[str, ...]:
         return tuple(offer.offer_id for offer in self.selected_offers)

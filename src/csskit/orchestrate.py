@@ -4,13 +4,11 @@ Planning ranks each step's candidates with the matcher and keeps the
 ranking (``StepCandidates``). The matcher ranks the world's class groups and
 decides each group's class relation once; planning decides none. One
 function, ``StepCandidates.qualify``, decides whether a ranked candidate
-qualifies: its envelope must hold the step's values, folded to ``Fraction``
-once per step, a skill must implement it (``WorldModel.skill_implementing``),
-and the step's values must bind to that skill's inputs (``bind_parameters``
-with the step's one conversion table, so each value is converted once per
-(property, input unit, input datatype)). ``plan`` qualifies candidates down
-the ranking up to the first that qualifies, its primary; the others are
-qualified only when execution reaches them.
+qualifies: its envelope must hold the step's values, a skill must implement
+it (``WorldModel.skill_implementing``), and the step's values must bind to
+that skill's inputs (``bind_parameters``). ``plan`` qualifies candidates
+down the ranking up to the first that qualifies, its primary; the others
+are qualified only when execution reaches them.
 
 Execution fails over to the next-ranked candidate that qualifies when a
 feasibility check rejects, a run aborts, or any request fails: an error
@@ -19,8 +17,9 @@ connection, each recorded as one ``error`` entry; an attempt that times out
 also aborts its skill. A
 skill found resting in Aborted, Stopped or Complete is first walked back to
 Idle (Clear, then Reset), so one failed run does not block the next. Within
-one run each client is asked for ``list_skills`` once and each runtime id is
-described once; a request that fails is asked again by the next attempt.
+one run each client is asked for ``list_skills`` once and, when feasibility
+checks are asked for, each runtime id is described once; a request that
+fails is asked again by the next attempt.
 Every attempt still subscribes, unsubscribes and reads the state before the
 walk. The trace records every state change, parameter write, feasibility
 verdict and output read with a logical timestamp, so reruns over identical
@@ -45,6 +44,7 @@ from .errors import (
     TimeoutError,
     TypeMismatchError,
     UnboundRequiredParameterError,
+    UnitMismatchError,
     UnknownParameterError,
 )
 from .expressions import normalize  # noqa: F401 - bench/tracing.py patches this name
@@ -60,7 +60,9 @@ from .values import (
 )
 
 if TYPE_CHECKING:
-    from .model import Capability, ProcessStep, Product, SkillDescriptor, WorldModel
+    from .model import (
+        Capability, ParameterSpec, ProcessStep, Product, SkillDescriptor, WorldModel,
+    )
     from .protocol import SkillClient
 
 
@@ -120,22 +122,15 @@ def bind_parameters(
     capability: Capability,
     descriptor: SkillDescriptor,
     world: WorldModel,
-    converted: dict,
 ) -> dict[str, Literal]:
     """Map step property values onto skill input parameters.
 
     Each property binds to the input ``model.bound_input`` names, if any, and
     its value is rescaled from the property's declared unit onto the input's.
-    Two properties binding one input raise ``TypeMismatchError``. Inputs left
-    unbound fall back to descriptor defaults.
-
-    Each conversion is taken from ``converted`` by (property, input unit,
-    input datatype) and stored there on first use; pass ``{}`` to bind one
-    candidate alone. ``StepCandidates.qualify`` binds each candidate it
-    reaches through this function, with one table per step, so each value
-    is converted once per step. A conversion that fails is stored as its
-    reason and raises a fresh ``TypeMismatchError`` naming each input it
-    fails for.
+    Two properties binding one input, or a value that does not fit its
+    input's datatype, raise ``TypeMismatchError`` naming the input; a unit of
+    another dimension raises ``UnitMismatchError``. Inputs left unbound fall
+    back to descriptor defaults.
     """
     assignment: dict[str, Literal] = {}
     bound_by: dict[str, str] = {}  # input -> the property that bound it
@@ -148,13 +143,7 @@ def bind_parameters(
             raise TypeMismatchError(
                 f"{target}: bound by both {bound_by[target]!r} and {property_id!r}"
             )
-        key = (property_id, spec.unit, spec.datatype)
-        if key not in converted:
-            converted[key] = _convert(world, property_id, value, spec.unit, spec.datatype)
-        literal, reason = converted[key]
-        if reason is not None:
-            raise TypeMismatchError(f"{target}: {reason}")
-        assignment[target] = literal
+        assignment[target] = _convert(world, property_id, value, spec)
     for spec in descriptor.input_parameters():
         if spec.param_id not in assignment:
             if spec.default is not None:
@@ -164,38 +153,37 @@ def bind_parameters(
     return assignment
 
 
-def _convert(world: WorldModel, property_id: str, value: Literal, unit, datatype: str):
-    """(literal, None) for a step value bound to an input of this unit and
-    datatype, or (None, why it cannot bind)."""
+def _convert(
+    world: WorldModel, property_id: str, value: Literal, spec: ParameterSpec
+) -> Literal:
+    """A step value as the input ``spec`` takes it."""
     prop = world.property_def(property_id)
     if prop is not None and prop.datatype in ("integer", "real"):
-        scaled = convert_between_units(to_fraction(value), prop.unit, unit)
-        if datatype == "integer":
+        scaled = convert_between_units(to_fraction(value), prop.unit, spec.unit)
+        if spec.datatype == "integer":
             if scaled.denominator != 1:
-                return None, f"{value!r} does not scale to an integer value"
-            return int(scaled), None
-        if datatype == "real":
-            return fraction_to_number(scaled), None
-        return None, f"numeric property {property_id!r} cannot bind to {datatype} parameter"
-    if not literal_matches(datatype, value):
-        return None, f"{value!r} is not a {datatype} literal"
-    return value, None
+                raise TypeMismatchError(
+                    f"{spec.param_id}: {value!r} does not scale to an integer value"
+                )
+            return int(scaled)
+        if spec.datatype == "real":
+            return fraction_to_number(scaled)
+        raise TypeMismatchError(
+            f"{spec.param_id}: numeric property {property_id!r} cannot bind to "
+            f"{spec.datatype} parameter"
+        )
+    if not literal_matches(spec.datatype, value):
+        raise TypeMismatchError(f"{spec.param_id}: {value!r} is not a {spec.datatype} literal")
+    return value
 
 
 class StepCandidates:
-    """One step's candidates as ``rank_providers`` ranks them, with what
-    qualifying one takes: the step's values folded for the envelope test and
-    the step's one conversion table."""
+    """One step's candidates as ``rank_providers`` ranks them."""
 
     def __init__(self, step: ProcessStep, world: WorldModel):
         self.step = step
         self.world = world
         self.ranked = rank_providers(step.required_capability, world)
-        self._folded = [
-            (property_id, _fold(world, property_id, value))
-            for property_id, value in step.parameter_values.items()
-        ]
-        self._converted: dict = {}
 
     def qualify(self, rank: int) -> PlanEntry | str:
         """The entry of the candidate at ``rank``, or why it does not qualify:
@@ -203,16 +191,18 @@ class StepCandidates:
         step, world = self.step, self.world
         resource_id, capability, degree = self.ranked[rank]
         provided_nf = world.normal_form(capability)
-        for property_id, value in self._folded:
+        for property_id, value in step.parameter_values.items():
             if not provided_nf.feasible_or_domain(property_id, world).contains(value):
-                shown = format_literal(step.parameter_values[property_id])
-                return f"{property_id}={shown} is outside the envelope"
+                return f"{property_id}={format_literal(value)} is outside the envelope"
         descriptor = world.skill_implementing(resource_id, capability)
         if descriptor is None:
             return "no skill implements the capability"
         try:
-            assignment = bind_parameters(step, capability, descriptor, world, self._converted)
-        except (TypeMismatchError, UnboundRequiredParameterError, UnknownParameterError) as exc:
+            assignment = bind_parameters(step, capability, descriptor, world)
+        except (
+            TypeMismatchError, UnitMismatchError, UnboundRequiredParameterError,
+            UnknownParameterError,
+        ) as exc:
             return f"{exc.code}: {exc.message}"
         return PlanEntry(
             step_id=step.id,
@@ -255,12 +245,6 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
             raise NoMatchForStepError(step.id)
         entries.append(primary)
     return ProductionPlan(product_id=product.id, entries=tuple(entries))
-
-
-def _fold(world: WorldModel, property_id: str, value: Literal) -> Literal:
-    """A valid step value as the envelope test compares it: a real property's
-    as a ``Fraction``, any other as it is (an integer property's is an ``int``)."""
-    return to_fraction(value) if world.property_def(property_id).datatype == "real" else value
 
 
 class _TraceBuilder:
@@ -362,12 +346,12 @@ def _attempt_step(
             )
             return False
 
-        description = _ask_once(
+        checks_feasibility = use_feasibility and _ask_once(
             known, (client, local_runtime_id), lambda: client.describe(local_runtime_id)
-        )
+        )["hasFeasibilityCheck"]
         client.subscribe(local_runtime_id)
         try:
-            if use_feasibility and description["hasFeasibilityCheck"]:
+            if checks_feasibility:
                 verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
                 trace.add(
                     entry.step_id,

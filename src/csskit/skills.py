@@ -206,8 +206,6 @@ class SkillHost:
     def fire_command(self, local_runtime_id: str, command: str) -> str:
         with self._lock:
             instance = self._get(local_runtime_id)
-            if command not in COMMANDS:
-                raise InvalidTransitionError(instance.state, command)
             target = transition(instance.state, command)
             if target is None:
                 raise InvalidTransitionError(instance.state, command)

@@ -19,7 +19,7 @@ from csskit.hosting import build_resource_host
 from csskit.protocol import serve
 
 from test_documents import offer_doc, request_doc
-from test_orchestrate import RejectingFeasibility
+from test_orchestrate import RejectingFeasibility, _depth_in_seconds
 
 
 @pytest.fixture
@@ -160,6 +160,17 @@ def test_plan_command(world_file, product_file, capsys):
     objs = [jsonio.loads(line) for line in lines]
     assert [o["stepId"] for o in objs] == ["step-drill", "step-screw"]
     assert objs[0]["resourceId"] == "r-driller-a"
+
+
+def test_plan_skips_a_skill_whose_unit_does_not_convert(tmp_path, product_file, capsys):
+    """r-driller-a's depth input is in seconds, to which no length converts."""
+    world_path = _write(tmp_path, "world.json", _depth_in_seconds(exec_world_doc(), "r-driller-a"))
+    code = run(["plan", "--product", product_file, "--world", world_path])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "step-drill: r-driller-b/skill-drill-b (PLUGIN) depth=12\n"
+        "step-screw: r-screwer/skill-screw (PLUGIN) torque=2.5\n"
+    )
 
 
 def test_plan_no_match_exit_one(tmp_path, world_file, capsys):
@@ -388,10 +399,12 @@ def test_market_eval_select_accept(tmp_path, world_file, capsys):
 
     code = run(["market", "select", "--request", request_path, "--offers", *offers,
                 "--world", world_file, *now])
-    selected = jsonio.loads(capsys.readouterr().out.strip())
+    selected = capsys.readouterr().out
     assert code == 0
-    assert selected["selectedOfferIds"] == ["off-7", "off-8"]
-    assert selected["totalCost"] == Decimal("14.70")  # 3 x (4.50 + 0.40)
+    assert selected == (  # total 3 x (4.50 + 0.40)
+        '{"quantityAllocation":"full-quantity-per-offer","requestId":"req-42",'
+        '"selectedOfferIds":["off-7","off-8"],"strategy":"exact","totalCost":14.70}\n'
+    )
 
     code = run(["market", "accept", "--request", request_path, "--offers", *offers,
                 "--world", world_file, *now])

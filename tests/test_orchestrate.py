@@ -80,7 +80,7 @@ def test_bind_explicit_mapping_with_unit_scaling(base_world):
         required_capability=capability.expression,
         parameter_values={"depth": 12},
     )
-    assignment = bind_parameters(step, capability, descriptor, base_world, {})
+    assignment = bind_parameters(step, capability, descriptor, base_world)
     assert assignment == {"drillDepth": Decimal("0.012")}
 
 
@@ -100,7 +100,7 @@ def test_bind_by_name_equality(base_world):
         required_capability=capability.expression,
         parameter_values={"depth": 12},
     )
-    assert bind_parameters(step, capability, descriptor, base_world, {}) == {"depth": 12}
+    assert bind_parameters(step, capability, descriptor, base_world) == {"depth": 12}
 
 
 def test_bind_unbound_required_parameter(base_world):
@@ -117,7 +117,7 @@ def test_bind_unbound_required_parameter(base_world):
         id="s1", required_capability=capability.expression, parameter_values={}
     )
     with pytest.raises(UnboundRequiredParameterError) as excinfo:
-        bind_parameters(step, capability, descriptor, base_world, {})
+        bind_parameters(step, capability, descriptor, base_world)
     assert excinfo.value.param_id == "feedRate"
 
 
@@ -138,7 +138,7 @@ def test_bind_defaults_fill_unmapped_inputs(base_world):
         id="s1", required_capability=capability.expression,
         parameter_values={"depth": 9},
     )
-    assignment = bind_parameters(step, capability, descriptor, base_world, {})
+    assignment = bind_parameters(step, capability, descriptor, base_world)
     assert assignment == {"depth": 9, "feedRate": Decimal("0.5")}
 
 
@@ -158,7 +158,7 @@ def test_bind_integer_parameter_rejects_fractional_scaling(base_world):
         parameter_values={"depth": 12},
     )
     with pytest.raises(TypeMismatchError):
-        bind_parameters(step, capability, descriptor, base_world, {})
+        bind_parameters(step, capability, descriptor, base_world)
 
 
 # --- plan ------------------------------------------------------------------------
@@ -233,7 +233,17 @@ def _depth_onto_an_output(doc: dict, resource_id: str) -> dict:
     return doc
 
 
-@pytest.mark.parametrize("unbindable", [_depth_in_metres, _depth_onto_an_output])
+def _depth_in_seconds(doc: dict, resource_id: str) -> dict:
+    """Take ``resource_id``'s depth input in seconds, to which no length
+    converts (``UnitMismatchError``); validation does not object."""
+    resource = next(r for r in doc["resources"] if r["id"] == resource_id)
+    resource["skills"][0]["parameters"][0]["unit"] = "s"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "unbindable", [_depth_in_metres, _depth_onto_an_output, _depth_in_seconds]
+)
 def test_plan_drops_an_alternate_whose_binding_raises(exec_world, unbindable):
     world = build_world([unbindable(exec_world_doc(), "r-driller-b")])
     entry = plan(world.product("prod-bracket"), world).entries[0]
@@ -271,7 +281,7 @@ def test_plan_drops_a_candidate_that_binds_one_input_twice():
     capability = world.resource("r-driller-a").provided_capabilities[0]
     skill = world.skill_implementing("r-driller-a", capability)
     with pytest.raises(TypeMismatchError) as excinfo:
-        bind_parameters(step, capability, skill, world, {})
+        bind_parameters(step, capability, skill, world)
     assert excinfo.value.message == "depth: bound by both 'depth' and 'diameter'"
 
 
@@ -313,6 +323,14 @@ def test_qualify_says_why_a_candidate_does_not_qualify():
     primary = plan(world.product("prod-bracket"), world).entries[0]
     assert primary == entry
     assert list(primary.alternates()) == []
+
+
+def test_qualify_drops_a_candidate_whose_unit_does_not_convert():
+    world = build_world([_depth_in_seconds(exec_world_doc(), "r-driller-a")])
+    assert validate_model(world).ok
+    candidates = StepCandidates(world.product("prod-bracket").steps[0], world)
+    assert candidates.qualify(0) == "UnitMismatch: cannot convert mm (m) to s (s)"
+    assert candidates.qualify(1).resource_id == "r-driller-b"
 
 
 def test_plan_requires_clean_validation(exec_world):
@@ -597,6 +615,36 @@ def test_execute_missing_connection_still_raises(exec_world):
             close()
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_execution_drops_an_alternate_whose_unit_does_not_convert(extra):
+    """r-driller-a's feasibility check rejects and r-driller-b's depth input is
+    in seconds: execution drops r-driller-b and goes on to the next
+    candidate, or fails the step, keeping its trace, when none is left."""
+    world = build_world([_depth_in_seconds(many_drillers_world_doc(extra), "r-driller-b")])
+    production_plan = plan(world.product("prod-bracket"), world)
+    connections, cleanups = _loopback_connections(world, {"r-driller-a": RejectingFeasibility})
+    try:
+        if extra:
+            trace = execute_plan(production_plan, connections)
+        else:
+            with pytest.raises(StepFailedNoAlternativeError) as excinfo:
+                execute_plan(production_plan, connections)
+            trace = excinfo.value.trace
+    finally:
+        for close in cleanups:
+            close()
+    drill = [(r.kind, r.detail) for r in trace.records if r.step_id == "step-drill"]
+    assert drill[0] == ("feasibility", {"feasible": False, "reason": "tool broken (injected)"})
+    if extra:  # on r-driller-x00
+        assert not trace.failed
+        assert drill[1] == ("feasibility", {"feasible": True, "reason": None})
+        assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE
+    else:
+        assert drill[1:] == [
+            ("error", {"code": "StepFailedNoAlternative", "stepId": "step-drill"})
+        ]
+
+
 @pytest.mark.parametrize("rejected", [(), ("r-driller-a",), ("r-driller-a", "r-driller-b")])
 def test_execution_qualifies_only_the_candidates_it_tries(monkeypatch, rejected):
     """A candidate ranked below a working primary is never qualified; after
@@ -785,17 +833,21 @@ def count_requests(client, fail_once: str | None = None) -> Counter:
     return sent
 
 
-def _budget(lrid: str, attempts: int) -> Counter:
-    """The lists, describes and subscription pairs a run sends one client."""
+def _budget(lrid: str, attempts: int, use_feasibility: bool) -> Counter:
+    """The lists, describes and subscription pairs a run sends one client: a
+    client it attempts on is listed once, and its skill described once only
+    when feasibility is asked for."""
+    asked = min(attempts, 1)
     return Counter({
-        ("list_skills", None, None): 1,
-        ("describe", lrid, None): 1,
+        ("list_skills", None, None): asked,
+        ("describe", lrid, None): asked if use_feasibility else 0,
         ("subscribe", lrid, True): attempts,
         ("subscribe", lrid, False): attempts,
     })
 
 
-def test_a_run_lists_each_client_and_describes_each_skill_once():
+@pytest.mark.parametrize("use_feasibility", [True, False])
+def test_a_run_lists_each_client_and_describes_each_skill_once(use_feasibility):
     world = two_holes_world()
     production_plan = plan(world.product("prod-two-holes"), world)
     connections, cleanups = _loopback_connections(
@@ -804,17 +856,26 @@ def test_a_run_lists_each_client_and_describes_each_skill_once():
     lrids = {rid: client.list_skills()[0]["localRuntimeId"] for rid, client in connections.items()}
     sent = {rid: count_requests(client) for rid, client in connections.items()}
     try:
-        trace = execute_plan(production_plan, connections)
+        trace = execute_plan(production_plan, connections, use_feasibility=use_feasibility)
     finally:
         for close in cleanups:
             close()
     assert not any(r.kind == "error" for r in trace.records)
-    assert [r.detail["feasible"] for r in trace.records if r.kind == "feasibility"] == [
-        False, True, False, True,
-    ]
-    attempts = {"r-driller-a": 2, "r-driller-b": 2, "r-screwer": 1}
+    feasible = [r.detail["feasible"] for r in trace.records if r.kind == "feasibility"]
+    if use_feasibility:
+        assert feasible == [False, True, False, True]
+        attempts = {"r-driller-a": 2, "r-driller-b": 2, "r-screwer": 1}
+    else:  # nothing rejects, so the primaries run every step
+        assert feasible == []
+        attempts = {"r-driller-a": 2, "r-driller-b": 0, "r-screwer": 1}
+        drills = {r.local_runtime_id for r in trace.records if r.step_id.startswith("step-drill")}
+        assert drills == {lrids["r-driller-a"]}
+        assert [r.kind for r in trace.records if r.step_id == "step-drill-1"] == [
+            "stateChange", "stateChange", "paramWrite", *["stateChange"] * 4,
+            "outputRead", "stateChange", "stateChange",
+        ]
     for rid, counter in sent.items():
-        wanted = _budget(lrids[rid], attempts[rid])
+        wanted = _budget(lrids[rid], attempts[rid], use_feasibility)
         assert {key: counter[key] for key in wanted} == wanted, rid
 
 

@@ -1,12 +1,11 @@
 """``plan`` against a reference planner that repeats every per-step decision
 for every candidate: it ranks all of the world's capabilities through
-``match_capabilities``, tests the envelope with the step values as written
-and binds each candidate through ``bind_parameters`` with a fresh conversion
-table, and it keeps each step's chain of qualifying candidates eagerly.
-``plan`` ranks only class-compatible groups, folds each value once, converts
-it once per input unit and datatype and qualifies the candidates after a
-step's primary only when execution reaches them; none of that may change a
-plan, the chain of candidates execution would try, or an error.
+``match_capabilities``, tests the envelope with the step values as written,
+binds each candidate through ``bind_parameters`` and keeps each step's chain
+of qualifying candidates eagerly.
+``plan`` ranks only class-compatible groups and qualifies the candidates
+after a step's primary only when execution reaches them; neither may change
+a plan, the chain of candidates execution would try, or an error.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ def reference_plan(product, world):
         qualifying = []
         for resource_id, capability, degree, descriptor in reference_candidates(step, world):
             try:
-                assignment = bind_parameters(step, capability, descriptor, world, {})
+                assignment = bind_parameters(step, capability, descriptor, world)
             except _UNBOUND:
                 continue
             qualifying.append(PlanEntry(
@@ -260,62 +259,26 @@ def test_plan_equals_reference_on_seeded_worlds():
     assert planned >= 2 * len(SEEDS)  # most of the three products plan; the rest raise alike
 
 
-def test_shared_conversions_fail_as_fresh_bindings_do():
-    """Binding through one conversion table per step gives every candidate the
-    assignment or the error (type and message) a fresh binding gives. Within
-    one step of the seeded worlds, an integer depth input in metres fails to
-    scale while other candidates bind."""
-    mixed_steps = 0
-    for seed in SEEDS:
-        world = build_world([seeded_world_doc(seed)])
-        for product in world.products:
-            for step in product.steps:
-                converted: dict = {}
-                outcomes = set()
-                for resource, capability in world.capabilities():
-                    skill = world.skill_implementing(resource.id, capability)
-                    if skill is None:
-                        continue
-                    results = []
-                    for bind in (
-                        lambda: bind_parameters(step, capability, skill, world, converted),
-                        lambda: bind_parameters(step, capability, skill, world, {}),
-                    ):
-                        try:
-                            results.append(repr(bind()))
-                        except CssError as exc:
-                            results.append(f"{type(exc).__name__}: {exc.message}")
-                    assert results[0] == results[1]
-                    outcomes.add(
-                        "does not scale" if "does not scale" in results[0]
-                        else "bound" if results[0].startswith("{") else "other"
-                    )
-                mixed_steps += {"does not scale", "bound"} <= outcomes
-    assert mixed_steps > 0
-
-
-def test_a_kept_conversion_failure_names_each_input_it_fails_for():
-    """12 mm binds to no integer input in metres: the failure is worked out
-    once per step and raised afresh, naming the input, for each candidate."""
+def test_a_conversion_failure_names_each_input_it_fails_for():
+    """12 mm binds to no integer input in metres: each binding fails, naming
+    the candidate's input."""
     doc = _depth_in_metres(_depth_in_metres(exec_world_doc(), "r-driller-a"), "r-driller-b")
     driller_b = doc["resources"][1]
     driller_b["capabilities"][0]["propertyToParameter"] = {"depth": "drillDepth"}
     driller_b["skills"][0]["parameters"][0]["paramId"] = "drillDepth"
     world = build_world([doc])
     step = world.product("prod-bracket").steps[0]
-    converted: dict = {}
     messages = []
     for resource_id in ("r-driller-a", "r-driller-b", "r-driller-a"):
         capability = world.resource(resource_id).provided_capabilities[0]
         skill = world.skill_implementing(resource_id, capability)
         with pytest.raises(TypeMismatchError) as excinfo:
-            bind_parameters(step, capability, skill, world, converted)
+            bind_parameters(step, capability, skill, world)
         messages.append(excinfo.value.message)
     assert messages == [
         f"{target}: 12 does not scale to an integer value"
         for target in ("depth", "drillDepth", "depth")
     ]
-    assert len(converted) == 1
 
 
 def test_real_values_on_open_and_closed_bounds():
@@ -370,7 +333,7 @@ def test_plan_binds_and_decides_class_relations_through_one_path(monkeypatch, se
             for _, capability, _, skill in reference_candidates(step, world):
                 expected_binds.append((step.id, capability.id, skill.skill_id))
                 try:
-                    bind_parameters(step, capability, skill, world, {})
+                    bind_parameters(step, capability, skill, world)
                     bound = True
                     break
                 except _UNBOUND:

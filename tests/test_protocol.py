@@ -300,6 +300,17 @@ def test_remote_errors_carry_runtime_codes():
     client.close()
 
 
+def test_an_unknown_command_is_an_invalid_transition():
+    host, lrid = make_host()
+    client = connect_loopback(host)
+    client.hello()
+    with pytest.raises(RemoteError) as excinfo:
+        client.command(lrid, "Jump")
+    assert excinfo.value.remote_code == "InvalidTransition"
+    assert client.read(lrid)["state"] == "Stopped"
+    client.close()
+
+
 def test_command_start_result_then_events_when_subscribed(monkeypatch):
     host, lrid = make_host()
     client = connect_loopback(host)

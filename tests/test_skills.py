@@ -125,6 +125,16 @@ def test_invalid_pair_raises_and_leaves_state():
     assert host.read_skill(lrid).state == "Complete"
 
 
+def test_unknown_command_raises_and_leaves_state():
+    host = SkillHost()
+    lrid = host.register_skill(drill_descriptor(), ManualBehavior())
+    for command in ("Jump", "start", ""):
+        with pytest.raises(InvalidTransitionError) as excinfo:
+            host.fire_command(lrid, command)
+        assert (excinfo.value.state, excinfo.value.command) == ("Stopped", command)
+        assert host.read_skill(lrid).state == "Stopped"
+
+
 def test_unknown_skill():
     with pytest.raises(UnknownSkillError):
         SkillHost().fire_command("lr-9999", "Start")
