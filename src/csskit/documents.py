@@ -50,13 +50,6 @@ KNOWN_SCHEMAS = (
     SCHEMA_ENDPOINTS,
 )
 
-_OFFER_FIELDS = frozenset({
-    "offerId", "providerId", "requestId", "coveredCapKeys", "providedCapabilities",
-    "unitPrice", "co2PerUnit", "deliveryDate", "validUntil",
-})
-_OFFER_OPTIONAL = frozenset({"certifications", "ndaAccepted", "exclusiveGroup"})
-
-
 def load_document_text(text: str) -> dict:
     data = jsonio.loads(text)
     if not isinstance(data, dict):
@@ -335,7 +328,7 @@ def build_world(docs: list[dict]) -> WorldModel:
             world_docs[0],
             SCHEMA_WORLD,
             {"properties", "resources"},
-            {"taxonomy", "products", "catalog"},
+            {"taxonomy", "products"},
         )
 
     taxonomy = None
@@ -368,18 +361,11 @@ def build_world(docs: list[dict]) -> WorldModel:
         where = f"{SCHEMA_WORLD}.products[{i}]"
         products.append(_parse_product(_expect(item, where, {"id", "steps"}), where, world))
     products += (product_from_doc(doc, world) for doc in product_docs)
-    catalog = []
-    for i, item in enumerate(_list(body, "catalog", SCHEMA_WORLD)):
-        where = f"{SCHEMA_WORLD}.catalog[{i}]"
-        entry = _expect(item, where, _OFFER_FIELDS, _OFFER_OPTIONAL | {"schema"})
-        catalog.append(_parse_offer(entry, where, world))
-
     return WorldModel(
         taxonomy=taxonomy,
         property_defs=properties,
         resources=resources,
         products=tuple(products),
-        service_catalog=tuple(catalog),
     )
 
 
@@ -440,14 +426,18 @@ def request_from_doc(doc: dict, world: WorldModel) -> ServiceRequest:
 
 
 def offer_from_doc(doc: dict, world: WorldModel) -> ServiceOffer:
-    body = _document(doc, SCHEMA_OFFER, _OFFER_FIELDS, _OFFER_OPTIONAL)
-    return _parse_offer(body, SCHEMA_OFFER, world)
-
-
-def _parse_offer(entry: dict, where: str, world: WorldModel) -> ServiceOffer:
-    """Read an offer whose fields the caller has checked against the offer field sets."""
-    covered = _strings(entry, "coveredCapKeys", where, nonempty=True)
-    raw_provided = entry.get("providedCapabilities")
+    where = SCHEMA_OFFER
+    body = _document(
+        doc,
+        where,
+        {
+            "offerId", "providerId", "requestId", "coveredCapKeys", "providedCapabilities",
+            "unitPrice", "co2PerUnit", "deliveryDate", "validUntil",
+        },
+        {"certifications", "ndaAccepted", "exclusiveGroup"},
+    )
+    covered = _strings(body, "coveredCapKeys", where, nonempty=True)
+    raw_provided = body.get("providedCapabilities")
     if not isinstance(raw_provided, dict):
         raise DocumentInvalidError(f"{where}.providedCapabilities: expected an object")
     provided = {}
@@ -456,25 +446,25 @@ def _parse_offer(entry: dict, where: str, world: WorldModel) -> ServiceOffer:
         if not isinstance(text, str):
             raise DocumentInvalidError(f"{path}: expected an expression string")
         provided[key] = _expression(raw_provided, key, where, world, path)
-    certifications = _strings(entry, "certifications", where)
-    exclusive_group = _optional_string(entry, "exclusiveGroup", where)
+    certifications = _strings(body, "certifications", where)
+    exclusive_group = _optional_string(body, "exclusiveGroup", where)
     # selection's cost bound needs non-negative prices; negative CO2 is meaningless
-    amounts = {key: _decimal(entry, key, where) for key in ("unitPrice", "co2PerUnit")}
+    amounts = {key: _decimal(body, key, where) for key in ("unitPrice", "co2PerUnit")}
     for key, amount in amounts.items():
         if amount < 0:
             raise DocumentInvalidError(f"{where}.{key}: must not be negative")
     return ServiceOffer(
-        offer_id=_string(entry, "offerId", where),
-        provider_id=_string(entry, "providerId", where),
-        request_id=_string(entry, "requestId", where),
+        offer_id=_string(body, "offerId", where),
+        provider_id=_string(body, "providerId", where),
+        request_id=_string(body, "requestId", where),
         covered_cap_keys=tuple(covered),
         provided_capabilities=provided,
         unit_price=amounts["unitPrice"],
         co2_per_unit=amounts["co2PerUnit"],
-        delivery_date=_timestamp(entry, "deliveryDate", where),
+        delivery_date=_timestamp(body, "deliveryDate", where),
         certifications=frozenset(certifications),
-        nda_accepted=_bool(entry, "ndaAccepted", where),
-        valid_until=_timestamp(entry, "validUntil", where),
+        nda_accepted=_bool(body, "ndaAccepted", where),
+        valid_until=_timestamp(body, "validUntil", where),
         exclusive_group=exclusive_group,
     )
 

@@ -27,7 +27,6 @@ from .values import DATATYPES, Literal, UNIT_TABLE, literal_matches
 
 if TYPE_CHECKING:
     from .expressions import CapabilityExpression, FeasibleSet, NormalForm
-    from .market import ServiceOffer
 
 STATE_MACHINE_PROFILE = "PACKML-17"
 
@@ -139,7 +138,6 @@ class WorldModel:
     property_defs: tuple[PropertyDefinition, ...] = ()
     resources: tuple[Resource, ...] = ()
     products: tuple[Product, ...] = ()
-    service_catalog: tuple[ServiceOffer, ...] = ()
     _properties: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _resources: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _products: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
@@ -252,7 +250,8 @@ def bound_input(capability: Capability, skill: SkillDescriptor, property_id: str
 
 def input_bindings(world: WorldModel, capability: Capability, skill: SkillDescriptor):
     """Each skill input's properties by ``bound_input``, in definition order, and
-    warnings: each mapping whose target is not an input, each input bound twice."""
+    warnings: each mapping whose target is not an input, each input bound twice,
+    each input whose table unit has another base unit than its property's."""
     bound: dict[str, list[PropertyDefinition]] = {}
     issues: list[str] = []
     for prop in world.property_defs:
@@ -268,6 +267,13 @@ def input_bindings(world: WorldModel, capability: Capability, skill: SkillDescri
                     f"input {spec.param_id!r} is bound by both {props[0].id!r} and {prop.id!r}"
                 )
             props.append(prop)
+            input_base = UNIT_TABLE.get(spec.unit, (None,))[0]
+            property_base = UNIT_TABLE.get(prop.unit, (None,))[0]
+            if input_base and property_base and input_base != property_base:
+                issues.append(
+                    f"input {spec.param_id!r} is in {spec.unit} ({input_base}), to which "
+                    f"property {prop.id!r} in {prop.unit} ({property_base}) does not convert"
+                )
     return bound, issues
 
 
@@ -341,7 +347,6 @@ def _check_model(world: WorldModel, error, warning) -> None:
             error(f"products[{product.id}]", f"duplicate product id {product.id!r}")
         product_ids.add(product.id)
         _check_product(world, product, error, warning)
-    _validate_catalog(world, error)
 
 
 def _validate_properties(world: WorldModel, error) -> None:
@@ -472,14 +477,3 @@ def _check_product(world: WorldModel, product: Product, error, warning) -> None:
             if not nf.feasible_or_domain(property_id, world).contains(value):
                 error(vpath, f"value {value!r} violates the step's own constraints")
 
-
-def _validate_catalog(world: WorldModel, error) -> None:
-    offer_ids: set[str] = set()
-    for offer in world.service_catalog:
-        opath = f"serviceCatalog[{offer.offer_id}]"
-        if offer.offer_id in offer_ids:
-            error(opath, f"duplicate offer id {offer.offer_id!r}")
-        offer_ids.add(offer.offer_id)
-        for cap_key, expression in offer.provided_capabilities.items():
-            for message in expressions.validate_expression(expression, world):
-                error(f"{opath}.providedCapabilities[{cap_key}]", message)

@@ -247,17 +247,11 @@ def plan(product: Product, world: WorldModel) -> ProductionPlan:
     return ProductionPlan(product_id=product.id, entries=tuple(entries))
 
 
-class _TraceBuilder:
-    def __init__(self):
-        self.records: list[TraceRecord] = []
-
-    def add(self, step_id: str, local_runtime_id: str, kind: str, detail: dict) -> None:
-        self.records.append(
-            TraceRecord(len(self.records), step_id, local_runtime_id, kind, detail)
-        )
-
-    def build(self) -> ExecutionTrace:
-        return ExecutionTrace(records=tuple(self.records))
+def _record(
+    trace: list[TraceRecord], step_id: str, local_runtime_id: str, kind: str, detail: dict
+) -> None:
+    """Append a record timestamped by its position in the trace."""
+    trace.append(TraceRecord(len(trace), step_id, local_runtime_id, kind, detail))
 
 
 def execute_plan(
@@ -277,7 +271,7 @@ def execute_plan(
     record is appended and StepFailedNoAlternative (carrying the partial
     trace) is raised.
     """
-    trace = _TraceBuilder()
+    trace: list[TraceRecord] = []
     known: dict = {}  # this run's skill lists and descriptions, see _ask_once
 
     for entry in plan_.entries:
@@ -291,14 +285,12 @@ def execute_plan(
             if _attempt_step(candidate, client, use_feasibility, trace, known):
                 break
         else:
-            trace.add(
-                entry.step_id,
-                "",
-                "error",
+            _record(
+                trace, entry.step_id, "", "error",
                 {"code": "StepFailedNoAlternative", "stepId": entry.step_id},
             )
-            raise StepFailedNoAlternativeError(entry.step_id, trace.build())
-    return trace.build()
+            raise StepFailedNoAlternativeError(entry.step_id, ExecutionTrace(tuple(trace)))
+    return ExecutionTrace(tuple(trace))
 
 
 #: rest state -> (command that leaves it, state it settles in), one step toward Idle
@@ -316,7 +308,7 @@ def _attempt_step(
     entry: PlanEntry,
     client: SkillClient,
     use_feasibility: bool,
-    trace: _TraceBuilder,
+    trace: list[TraceRecord],
     known: dict,
 ) -> bool:
     """One candidate attempt; True on success, False to fail over.
@@ -338,10 +330,8 @@ def _attempt_step(
             "",
         )
         if not local_runtime_id:
-            trace.add(
-                entry.step_id,
-                "",
-                "error",
+            _record(
+                trace, entry.step_id, "", "error",
                 {"code": "UnknownSkill", "skillId": entry.skill_id},
             )
             return False
@@ -353,10 +343,8 @@ def _attempt_step(
         try:
             if checks_feasibility:
                 verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
-                trace.add(
-                    entry.step_id,
-                    local_runtime_id,
-                    "feasibility",
+                _record(
+                    trace, entry.step_id, local_runtime_id, "feasibility",
                     {"feasible": verdict["feasible"], "reason": verdict.get("reason")},
                 )
                 if not verdict["feasible"]:
@@ -368,19 +356,15 @@ def _attempt_step(
                 client.command(local_runtime_id, command)
                 _await_state(client, entry, local_runtime_id, state, trace)
             if state != "Idle":
-                trace.add(
-                    entry.step_id,
-                    local_runtime_id,
-                    "error",
+                _record(
+                    trace, entry.step_id, local_runtime_id, "error",
                     {"code": "WrongState", "state": state},
                 )
                 return False
 
             client.write(local_runtime_id, entry.parameter_assignment)
-            trace.add(
-                entry.step_id,
-                local_runtime_id,
-                "paramWrite",
+            _record(
+                trace, entry.step_id, local_runtime_id, "paramWrite",
                 {"values": dict(entry.parameter_assignment)},
             )
             client.command(local_runtime_id, "Start")
@@ -392,8 +376,8 @@ def _attempt_step(
                 return False
 
             outputs = client.read(local_runtime_id)["outputValues"]
-            trace.add(
-                entry.step_id, local_runtime_id, "outputRead", {"outputs": outputs}
+            _record(
+                trace, entry.step_id, local_runtime_id, "outputRead", {"outputs": outputs}
             )
             client.command(local_runtime_id, "Reset")
             return _await_state(client, entry, local_runtime_id, "Idle", trace)
@@ -422,13 +406,11 @@ def _ask_once(known: dict, key, request):
 
 
 def _record_failure(
-    entry: PlanEntry, local_runtime_id: str, exc: Exception, trace: _TraceBuilder
+    entry: PlanEntry, local_runtime_id: str, exc: Exception, trace: list[TraceRecord]
 ) -> None:
     code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
-    trace.add(
-        entry.step_id,
-        local_runtime_id,
-        "error",
+    _record(
+        trace, entry.step_id, local_runtime_id, "error",
         {"code": code, "message": exc.message},
     )
 
@@ -438,7 +420,7 @@ def _await_state(
     entry: PlanEntry,
     local_runtime_id: str,
     target: str,
-    trace: _TraceBuilder,
+    trace: list[TraceRecord],
     failure_state: str | None = None,
 ) -> bool:
     """Record state-change events until target (True) or failure_state (False)."""
@@ -447,11 +429,8 @@ def _await_state(
         if event.payload.get("localRuntimeId") != local_runtime_id:
             continue
         new_state = event.payload["newState"]
-        trace.add(
-            entry.step_id,
-            local_runtime_id,
-            "stateChange",
-            {"newState": new_state},
+        _record(
+            trace, entry.step_id, local_runtime_id, "stateChange", {"newState": new_state}
         )
         if new_state == target:
             return True

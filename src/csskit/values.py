@@ -11,7 +11,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import TypeMismatchError, UnknownUnitError
+from .errors import TypeMismatchError, UnitMismatchError, UnknownUnitError
 
 DATATYPES = ("integer", "real", "enum", "boolean")
 
@@ -51,8 +51,6 @@ def convert_between_units(value: Fraction, from_unit: str | None, to_unit: str |
     if to_base is None:
         raise UnknownUnitError(f"unit {to_unit!r} is not in the scale table")
     if from_base != to_base:
-        from .errors import UnitMismatchError
-
         raise UnitMismatchError(
             f"cannot convert {from_unit} ({from_base}) to {to_unit} ({to_base})"
         )

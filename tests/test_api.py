@@ -90,3 +90,25 @@ def test_every_module_import_is_used():
                     continue
                 unused.append(f"{path.name}:{alias.lineno}: {bound}")
     assert unused == []
+
+
+#: package modules built on the data model, which ``model`` must not import
+ABOVE_MODEL = {
+    "matching", "market", "skills", "protocol", "hosting", "orchestrate", "documents", "cli",
+}
+
+
+def test_model_imports_no_layer_above_it():
+    """``model``'s module-level and ``TYPE_CHECKING`` imports name no module
+    that is built on it."""
+    source = (Path(csskit.__file__).parent / "model.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in _module_level_imports(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:  # "from . import x" names module x, "from .x import y" module x
+            module = ".".join(filter(None, ["csskit" if node.level else "", node.module]))
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        imported.update(name.split(".")[1] for name in names if name.startswith("csskit."))
+    assert sorted(imported & ABOVE_MODEL) == []
+    assert "expressions" in imported  # the walk sees relative imports

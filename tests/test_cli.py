@@ -16,6 +16,8 @@ from csskit import jsonio
 from csskit.cli import run
 from csskit.documents import build_world
 from csskit.hosting import build_resource_host
+from csskit.model import validate_model
+from csskit.orchestrate import plan
 from csskit.protocol import serve
 
 from test_documents import offer_doc, request_doc
@@ -160,6 +162,21 @@ def test_plan_command(world_file, product_file, capsys):
     objs = [jsonio.loads(line) for line in lines]
     assert [o["stepId"] for o in objs] == ["step-drill", "step-screw"]
     assert objs[0]["resourceId"] == "r-driller-a"
+
+
+def test_validate_warns_of_an_input_whose_unit_does_not_convert(tmp_path, capsys):
+    doc = _depth_in_seconds(exec_world_doc(), "r-driller-a")
+    world = build_world([doc])
+    path = "resources[r-driller-a].skills[skill-drill-a]"
+    message = "input 'depth' is in s (s), to which property 'depth' in mm (m) does not convert"
+    assert [
+        (issue.severity, issue.path, issue.message) for issue in validate_model(world).issues
+    ] == [("warning", path, message)]
+    assert run(["validate", _write(tmp_path, "world.json", doc)]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"warning: {path}: {message}\n"
+    assert err == "ok: 1 issue(s), none are errors\n"
+    assert plan(world.product("prod-bracket"), world).entries[0].resource_id == "r-driller-b"
 
 
 def test_plan_skips_a_skill_whose_unit_does_not_convert(tmp_path, product_file, capsys):

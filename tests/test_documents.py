@@ -90,27 +90,6 @@ def test_world_round_trip():
     assert build_world([load_document_text(text)]) == build_world([doc])
 
 
-def test_world_with_service_catalog_round_trips():
-    doc = exec_world_doc()
-    doc["catalog"] = [
-        {
-            "offerId": "cat-1",
-            "providerId": "provider-x",
-            "requestId": "template",
-            "coveredCapKeys": ["cap-drill"],
-            "providedCapabilities": {"cap-drill": "Drilling and (depth <= 15 mm)"},
-            "unitPrice": Decimal("4.50"),
-            "co2PerUnit": Decimal("1.2"),
-            "deliveryDate": "2026-08-25T00:00:00Z",
-            "validUntil": "2026-08-30T00:00:00Z",
-        }
-    ]
-    world = build_world([doc])
-    assert world.service_catalog[0].offer_id == "cat-1"
-    text = jsonio.dumps(doc)
-    assert build_world([load_document_text(text)]) == world
-
-
 def test_world_from_separate_taxonomy_doc():
     doc = exec_world_doc()
     del doc["taxonomy"]
@@ -270,24 +249,11 @@ def test_standalone_readers_check_their_schema(schema, load, doc):
     assert excinfo.value.message == f"{schema}: expected schema {schema!r}, found None"
 
 
-def test_catalog_entries_may_carry_any_schema_field():
-    doc = exec_world_doc()
-    doc["catalog"] = [offer_doc(), {**offer_doc(), "offerId": "off-8", "schema": "x"}]
-    world = build_world([doc])
-    assert [offer.offer_id for offer in world.service_catalog] == ["off-7", "off-8"]
-
-
 # ---------------------------------------------------------------------------
 # golden messages: one fault at a time in each record kind
 # ---------------------------------------------------------------------------
 
 DROP = object()
-
-
-def _world_with_catalog() -> dict:
-    doc = exec_world_doc()
-    doc["catalog"] = [{key: value for key, value in offer_doc().items() if key != "schema"}]
-    return doc
 
 
 #: record kind -> (base document, path of the record in it, loader)
@@ -301,7 +267,6 @@ RECORD_KINDS = {
     "step": (exec_world_doc, "products/0/steps/0", build_world),
     "product": (exec_world_doc, "products/0", build_world),
     "taxonomy": (exec_world_doc, "taxonomy", build_world),
-    "catalog": (_world_with_catalog, "catalog/0", build_world),
     "world": (exec_world_doc, "", build_world),
     "product-doc": (
         lambda: {"schema": "css.product/1", **exec_world_doc()["products"][0]},
@@ -502,12 +467,6 @@ GOLDEN_MESSAGES = [
      "css.taxonomy/1: missing required fields ['classes']"),
     ("taxonomy-doc", {"surprise": 1},
      "css.taxonomy/1: unknown fields ['surprise']"),
-    ("catalog", {"coveredCapKeys": "cap-drill"},
-     f"{W}.catalog[0].coveredCapKeys: expected a non-empty list of strings"),
-    ("catalog", {"unitPrice": DROP},
-     f"{W}.catalog[0]: missing required fields ['unitPrice']"),
-    ("catalog", {"surprise": 1},
-     f"{W}.catalog[0]: unknown fields ['surprise']"),
     ("world", {"taxonomy": 5},
      f"{W}.taxonomy: expected an object"),
     ("world", {"properties": {}},
@@ -517,7 +476,7 @@ GOLDEN_MESSAGES = [
     ("world", {"products": {}},
      f"{W}.products: expected a list"),
     ("world", {"catalog": {}},
-     f"{W}.catalog: expected a list"),
+     f"{W}: unknown fields ['catalog']"),
     ("world", {"properties": DROP},
      f"{W}: missing required fields ['properties']"),
     ("world", {"surprise": 1},
@@ -526,8 +485,6 @@ GOLDEN_MESSAGES = [
      f"{W}.properties: expected a list"),
     ("world", {"resources/0/id": 5, "products/0/id": 5},
      f"{RES}.id: expected a non-empty string"),
-    ("world", {"products": {}, "catalog": {}},
-     f"{W}.products: expected a list"),
     ("world", {"properties/0/id": 5, "taxonomy/classes/0/id": 5},
      f"{CLS}.id: expected a non-empty string"),
     ("request", {"requestId": 5},

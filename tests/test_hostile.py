@@ -100,7 +100,10 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
     lines = [_line("hello", "c-hello", PAYLOADS["hello"]), *wrong_type_lines()]
     lines += [_hello_of(protocol.MAX_LINE_BYTES), _hello_of(protocol.MAX_LINE_BYTES + 1)]
     for _ in range(count):
-        shape = rng.choice(["deep", "truncated", "utf8", "unknown kind", "duplicate id"])
+        shape = rng.choice([
+            "deep", "truncated", "utf8", "unknown kind", "duplicate kind", "long number",
+            "duplicate id",
+        ])
         if shape == "deep":
             depth = rng.choice([10, 500, 5000, 100_000])
             nested = "[" * depth + "]" * depth if rng.random() < 0.5 else "[" * depth
@@ -119,6 +122,15 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
         elif shape == "unknown kind":
             kind = rng.choice(["result", "error", "event", "HELLO", "", "bye", "héllo"])
             lines.append(_line(kind, "c-kind", {}))
+        elif shape == "duplicate kind":  # the last "kind" is the one read
+            first, last = rng.sample(sorted(PAYLOADS), 2)
+            whole = _line(last, "c-dup-kind", PAYLOADS[last])
+            lines.append(b'{"kind": "' + first.encode() + b'", ' + whole[1:])
+        elif shape == "long number":  # past the 4300-digit int limit of Python 3.10.7 on
+            lines.append(
+                b'{"kind": "write", "correlationId": "c-long-number", "payload": '
+                b'{"localRuntimeId": "lr-0001", "values": {"depth": ' + b"9" * 5000 + b"}}}"
+            )
         else:  # well-formed requests sharing three correlation ids
             lines.append(_request(rng, f"c-dup-{rng.randrange(3)}"))
     return lines

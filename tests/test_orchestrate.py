@@ -235,7 +235,7 @@ def _depth_onto_an_output(doc: dict, resource_id: str) -> dict:
 
 def _depth_in_seconds(doc: dict, resource_id: str) -> dict:
     """Take ``resource_id``'s depth input in seconds, to which no length
-    converts (``UnitMismatchError``); validation does not object."""
+    converts (``UnitMismatchError``); validation only warns."""
     resource = next(r for r in doc["resources"] if r["id"] == resource_id)
     resource["skills"][0]["parameters"][0]["unit"] = "s"
     return doc
