@@ -477,6 +477,10 @@ GOLDEN_MESSAGES = [
      f"{W}.products: expected a list"),
     ("world", {"catalog": {}},
      f"{W}: unknown fields ['catalog']"),
+    ("world", {"catalog": [{key: value for key, value in offer_doc().items() if key != "schema"}]},
+     f"{W}: unknown fields ['catalog']"),
+    ("world", {"catalog": [], "surprise": 1},
+     f"{W}: unknown fields ['catalog', 'surprise']"),
     ("world", {"properties": DROP},
      f"{W}: missing required fields ['properties']"),
     ("world", {"surprise": 1},

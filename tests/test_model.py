@@ -309,3 +309,23 @@ def test_validation_warns_of_an_ambiguous_or_broken_binding(mapping, message):
     assert [(i.severity, i.path, i.message) for i in report.issues] == [
         ("warning", "resources[r-driller-a].skills[skill-drill-a]", message)
     ]
+
+
+@pytest.mark.parametrize("unit, issues", [
+    ("cm", []),
+    ("m", []),
+    (None, []),
+    ("furlong", [("error", "resources[r-driller-a].skills[skill-drill-a]",
+                  "parameter 'depth' unit 'furlong' is not in the scale table")]),
+])
+def test_validation_warns_only_of_an_input_unit_of_another_dimension(unit, issues):
+    """An input in another length unit, or in none, converts; a unit outside
+    the table is already an error and gets no second, dimension issue."""
+    doc = exec_world_doc()
+    parameter = doc["resources"][0]["skills"][0]["parameters"][0]
+    if unit is None:
+        del parameter["unit"]
+    else:
+        parameter["unit"] = unit
+    report = validate_model(build_world([doc]))
+    assert [(i.severity, i.path, i.message) for i in report.issues] == issues
