@@ -13,7 +13,7 @@ input that several properties bind is outside only when none of them holds it.
 
 from __future__ import annotations
 
-from .errors import NotFoundError, UnitMismatchError, UnknownUnitError
+from .errors import NotFoundError, UnitMismatchError
 from .expressions import NormalForm
 from .model import Capability, SkillDescriptor, WorldModel, input_bindings
 from .skills import FeasibilityResult, SkillBehavior, SkillHost
@@ -61,7 +61,7 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
         if prop.datatype in ("integer", "real"):
             try:
                 value = convert_between_units(to_fraction(value), spec.unit, prop.unit)
-            except (UnitMismatchError, UnknownUnitError):
+            except UnitMismatchError:
                 return True
         return self._nf.feasible_or_domain(prop.id, self._world).contains(value)
 
@@ -70,9 +70,7 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
         by_id = {spec.param_id: spec for spec in self._descriptor.input_parameters()}
         for spec in self._descriptor.output_parameters():
             source = None
-            if spec.param_id in by_id:
-                source = spec.param_id
-            elif spec.param_id.startswith("achieved"):
+            if spec.param_id.startswith("achieved"):
                 stem = spec.param_id[len("achieved"):]
                 candidates = (stem[:1].lower() + stem[1:], stem)
                 source = next((c for c in candidates if c in by_id), None)
@@ -86,7 +84,7 @@ class CapabilityEnvelopeBehavior(SkillBehavior):
                     scaled = convert_between_units(
                         to_fraction(value), by_id[source].unit, spec.unit
                     )
-                except (UnitMismatchError, UnknownUnitError):
+                except UnitMismatchError:
                     continue
                 value = fraction_to_number(scaled)
             if literal_matches(spec.datatype, value):

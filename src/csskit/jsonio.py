@@ -64,8 +64,19 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _reject_repeated_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ParseError(f"duplicate object key {repeated!r}")
+    return obj
+
+
 #: one decoder for every line; json.loads with arguments would build one per call
-_DECODER = json.JSONDecoder(parse_float=Decimal, parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(
+    parse_float=Decimal, parse_constant=_reject_constant, object_pairs_hook=_reject_repeated_keys
+)
 
 
 def _emit(value, out: list[str]) -> None:

@@ -207,7 +207,7 @@ class WorldModel:
         return nf
 
     def capability_named(self, resource_id: str, skill: SkillDescriptor) -> Capability | None:
-        """The capability a skill's ref names by iri or id, the resource's own first."""
+        """The resource's own capability that a skill's ref names by iri or id, or None."""
         return self._skills()[0].get((resource_id, skill.capability_ref))
 
     def skill_implementing(self, resource_id: str, capability: Capability):
@@ -217,16 +217,13 @@ class WorldModel:
     def _skills(self) -> tuple[dict, dict]:
         """Both directions of the skill → capability relation, kept from first use."""
         if self._skill_index is None:
-            named, implementing, anywhere = {}, {}, {}
+            named, implementing = {}, {}
             for resource, capability in self.capabilities():
                 for ref in (capability.iri, capability.id):
                     named.setdefault((resource.id, ref), capability)
-                    anywhere.setdefault(ref, capability)
             for resource in self.resources:
                 for skill in sorted(resource.skills, key=lambda s: s.skill_id):
-                    key = (resource.id, skill.capability_ref)
-                    capability = named.setdefault(key, anywhere.get(skill.capability_ref))
-                    if capability is not None:
+                    if (capability := named.get((resource.id, skill.capability_ref))) is not None:
                         implementing.setdefault((resource.id, capability.id), skill)
             object.__setattr__(self, "_skill_index", (named, implementing))
         return self._skill_index
@@ -250,8 +247,8 @@ def bound_input(capability: Capability, skill: SkillDescriptor, property_id: str
 
 def input_bindings(world: WorldModel, capability: Capability, skill: SkillDescriptor):
     """Each skill input's properties by ``bound_input``, in definition order, and
-    warnings: each mapping whose target is not an input, each input bound twice,
-    each input whose table unit has another base unit than its property's."""
+    warnings: a mapping to no input, an input bound twice or, without a default,
+    never, and an input whose unit has another base unit than its property's."""
     bound: dict[str, list[PropertyDefinition]] = {}
     issues: list[str] = []
     for prop in world.property_defs:
@@ -274,6 +271,9 @@ def input_bindings(world: WorldModel, capability: Capability, skill: SkillDescri
                     f"input {spec.param_id!r} is in {spec.unit} ({input_base}), to which "
                     f"property {prop.id!r} in {prop.unit} ({property_base}) does not convert"
                 )
+    for spec in skill.input_parameters():
+        if spec.default is None and spec.param_id not in bound:
+            issues.append(f"input {spec.param_id!r} has no default and no property binds it")
     return bound, issues
 
 

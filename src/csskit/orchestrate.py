@@ -16,10 +16,10 @@ response (a violated precondition among them), a timeout or a lost
 connection, each recorded as one ``error`` entry; an attempt that times out
 also aborts its skill. A
 skill found resting in Aborted, Stopped or Complete is first walked back to
-Idle (Clear, then Reset), so one failed run does not block the next. Within
-one run each client is asked for ``list_skills`` once and, when feasibility
-checks are asked for, each runtime id is described once; a request that
-fails is asked again by the next attempt.
+Idle (Clear, then Reset), so one failed run does not block the next. A run
+reads each skill's id, inputs and feasibility check from its plan, which the
+world describes; it asks each client for ``list_skills`` once, for runtime ids
+only, and a list request that fails is asked again by the next attempt.
 Every attempt still subscribes, unsubscribes and reads the state before the
 walk. The trace records every state change, parameter write, feasibility
 verdict and output read with a logical timestamp, so reruns over identical
@@ -74,10 +74,11 @@ class PlanEntry:
     skill_id: str
     match_degree: MatchDegree
     parameter_assignment: dict[str, Literal]
-    #: the step's ranking and this entry's place in it; neither takes part in
-    #: equality, so a step planned again compares equal
+    #: the step's ranking, this entry's place in it and its skill's declared
+    #: feasibility check; none takes part in equality, so a replan compares equal
     candidates: StepCandidates | None = field(default=None, compare=False, repr=False)
     rank: int = field(default=0, compare=False, repr=False)
+    has_feasibility_check: bool = field(default=False, compare=False, repr=False)
 
     def alternates(self) -> Iterator[PlanEntry]:
         """The candidates ranked below this one that qualify, in order, each
@@ -213,6 +214,7 @@ class StepCandidates:
             parameter_assignment=assignment,
             candidates=self,
             rank=rank,
+            has_feasibility_check=descriptor.has_feasibility_check,
         )
 
     def qualified(self, start: int = 0) -> Iterator[PlanEntry]:
@@ -264,15 +266,15 @@ def execute_plan(
 
     ``connections`` maps resource ids to connected, hello'd SkillClients; it
     is looked up only for a candidate about to be attempted, and a resource
-    it lacks raises ``ConnectionLostError``. With ``use_feasibility`` false
-    no feasibility check is asked for, even of a skill that offers one. On
+    it lacks raises ``ConnectionLostError``. A feasibility check is asked for
+    only when the world declares one and ``use_feasibility`` is true. On
     step failure the next-ranked candidate that qualifies is qualified
     (``PlanEntry.alternates``) and tried; with none left a terminal error
     record is appended and StepFailedNoAlternative (carrying the partial
     trace) is raised.
     """
     trace: list[TraceRecord] = []
-    known: dict = {}  # this run's skill lists and descriptions, see _ask_once
+    skill_lists: dict = {}  # client -> its list_skills answer in this run
 
     for entry in plan_.entries:
         for candidate in itertools.chain((entry,), entry.alternates()):
@@ -282,7 +284,7 @@ def execute_plan(
                 raise ConnectionLostError(
                     f"no connection for resource {candidate.resource_id!r}"
                 ) from None
-            if _attempt_step(candidate, client, use_feasibility, trace, known):
+            if _attempt_step(candidate, client, use_feasibility, trace, skill_lists):
                 break
         else:
             _record(
@@ -309,7 +311,7 @@ def _attempt_step(
     client: SkillClient,
     use_feasibility: bool,
     trace: list[TraceRecord],
-    known: dict,
+    skill_lists: dict,
 ) -> bool:
     """One candidate attempt; True on success, False to fail over.
 
@@ -320,11 +322,12 @@ def _attempt_step(
     """
     local_runtime_id = ""
     try:
-        listed = _ask_once(known, client, client.list_skills)
+        if client not in skill_lists:
+            skill_lists[client] = client.list_skills()
         local_runtime_id = next(
             (
                 item["localRuntimeId"]
-                for item in listed
+                for item in skill_lists[client]
                 if item["skillId"] == entry.skill_id
             ),
             "",
@@ -336,12 +339,9 @@ def _attempt_step(
             )
             return False
 
-        checks_feasibility = use_feasibility and _ask_once(
-            known, (client, local_runtime_id), lambda: client.describe(local_runtime_id)
-        )["hasFeasibilityCheck"]
         client.subscribe(local_runtime_id)
         try:
-            if checks_feasibility:
+            if use_feasibility and entry.has_feasibility_check:
                 verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
                 _record(
                     trace, entry.step_id, local_runtime_id, "feasibility",
@@ -394,15 +394,6 @@ def _attempt_step(
     except _FAILED_REQUEST as exc:
         _record_failure(entry, local_runtime_id, exc, trace)
         return False
-
-
-def _ask_once(known: dict, key, request):
-    """``request()``'s answer, asked once per run under ``key``: a client for
-    its skill list, (client, runtime id) for a description. A request that
-    fails stores nothing, so the next attempt asks again."""
-    if key not in known:
-        known[key] = request()
-    return known[key]
 
 
 def _record_failure(

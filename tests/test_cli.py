@@ -179,6 +179,42 @@ def test_validate_warns_of_an_input_whose_unit_does_not_convert(tmp_path, capsys
     assert plan(world.product("prod-bracket"), world).entries[0].resource_id == "r-driller-b"
 
 
+def test_validate_warns_of_an_input_that_no_step_can_bind(tmp_path, capsys):
+    """An input without a default that no property binds leaves its skill
+    unusable; plan drops it, and validation says why."""
+    doc = exec_world_doc()
+    doc["resources"][0]["skills"][0]["parameters"].append(
+        {"paramId": "feed", "direction": "input", "datatype": "integer"}
+    )
+    world = build_world([doc])
+    assert run(["validate", _write(tmp_path, "world.json", doc)]) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        "warning: resources[r-driller-a].skills[skill-drill-a]: "
+        "input 'feed' has no default and no property binds it\n"
+    )
+    assert err == "ok: 1 issue(s), none are errors\n"
+    assert plan(world.product("prod-bracket"), world).entries[0].resource_id == "r-driller-b"
+
+
+def test_a_skill_naming_another_resources_capability_is_refused(tmp_path, capsys):
+    """skill-screw moved onto r-driller-a still names r-screwer's capability,
+    which plan could never select; validation and serve refuse it."""
+    doc = exec_world_doc()
+    moved = doc["resources"][2].pop("skills")[0]
+    doc["resources"][0]["skills"].append({**moved, "skillId": "skill-screw-on-a"})
+    path = _write(tmp_path, "world.json", doc)
+    dangling = (
+        "error: resources[r-driller-a].skills[skill-screw-on-a].capabilityRef: "
+        "dangling reference: 'urn:cap:screw' names no capability\n"
+    )
+    assert run(["validate", path]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == (dangling, "invalid: 1 error(s)\n")
+    assert run(["serve", "--world", path, "--resource", "r-driller-a", "--port", "0"]) == 1
+    assert capsys.readouterr().err == dangling
+
+
 def test_plan_skips_a_skill_whose_unit_does_not_convert(tmp_path, product_file, capsys):
     """r-driller-a's depth input is in seconds, to which no length converts."""
     world_path = _write(tmp_path, "world.json", _depth_in_seconds(exec_world_doc(), "r-driller-a"))

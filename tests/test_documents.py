@@ -69,6 +69,17 @@ def test_malformed_json_is_parse_error():
         load_document_text("{not json")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"schema": "css.offer/1", "schema": "css.world/1"}', "schema"),
+    ('{"schema": "css.world/1", "taxonomy": {"classes": [], "classes": []}}', "classes"),
+], ids=["top-level", "nested"])
+def test_a_repeated_key_is_a_parse_error(text, key):
+    """A repeated key is refused, not read as its last value, at any depth."""
+    with pytest.raises(ParseError) as excinfo:
+        load_document_text(text)
+    assert excinfo.value.message == f"duplicate object key {key!r} (byte offset 0)"
+
+
 def test_unknown_fields_rejected(base_world):
     doc = request_doc()
     doc["surprise"] = 1

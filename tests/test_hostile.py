@@ -122,7 +122,7 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
         elif shape == "unknown kind":
             kind = rng.choice(["result", "error", "event", "HELLO", "", "bye", "héllo"])
             lines.append(_line(kind, "c-kind", {}))
-        elif shape == "duplicate kind":  # the last "kind" is the one read
+        elif shape == "duplicate kind":  # refused: no "kind" is read
             first, last = rng.sample(sorted(PAYLOADS), 2)
             whole = _line(last, "c-dup-kind", PAYLOADS[last])
             lines.append(b'{"kind": "' + first.encode() + b'", ' + whole[1:])

@@ -65,18 +65,22 @@ def _recorded_capabilities(world, resource_id):
     return seen
 
 
-def test_host_resolves_a_capability_by_iri_by_id_and_on_another_resource():
+def test_host_resolves_a_capability_by_iri_and_by_id_on_its_own_resource_only():
     doc = exec_world_doc()
     skills = doc["resources"][0]["skills"]
     skills.append({**_drill_skill("by-id"), "capabilityRef": "cap-drill-a"})
-    skills.append({
-        **doc["resources"][2]["skills"][0], "skillId": "skill-screw-on-a",
-    })
     assert _recorded_capabilities(build_world([doc]), "r-driller-a") == {
         "skill-drill-a": "cap-drill-a",
         "skill-drill-by-id": "cap-drill-a",
-        "skill-screw-on-a": "cap-screw",
     }
+    skills.append({
+        **doc["resources"][2]["skills"][0], "skillId": "skill-screw-on-a",
+    })
+    with pytest.raises(NotFoundError) as excinfo:
+        build_resource_host(build_world([doc]), "r-driller-a")
+    assert excinfo.value.message == (
+        "skill 'skill-screw-on-a' references unknown capability 'urn:cap:screw'"
+    )
 
 
 def test_host_rejects_a_reference_that_names_no_capability():
@@ -149,3 +153,39 @@ def test_envelope_accepts_what_plan_bound_to_an_input_two_properties_bind():
     result = host.check_feasibility(lrid, {"depth": 26})
     assert not result.feasible
     assert result.reason == "depth=26 is outside the provided limit for depth"
+
+
+def test_envelope_passes_an_input_whose_unit_does_not_convert():
+    """r-driller-a's depth input is in seconds: the envelope cannot rescale
+    it onto the property's millimetres, so it holds every value."""
+    doc = exec_world_doc()
+    doc["resources"][0]["skills"][0]["parameters"][0]["unit"] = "s"
+    host = build_resource_host(build_world([doc]), "r-driller-a")
+    (lrid,) = host.local_runtime_ids()
+    assert host.check_feasibility(lrid, {"depth": 99}).feasible
+
+
+@pytest.mark.parametrize("output, outputs", [
+    ({"paramId": "achievedDepth", "direction": "output", "datatype": "integer", "unit": "s"},
+     {}),
+    ({"paramId": "toolWear", "direction": "output", "datatype": "integer", "default": 3},
+     {"toolWear": 3}),
+], ids=["other-dimension", "default"])
+def test_envelope_execution_skips_an_unconvertible_output_and_falls_back_to_a_default(
+    output, outputs
+):
+    doc = exec_world_doc()
+    doc["resources"][0]["skills"][0]["parameters"][1] = output
+    host = build_resource_host(build_world([doc]), "r-driller-a")
+    (lrid,) = host.local_runtime_ids()
+    host.fire_command(lrid, "Reset")
+    host.write_parameters(lrid, {"depth": 12})
+    host.fire_command(lrid, "Start")
+    snapshot = host.read_skill(lrid)
+    assert (snapshot.state, snapshot.output_values) == ("Complete", outputs)
+
+
+def test_host_rejects_a_resource_the_world_lacks(exec_world):
+    with pytest.raises(NotFoundError) as excinfo:
+        build_resource_host(exec_world, "r-nowhere")
+    assert excinfo.value.message == "no resource 'r-nowhere' in the world"

@@ -141,6 +141,31 @@ def test_unknown_cap_key(base_world, request_two_caps):
         evaluate_offer(request_two_caps, offer, base_world)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (dict(request_id="req-2"), "offer 'o-1' answers request 'req-2', not 'req-1'"),
+    (dict(provided_capabilities={}),
+     "offer 'o-1' covers 'cap-drill' without a provided capability"),
+], ids=["other-request", "no-provided-capability"])
+def test_an_offer_that_does_not_answer_the_request_is_refused(
+    base_world, request_two_caps, edit, message
+):
+    offer = replace(make_offer(base_world), **edit)
+    for judge in (
+        lambda: evaluate_offer(request_two_caps, offer, base_world),
+        lambda: select_offers(request_two_caps, [offer], NOW, base_world),
+    ):
+        with pytest.raises(UnknownCapKeyError) as excinfo:
+            judge()
+        assert excinfo.value.message == message
+
+
+def test_a_request_without_keys_has_no_combination(base_world, request_two_caps):
+    keyless = replace(request_two_caps, required_capabilities=())
+    with pytest.raises(NoFeasibleCombinationError) as excinfo:
+        select_offers(keyless, [], NOW, base_world)
+    assert excinfo.value.message == "request has no capability keys"
+
+
 def test_admissibility_monotone_under_relaxed_bounds(base_world, request_two_caps):
     rng = random.Random(5)
     for _ in range(100):

@@ -9,7 +9,7 @@ from conftest import exec_world_doc
 
 from csskit import jsonio
 from csskit.documents import build_world, load_document_text
-from csskit.errors import ModelInvalidError
+from csskit.errors import DescriptorInvalidError, ModelInvalidError
 from csskit.expressions import Atom, CapabilityExpression, normalize, parse_expression
 from csskit.hosting import build_resource_host
 from csskit.matching import match_capabilities, match_normal_form, rank_providers
@@ -23,8 +23,10 @@ from csskit.model import (
     SkillDescriptor,
     WorldModel,
     validate_model,
+    validate_product,
 )
 from csskit.orchestrate import plan
+from csskit.skills import SkillBehavior, SkillHost
 from csskit.taxonomy import Taxonomy, TaxonomyClass
 
 
@@ -294,20 +296,22 @@ def test_invalid_world_builds_and_only_plan_raises():
         plan(world.product("p-1"), world)
 
 
-@pytest.mark.parametrize("mapping, message", [
-    ({"diameter": "depth"}, "input 'depth' is bound by both 'depth' and 'diameter'"),
-    ({"depth": "drillDepth"}, "mapping targets 'drillDepth', which is not an input "
-                              "parameter of skill 'skill-drill-a'"),
-    ({"diameter": "achievedDepth"}, "mapping targets 'achievedDepth', which is not an "
-                                    "input parameter of skill 'skill-drill-a'"),
+@pytest.mark.parametrize("mapping, messages", [
+    ({"diameter": "depth"}, ["input 'depth' is bound by both 'depth' and 'diameter'"]),
+    ({"depth": "drillDepth"}, ["input 'depth' has no default and no property binds it",
+                               "mapping targets 'drillDepth', which is not an input "
+                               "parameter of skill 'skill-drill-a'"]),
+    ({"diameter": "achievedDepth"}, ["mapping targets 'achievedDepth', which is not an "
+                                     "input parameter of skill 'skill-drill-a'"]),
 ])
-def test_validation_warns_of_an_ambiguous_or_broken_binding(mapping, message):
+def test_validation_warns_of_an_ambiguous_or_broken_binding(mapping, messages):
     doc = exec_world_doc()
     doc["resources"][0]["capabilities"][0]["propertyToParameter"] = mapping
     report = validate_model(build_world([doc]))
     assert report.ok
     assert [(i.severity, i.path, i.message) for i in report.issues] == [
         ("warning", "resources[r-driller-a].skills[skill-drill-a]", message)
+        for message in messages
     ]
 
 
@@ -329,3 +333,104 @@ def test_validation_warns_only_of_an_input_unit_of_another_dimension(unit, issue
         parameter["unit"] = unit
     report = validate_model(build_world([doc]))
     assert [(i.severity, i.path, i.message) for i in report.issues] == issues
+
+
+@pytest.mark.parametrize("prop, path, message", [
+    (PropertyDefinition("depth", "integer", unit="mm"), "properties[depth]",
+     "duplicate property id 'depth'"),
+    (PropertyDefinition("grade", "integer", enum_values=("a",)), "properties[grade]",
+     "enumValues are only allowed on enum properties"),
+    (PropertyDefinition("grade", "integer", unit="furlong"), "properties[grade]",
+     "unit 'furlong' is not in the scale table"),
+    (PropertyDefinition("grade", "boolean", declared_range=(0, 1)), "properties[grade]",
+     "declaredRange is only allowed on numeric properties"),
+    (PropertyDefinition("grade", "integer", declared_range=(5, 1)), "properties[grade]",
+     "declaredRange lower 5 exceeds upper 1"),
+], ids=["duplicate-id", "enum-values", "unit", "range-datatype", "range-order"])
+def test_validation_flags_each_bad_property(base_world, prop, path, message):
+    world = replace(base_world, property_defs=base_world.property_defs + (prop,))
+    assert [(i.severity, i.path, i.message) for i in validate_model(world).issues] == [
+        ("error", path, message)
+    ]
+
+
+def _with_extra_resource(world):
+    return replace(world, resources=world.resources + (Resource("r-driller-a"),))
+
+
+def _with_extra_product(world):
+    return replace(world, products=world.products + (Product("prod-bracket"),))
+
+
+def _without_capability_ref(world):
+    first = world.resources[0]
+    skill = replace(first.skills[0], capability_ref="")
+    return replace(world, resources=(replace(first, skills=(skill,)), *world.resources[1:]))
+
+
+@pytest.mark.parametrize("edit, issues", [
+    (_with_extra_resource, [
+        ("error", "resources[r-driller-a]", "duplicate resource id 'r-driller-a'"),
+    ]),
+    (_with_extra_product, [
+        ("error", "products[prod-bracket]", "duplicate product id 'prod-bracket'"),
+        ("warning", "products[prod-bracket]", "product has no steps and cannot be orchestrated"),
+    ]),
+    (_without_capability_ref, [
+        ("error", "resources[r-driller-a].skills[skill-drill-a].capabilityRef",
+         "capabilityRef must be specified"),
+    ]),
+], ids=["resource-id", "product-id", "capability-ref"])
+def test_validation_flags_a_duplicate_id_or_an_empty_reference(exec_world, edit, issues):
+    report = validate_model(edit(exec_world))
+    assert [(i.severity, i.path, i.message) for i in report.issues] == issues
+
+
+_DEPTH = ParameterSpec("depth", "input", "integer", unit="mm")
+
+
+@pytest.mark.parametrize("parameters, profile, message", [
+    ((_DEPTH,), "ISA-88", "unsupported state machine profile 'ISA-88'"),
+    ((_DEPTH, replace(_DEPTH, direction="output")), "PACKML-17",
+     "duplicate parameter id 'depth'"),
+    ((_DEPTH, ParameterSpec("localRuntimeId", "input", "enum")), "PACKML-17",
+     "localRuntimeId is runtime metadata, not a parameter"),
+    ((replace(_DEPTH, direction="inout"),), "PACKML-17",
+     "parameter 'depth' has invalid direction 'inout'"),
+    ((replace(_DEPTH, datatype="quantity"),), "PACKML-17",
+     "parameter 'depth' has unknown datatype 'quantity'"),
+    ((replace(_DEPTH, default="deep"),), "PACKML-17",
+     "parameter 'depth' default 'deep' is not a integer literal"),
+    ((replace(_DEPTH, unit="furlong"),), "PACKML-17",
+     "parameter 'depth' unit 'furlong' is not in the scale table"),
+], ids=["profile", "duplicate", "runtime-id", "direction", "datatype", "default", "unit"])
+def test_each_descriptor_issue_fails_validation_and_registration(
+    exec_world, parameters, profile, message
+):
+    skill = SkillDescriptor(
+        "skill-drill-a", "urn:cap:drill-a", parameters=parameters,
+        state_machine_profile=profile,
+    )
+    first = exec_world.resources[0]
+    world = replace(
+        exec_world, resources=(replace(first, skills=(skill,)), *exec_world.resources[1:])
+    )
+    assert [(i.path, i.message) for i in validate_model(world).errors()] == [
+        ("resources[r-driller-a].skills[skill-drill-a]", message)
+    ]
+    with pytest.raises(DescriptorInvalidError) as excinfo:
+        SkillHost().register_skill(skill, SkillBehavior())
+    assert excinfo.value.message == message
+
+
+@pytest.mark.parametrize("step, path, message", [
+    (ProcessStep("step-x", CapabilityExpression("Boring", ())),
+     "products[p-1].steps[step-x].requiredCapability", "class 'Boring' is not in the taxonomy"),
+    (ProcessStep("step-x", CapabilityExpression("Drilling", ()), {"depth": "deep"}),
+     "products[p-1].steps[step-x].parameterValues[depth]", "'deep' is not a integer literal"),
+], ids=["required-capability", "value-datatype"])
+def test_validation_flags_a_bad_step(base_world, step, path, message):
+    report = validate_product(base_world, Product("p-1", (step,)))
+    assert [(i.severity, i.path, i.message) for i in report.issues] == [
+        ("error", path, message)
+    ]

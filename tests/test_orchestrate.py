@@ -28,6 +28,7 @@ from csskit.model import (
     ProcessStep,
     Resource,
     SkillDescriptor,
+    WorldModel,
     validate_model,
 )
 from csskit.orchestrate import (
@@ -159,6 +160,31 @@ def test_bind_integer_parameter_rejects_fractional_scaling(base_world):
     )
     with pytest.raises(TypeMismatchError):
         bind_parameters(step, capability, descriptor, base_world)
+
+
+@pytest.mark.parametrize("property_id, value, datatype, message", [
+    ("torque", Decimal("2.5"), "boolean",
+     "torque: numeric property 'torque' cannot bind to boolean parameter"),
+    ("material", "steel", "integer", "material: 'steel' is not a integer literal"),
+], ids=["numeric", "non-numeric"])
+def test_bind_rejects_a_value_of_another_datatype(
+    base_world, property_id, value, datatype, message
+):
+    capability = Capability(
+        id="cap-drill", iri="urn:cap:drill", expression=parse_expression("Drilling", base_world)
+    )
+    descriptor = SkillDescriptor(
+        skill_id="skill-drill",
+        capability_ref="urn:cap:drill",
+        parameters=(ParameterSpec(property_id, "input", datatype),),
+    )
+    step = ProcessStep(
+        id="s1", required_capability=capability.expression,
+        parameter_values={property_id: value},
+    )
+    with pytest.raises(TypeMismatchError) as excinfo:
+        bind_parameters(step, capability, descriptor, base_world)
+    assert excinfo.value.message == message
 
 
 # --- plan ------------------------------------------------------------------------
@@ -431,6 +457,13 @@ class InfeasibleWithoutReason(CapabilityEnvelopeBehavior):
         return FeasibilityResult(False)
 
 
+class ParksEverywhere(CapabilityEnvelopeBehavior):
+    """Never finishes an acting state, so a Reset leaves it in Resetting."""
+
+    def parks(self, state, inputs):
+        return True
+
+
 class FaultsOnFirstExecute(CapabilityEnvelopeBehavior):
     def __init__(self, world, capability, descriptor):
         super().__init__(world, capability, descriptor)
@@ -673,6 +706,32 @@ def test_execution_qualifies_only_the_candidates_it_tries(monkeypatch, rejected)
     assert len(rejections) == len(rejected)
 
 
+@pytest.mark.parametrize("code", ["UnknownSkill", "WrongState"])
+def test_a_skill_that_is_not_listed_or_not_at_rest_fails_over(exec_world, code):
+    """r-driller-a's host lists no skill-drill-a, or its skill rests in
+    Resetting, from which no walk leads to Idle."""
+    doc = exec_world_doc()
+    if code == "UnknownSkill":
+        doc["resources"][0]["skills"][0]["skillId"] = "skill-drill-renamed"
+    connections, cleanups = _loopback_connections(
+        build_world([doc]), {"r-driller-a": ParksEverywhere}
+    )
+    lrid = connections["r-driller-a"].list_skills()[0]["localRuntimeId"]
+    connections["r-driller-a"].command(lrid, "Reset")
+    try:
+        trace = execute_plan(plan(exec_world.product("prod-bracket"), exec_world), connections)
+    finally:
+        for close in cleanups:
+            close()
+    expected = {
+        "UnknownSkill": ("", {"code": "UnknownSkill", "skillId": "skill-drill-a"}),
+        "WrongState": (lrid, {"code": "WrongState", "state": "Resetting"}),
+    }[code]
+    errors = [(r.step_id, r.local_runtime_id, r.detail) for r in trace.records if r.kind == "error"]
+    assert errors == [("step-drill", *expected)]
+    assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+
+
 def test_aborted_skills_are_recovered_on_the_next_run(exec_world):
     production_plan = plan(exec_world.product("prod-bracket"), exec_world)
     connections, cleanups = _loopback_connections(
@@ -833,21 +892,20 @@ def count_requests(client, fail_once: str | None = None) -> Counter:
     return sent
 
 
-def _budget(lrid: str, attempts: int, use_feasibility: bool) -> Counter:
+def _budget(lrid: str, attempts: int) -> Counter:
     """The lists, describes and subscription pairs a run sends one client: a
-    client it attempts on is listed once, and its skill described once only
-    when feasibility is asked for."""
-    asked = min(attempts, 1)
+    client it attempts on is listed once, and no skill is described, since the
+    plan says which skills have a feasibility check."""
     return Counter({
-        ("list_skills", None, None): asked,
-        ("describe", lrid, None): asked if use_feasibility else 0,
+        ("list_skills", None, None): min(attempts, 1),
+        ("describe", lrid, None): 0,
         ("subscribe", lrid, True): attempts,
         ("subscribe", lrid, False): attempts,
     })
 
 
 @pytest.mark.parametrize("use_feasibility", [True, False])
-def test_a_run_lists_each_client_and_describes_each_skill_once(use_feasibility):
+def test_a_run_lists_each_client_once_and_describes_no_skill(use_feasibility):
     world = two_holes_world()
     production_plan = plan(world.product("prod-two-holes"), world)
     connections, cleanups = _loopback_connections(
@@ -875,7 +933,7 @@ def test_a_run_lists_each_client_and_describes_each_skill_once(use_feasibility):
             "outputRead", "stateChange", "stateChange",
         ]
     for rid, counter in sent.items():
-        wanted = _budget(lrids[rid], attempts[rid], use_feasibility)
+        wanted = _budget(lrids[rid], attempts[rid])
         assert {key: counter[key] for key in wanted} == wanted, rid
 
 
@@ -898,4 +956,58 @@ def test_a_failed_skill_list_is_asked_for_again():
     assert trace.state_changes("step-drill-2") == SUCCESS_SEQUENCE  # back on resource a
     assert {r.local_runtime_id for r in trace.records if r.step_id == "step-drill-2"} == {lrid}
     assert sent["list_skills", None, None] == 2
-    assert sum(n for (kind, _, _), n in sent.items() if kind == "describe") == 1
+    assert sum(n for (kind, _, _), n in sent.items() if kind == "describe") == 0
+
+
+# --- the world, not the host, says which skills have a feasibility check -------
+
+def _without_feasibility_checks(*resource_ids: str) -> WorldModel:
+    """The bracket world whose skills on ``resource_ids`` declare no
+    feasibility check."""
+    doc = exec_world_doc()
+    for resource in doc["resources"]:
+        if resource["id"] in resource_ids:
+            for skill in resource["skills"]:
+                skill["hasFeasibilityCheck"] = False
+    return build_world([doc])
+
+
+def _run_on_hosts_of(host_world, world, behavior_factories=None):
+    """Plan the bracket product on ``world`` and run it on hosts built from
+    ``host_world``; the trace and the requests each client sent."""
+    connections, cleanups = _loopback_connections(host_world, behavior_factories)
+    lrids = {rid: client.list_skills()[0]["localRuntimeId"] for rid, client in connections.items()}
+    sent = {rid: count_requests(client) for rid, client in connections.items()}
+    try:
+        trace = execute_plan(plan(world.product("prod-bracket"), world), connections)
+    finally:
+        for close in cleanups:
+            close()
+    return trace, sent, lrids
+
+
+def test_a_check_the_world_declares_is_asked_for_and_a_host_without_it_fails_over(exec_world):
+    trace, sent, lrids = _run_on_hosts_of(_without_feasibility_checks("r-driller-a"), exec_world)
+    errors = [(r.step_id, r.local_runtime_id, r.detail) for r in trace.records if r.kind == "error"]
+    assert errors == [
+        ("step-drill", lrids["r-driller-a"], {
+            "code": "UnsupportedCheck",
+            "message": "UnsupportedCheck: skill 'skill-drill-a' has no feasibility check",
+        }),
+    ]
+    assert sent["r-driller-a"]["feasibility", lrids["r-driller-a"], None] == 1
+    assert sent["r-driller-b"]["feasibility", lrids["r-driller-b"], None] == 1
+    assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+    assert trace.records[-1].kind == "stateChange"
+
+
+def test_a_check_the_world_does_not_declare_is_never_asked_for(exec_world):
+    trace, sent, lrids = _run_on_hosts_of(
+        exec_world, _without_feasibility_checks("r-driller-a", "r-driller-b"),
+        {"r-driller-a": RejectingFeasibility},
+    )
+    assert not [r for r in trace.records if r.kind in ("error", "feasibility")]
+    assert {r.local_runtime_id for r in trace.records if r.step_id == "step-drill"} == {
+        lrids["r-driller-a"]
+    }
+    assert not [key for counter in sent.values() for key in counter if key[0] == "feasibility"]

@@ -112,6 +112,13 @@ def test_encode_writes_utf8_that_decodes_to_the_same_message():
     assert decode(paired).correlation_id == "\U0001f600"
 
 
+def test_decode_rejects_a_repeated_kind():
+    """A line with two kinds is refused, not answered as the last one."""
+    with pytest.raises(ParseError) as excinfo:
+        decode('{"kind": "read", "kind": "feasibility", "correlationId": "c", "payload": {}}')
+    assert excinfo.value.message == "duplicate object key 'kind' (byte offset 0)"
+
+
 @pytest.mark.parametrize("seq", ["true", "false"])
 def test_decode_rejects_a_boolean_seq(seq):
     with pytest.raises(ParseError, match="seq must be an integer"):

@@ -321,6 +321,21 @@ def test_feasibility_unsupported():
         host.check_feasibility(lrid, {"depth": 12})
 
 
+@pytest.mark.parametrize("inputs, message", [
+    ({"achievedDepth": 3}, "'achievedDepth' is not an input parameter"),
+    ({"speed": 3}, "'speed' is not an input parameter"),
+    ({"depth": "deep"}, "depth: 'deep' is not a integer literal"),
+], ids=["output", "unknown", "datatype"])
+def test_feasibility_refuses_what_is_not_an_input_value(inputs, message):
+    host = SkillHost()
+    lrid = host.register_skill(
+        drill_descriptor(has_feasibility_check=True), DrillBehavior()
+    )
+    with pytest.raises(TypeMismatchError) as excinfo:
+        host.check_feasibility(lrid, inputs)
+    assert excinfo.value.message == message
+
+
 def test_feasibility_is_side_effect_free():
     host = SkillHost()
     lrid = host.register_skill(
@@ -471,6 +486,15 @@ def test_stop_or_abort_from_parked_execute_never_completes(command, acting, fina
     assert host.read_skill(lrid).state == final
     assert seen[-3:] == ["Execute", acting, final]
     assert "Completing" not in seen
+
+
+@pytest.mark.parametrize("state", ["Stopped", "Idle", "Held", "Suspended", "Complete", "Aborted"])
+def test_advance_outside_an_acting_state_raises_and_leaves_state(state):
+    host, lrid = _park(state)
+    with pytest.raises(WrongStateError) as excinfo:
+        host.advance(lrid)
+    assert excinfo.value.message == f"state {state} has no internal completion"
+    assert host.read_skill(lrid).state == state
 
 
 def test_unsuspend_parks_execute_again_until_advance():
