@@ -120,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--world", required=True)
     p_run.add_argument("--endpoints", required=True)
     p_run.add_argument("--out")
-    p_run.add_argument("--no-feasibility", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
     p_market = sub.add_parser("market", help="evaluate, select or accept offers")
@@ -285,9 +284,7 @@ def _cmd_run(args) -> int:
             client.hello()
         code = 0
         try:
-            trace = execute_plan(
-                production_plan, connections, use_feasibility=not args.no_feasibility
-            )
+            trace = execute_plan(production_plan, connections)
         except StepFailedNoAlternativeError as exc:
             trace = exc.trace
             _say(f"error: {exc.message}", file=sys.stderr)

@@ -109,10 +109,13 @@ class UnsupportedCheckError(CssError):
 # --- wire protocol ----------------------------------------------------------
 
 class ParseError(CssError):
+    """A line or document that is not the JSON expected; ``offset`` is the
+    fault's UTF-8 byte offset where it is known, else None."""
+
     code = "ParseError"
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 
@@ -136,6 +139,12 @@ class RemoteError(CssError):
 
 class ConnectionLostError(CssError):
     code = "ConnectionLost"
+
+
+class BadResponseError(CssError):
+    """A server's answer lacks a field the client reads."""
+
+    code = "BadResponse"
 
 
 # --- service market ---------------------------------------------------------

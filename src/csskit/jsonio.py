@@ -3,7 +3,9 @@
 Numbers are kept exact: Decimal values are emitted as plain decimal literals
 and every fractional literal is decoded back into Decimal, so a value like
 4.50 survives a round trip digit for digit. Keys are always sorted, which
-makes encoded output byte-stable for identical inputs.
+makes encoded output byte-stable for identical inputs. ``loads`` refuses what
+a strict JSON tree cannot hold: a repeated key, NaN or an infinity, and an
+integer literal of more than ``MAX_INT_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def loads(text: str):
     # json.loads refuses a leading BOM with this message; the decoder alone would
     # only say "Expecting value"
     if text.startswith("\ufeff"):
-        raise ParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)")
+        raise ParseError("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
@@ -58,6 +60,18 @@ def loads(text: str):
         raise ParseError(exc.msg, offset) from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(str(exc)) from exc
+
+
+#: most digits of an integer literal ``loads`` reads; the same on every
+#: supported Python, whatever its own limit for converting text to int
+MAX_INT_DIGITS = 4300
+
+
+def _parse_int(text: str) -> int:
+    digits = len(text.lstrip("-"))
+    if digits > MAX_INT_DIGITS:
+        raise ValueError(f"integer literal has {digits} digits, more than {MAX_INT_DIGITS}")
+    return int(text)
 
 
 def _reject_constant(name: str):
@@ -75,7 +89,8 @@ def _reject_repeated_keys(pairs: list) -> dict:
 
 #: one decoder for every line; json.loads with arguments would build one per call
 _DECODER = json.JSONDecoder(
-    parse_float=Decimal, parse_constant=_reject_constant, object_pairs_hook=_reject_repeated_keys
+    parse_float=Decimal, parse_int=_parse_int, parse_constant=_reject_constant,
+    object_pairs_hook=_reject_repeated_keys,
 )
 
 

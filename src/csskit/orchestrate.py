@@ -11,19 +11,20 @@ down the ranking up to the first that qualifies, its primary; the others
 are qualified only when execution reaches them.
 
 Execution fails over to the next-ranked candidate that qualifies when a
-feasibility check rejects, a run aborts, or any request fails: an error
-response (a violated precondition among them), a timeout or a lost
+feasibility check rejects, a run aborts, or any request fails: an error or
+malformed response (a violated precondition among them), a timeout or a lost
 connection, each recorded as one ``error`` entry; an attempt that times out
-also aborts its skill. A
-skill found resting in Aborted, Stopped or Complete is first walked back to
-Idle (Clear, then Reset), so one failed run does not block the next. A run
-reads each skill's id, inputs and feasibility check from its plan, which the
-world describes; it asks each client for ``list_skills`` once, for runtime ids
-only, and a list request that fails is asked again by the next attempt.
-Every attempt still subscribes, unsubscribes and reads the state before the
-walk. The trace records every state change, parameter write, feasibility
-verdict and output read with a logical timestamp, so reruns over identical
-worlds are byte-for-byte reproducible.
+after it subscribed also aborts its skill. A skill found resting in Aborted,
+Stopped or Complete is first walked back to Idle (Clear, then Reset), so one
+failed run does not block the next. A run reads each skill's id, inputs and
+feasibility check from its plan, which the world describes, and asks for a
+check exactly when the world declares one. It reads each client's
+``list_skills`` once into a {skillId: localRuntimeId} index, and a list
+request that fails is asked again by the next attempt. Every attempt still
+subscribes, unsubscribes and reads the state before the walk. The trace
+records every state change, parameter write, feasibility verdict and output
+read with a logical timestamp, so reruns over identical worlds are
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from . import jsonio
 from .errors import (
+    BadResponseError,
     ConnectionLostError,
     ModelInvalidError,
     NoMatchForStepError,
@@ -256,25 +258,20 @@ def _record(
     trace.append(TraceRecord(len(trace), step_id, local_runtime_id, kind, detail))
 
 
-def execute_plan(
-    plan_: ProductionPlan,
-    connections,
-    *,
-    use_feasibility: bool = True,
-) -> ExecutionTrace:
+def execute_plan(plan_: ProductionPlan, connections) -> ExecutionTrace:
     """Run every plan entry in order through the given protocol clients.
 
     ``connections`` maps resource ids to connected, hello'd SkillClients; it
     is looked up only for a candidate about to be attempted, and a resource
     it lacks raises ``ConnectionLostError``. A feasibility check is asked for
-    only when the world declares one and ``use_feasibility`` is true. On
-    step failure the next-ranked candidate that qualifies is qualified
-    (``PlanEntry.alternates``) and tried; with none left a terminal error
-    record is appended and StepFailedNoAlternative (carrying the partial
-    trace) is raised.
+    exactly when the entry's skill declares one
+    (``PlanEntry.has_feasibility_check``). On step failure the next-ranked
+    candidate that qualifies is qualified (``PlanEntry.alternates``) and
+    tried; with none left a terminal error record is appended and
+    StepFailedNoAlternative (carrying the partial trace) is raised.
     """
     trace: list[TraceRecord] = []
-    skill_lists: dict = {}  # client -> its list_skills answer in this run
+    skill_indexes: dict = {}  # client -> {skillId: localRuntimeId} in this run
 
     for entry in plan_.entries:
         for candidate in itertools.chain((entry,), entry.alternates()):
@@ -284,7 +281,7 @@ def execute_plan(
                 raise ConnectionLostError(
                     f"no connection for resource {candidate.resource_id!r}"
                 ) from None
-            if _attempt_step(candidate, client, use_feasibility, trace, skill_lists):
+            if _attempt_step(candidate, client, trace, skill_indexes):
                 break
         else:
             _record(
@@ -302,116 +299,80 @@ _RECOVERY = {
     "Complete": ("Reset", "Idle"),
 }
 
-#: a request failed: an error response, no response in time, or a closed transport
-_FAILED_REQUEST = (RemoteError, TimeoutError, ConnectionLostError)
+#: a request failed: an error or malformed response, no response in time, or a
+#: closed transport
+_FAILED_REQUEST = (RemoteError, BadResponseError, TimeoutError, ConnectionLostError)
 
 
 def _attempt_step(
-    entry: PlanEntry,
-    client: SkillClient,
-    use_feasibility: bool,
-    trace: list[TraceRecord],
-    skill_lists: dict,
+    entry: PlanEntry, client: SkillClient, trace: list[TraceRecord], skill_indexes: dict
 ) -> bool:
     """One candidate attempt; True on success, False to fail over.
 
     A failed request ends the attempt with one ``error`` record. An attempt
-    that gives up on a timeout then aborts the skill, best effort, so its
-    events are not left for the next run and the next run's walk to Idle
-    recovers it.
+    that gives up on a timeout after it subscribed then aborts the skill,
+    best effort, so its events are not left for the next run and the next
+    run's walk to Idle recovers it. A subscribed attempt always unsubscribes.
     """
     local_runtime_id = ""
+    subscribed = False
+
+    def record(kind: str, detail: dict) -> None:  # under the runtime id known so far
+        _record(trace, entry.step_id, local_runtime_id, kind, detail)
+
     try:
-        if client not in skill_lists:
-            skill_lists[client] = client.list_skills()
-        local_runtime_id = next(
-            (
-                item["localRuntimeId"]
-                for item in skill_lists[client]
-                if item["skillId"] == entry.skill_id
-            ),
-            "",
-        )
+        if client not in skill_indexes:  # the first of a repeated skill id wins
+            skill_indexes[client] = {
+                item["skillId"]: item["localRuntimeId"] for item in reversed(client.list_skills())
+            }
+        local_runtime_id = skill_indexes[client].get(entry.skill_id, "")
         if not local_runtime_id:
-            _record(
-                trace, entry.step_id, "", "error",
-                {"code": "UnknownSkill", "skillId": entry.skill_id},
-            )
+            record("error", {"code": "UnknownSkill", "skillId": entry.skill_id})
             return False
 
         client.subscribe(local_runtime_id)
-        try:
-            if use_feasibility and entry.has_feasibility_check:
-                verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
-                _record(
-                    trace, entry.step_id, local_runtime_id, "feasibility",
-                    {"feasible": verdict["feasible"], "reason": verdict.get("reason")},
-                )
-                if not verdict["feasible"]:
-                    return False
-
-            state = client.read(local_runtime_id)["state"]
-            while state in _RECOVERY:
-                command, state = _RECOVERY[state]
-                client.command(local_runtime_id, command)
-                _await_state(client, entry, local_runtime_id, state, trace)
-            if state != "Idle":
-                _record(
-                    trace, entry.step_id, local_runtime_id, "error",
-                    {"code": "WrongState", "state": state},
-                )
+        subscribed = True
+        if entry.has_feasibility_check:
+            verdict = client.feasibility(local_runtime_id, entry.parameter_assignment)
+            feasible = verdict["feasible"]
+            record("feasibility", {"feasible": feasible, "reason": verdict.get("reason")})
+            if not feasible:
                 return False
 
-            client.write(local_runtime_id, entry.parameter_assignment)
-            _record(
-                trace, entry.step_id, local_runtime_id, "paramWrite",
-                {"values": dict(entry.parameter_assignment)},
-            )
-            client.command(local_runtime_id, "Start")
-            terminal = _await_state(
-                client, entry, local_runtime_id, "Complete", trace,
-                failure_state="Aborted",
-            )
-            if not terminal:
-                return False
+        state = client.read(local_runtime_id)["state"]
+        while state in _RECOVERY:
+            command, state = _RECOVERY[state]
+            client.command(local_runtime_id, command)
+            _await_state(client, local_runtime_id, record, state)
+        if state != "Idle":
+            record("error", {"code": "WrongState", "state": state})
+            return False
 
-            outputs = client.read(local_runtime_id)["outputValues"]
-            _record(
-                trace, entry.step_id, local_runtime_id, "outputRead", {"outputs": outputs}
-            )
-            client.command(local_runtime_id, "Reset")
-            return _await_state(client, entry, local_runtime_id, "Idle", trace)
-        except TimeoutError as exc:
-            _record_failure(entry, local_runtime_id, exc, trace)
+        client.write(local_runtime_id, entry.parameter_assignment)
+        record("paramWrite", {"values": dict(entry.parameter_assignment)})
+        client.command(local_runtime_id, "Start")
+        if not _await_state(client, local_runtime_id, record, "Complete", "Aborted"):
+            return False
+        record("outputRead", {"outputs": client.read(local_runtime_id)["outputValues"]})
+        client.command(local_runtime_id, "Reset")
+        return _await_state(client, local_runtime_id, record, "Idle")
+    except _FAILED_REQUEST as exc:
+        code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
+        record("error", {"code": code, "message": exc.message})
+        if subscribed and isinstance(exc, TimeoutError):
             with contextlib.suppress(*_FAILED_REQUEST):
                 client.command(local_runtime_id, "Abort")
-                _await_state(client, entry, local_runtime_id, "Aborted", trace)
-            return False
-        finally:
+                _await_state(client, local_runtime_id, record, "Aborted")
+        return False
+    finally:
+        if subscribed:
             # best effort: a failed unsubscribe must not replace the attempt's outcome
             with contextlib.suppress(*_FAILED_REQUEST):
                 client.subscribe(local_runtime_id, enable=False)
-    except _FAILED_REQUEST as exc:
-        _record_failure(entry, local_runtime_id, exc, trace)
-        return False
-
-
-def _record_failure(
-    entry: PlanEntry, local_runtime_id: str, exc: Exception, trace: list[TraceRecord]
-) -> None:
-    code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
-    _record(
-        trace, entry.step_id, local_runtime_id, "error",
-        {"code": code, "message": exc.message},
-    )
 
 
 def _await_state(
-    client: SkillClient,
-    entry: PlanEntry,
-    local_runtime_id: str,
-    target: str,
-    trace: list[TraceRecord],
+    client: SkillClient, local_runtime_id: str, record, target: str,
     failure_state: str | None = None,
 ) -> bool:
     """Record state-change events until target (True) or failure_state (False)."""
@@ -420,9 +381,7 @@ def _await_state(
         if event.payload.get("localRuntimeId") != local_runtime_id:
             continue
         new_state = event.payload["newState"]
-        _record(
-            trace, entry.step_id, local_runtime_id, "stateChange", {"newState": new_state}
-        )
+        record("stateChange", {"newState": new_state})
         if new_state == target:
             return True
         if failure_state is not None and new_state == failure_state:

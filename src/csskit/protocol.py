@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 from . import jsonio
 from .errors import (
+    BadResponseError,
     BindFailureError,
     ConnectionLostError,
     CssError,
@@ -536,7 +537,20 @@ class SkillClient:
         return self.invoke("hello", {"version": PROTOCOL_VERSION})
 
     def list_skills(self) -> list[dict]:
-        return self.invoke("list_skills", {})["skills"]
+        """The server's skills, each an object with a string ``skillId`` and
+        ``localRuntimeId``; any other answer raises ``BadResponseError``."""
+        skills = self.invoke("list_skills", {}).get("skills")
+        if not isinstance(skills, list):
+            raise BadResponseError("list_skills answer has no skills list")
+        for i, item in enumerate(skills):
+            if not isinstance(item, dict) or not all(
+                isinstance(item.get(key), str) for key in ("skillId", "localRuntimeId")
+            ):
+                raise BadResponseError(
+                    f"list_skills answer: skills[{i}] is not an object with a string "
+                    "skillId and localRuntimeId"
+                )
+        return skills
 
     def describe(self, local_runtime_id: str) -> dict:
         return self.invoke("describe", {"localRuntimeId": local_runtime_id})

@@ -12,7 +12,7 @@ import pytest
 from conftest import exec_world_doc, lone_surrogate_world_doc, many_drillers_world_doc
 
 import csskit
-from csskit import jsonio
+from csskit import jsonio, protocol
 from csskit.cli import run
 from csskit.documents import build_world
 from csskit.hosting import build_resource_host
@@ -379,6 +379,66 @@ def test_run_fails_over_past_a_resource_it_cannot_reach(tmp_path):
     ]
 
 
+def _run_bracket(tmp_path, world_file, product_file, behaviors, to_file=True):
+    """``csskit run`` of the bracket product on servers of ``exec_world_doc``:
+    exit code and trace text, from ``--out`` or stdout."""
+    servers, endpoints_file = _serve_for_run(
+        tmp_path, build_world([exec_world_doc()]),
+        dict.fromkeys(["r-driller-a", "r-driller-b", "r-screwer"]), behaviors,
+    )
+    out_file = tmp_path / "trace.lines"
+    try:
+        code = run(["run", "--product", product_file, "--world", world_file,
+                    "--endpoints", endpoints_file, *(["--out", str(out_file)] if to_file else [])])
+    finally:
+        for server in servers:
+            server.close()
+    return code, out_file.read_text(encoding="utf-8") if to_file else None
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_run_exits_one_when_every_candidate_of_a_step_fails(
+    tmp_path, world_file, product_file, capsys, to_file
+):
+    code, text = _run_bracket(
+        tmp_path, world_file, product_file,
+        {"r-driller-a": RejectingFeasibility, "r-driller-b": RejectingFeasibility},
+        to_file,
+    )
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: step step-drill failed on every ranked candidate\n"
+    if to_file:
+        assert out == ""
+    records = [jsonio.loads(line) for line in (text if to_file else out).splitlines()]
+    assert [(r["kind"], r["detail"].get("feasible")) for r in records] == [
+        ("feasibility", False), ("feasibility", False), ("error", None),
+    ]
+    assert records[-1] == {
+        "timestamp": 2, "stepId": "step-drill", "localRuntimeId": "", "kind": "error",
+        "detail": {"code": "StepFailedNoAlternative", "stepId": "step-drill"},
+    }
+
+
+def test_run_records_a_malformed_skill_list_and_exits_one(
+    tmp_path, world_file, product_file, capsys, monkeypatch
+):
+    """Every server's skill list lacks its skills: each attempt is one
+    BadResponse record, and the run ends with exit code 1, not a traceback."""
+    invoke = protocol.SkillClient.invoke
+
+    def without_skills(self, kind, payload=None):
+        return {} if kind == "list_skills" else invoke(self, kind, payload)
+
+    monkeypatch.setattr(protocol.SkillClient, "invoke", without_skills)
+    code, text = _run_bracket(tmp_path, world_file, product_file, {})
+    assert code == 1
+    assert capsys.readouterr().err == "error: step step-drill failed on every ranked candidate\n"
+    assert [jsonio.loads(line)["detail"]["code"] for line in text.splitlines()] == [
+        "BadResponse", "BadResponse", "StepFailedNoAlternative",
+    ]
+
+
 def test_run_refuses_a_primary_without_an_endpoint(tmp_path, world_file, product_file,
                                                   capsys):
     endpoints_file = _write(
@@ -465,6 +525,23 @@ def test_market_eval_select_accept(tmp_path, world_file, capsys):
     assert code == 0
     assert contract["contractId"] == "contract-req-42"
     assert contract["formedAt"] == "2026-08-10T00:00:00Z"
+
+
+def test_market_accept_writes_the_contract_to_out(tmp_path, world_file, capsys):
+    request_path = _write(tmp_path, "request.json", request_doc())
+    offer = offer_doc()
+    offer.update(coveredCapKeys=["cap-drill", "cap-screw"],
+                 providedCapabilities={"cap-drill": "Drilling", "cap-screw": "Screwing"})
+    out_file = tmp_path / "contract.json"
+    code = run(["market", "accept", "--request", request_path,
+                "--offers", _write(tmp_path, "offer.json", offer), "--world", world_file,
+                "--now", "2026-08-10T00:00:00Z", "--out", str(out_file)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_text(encoding="utf-8") == (
+        '{"acceptedOfferIds":["off-7"],"contractId":"contract-req-42",'
+        '"formedAt":"2026-08-10T00:00:00Z","requestId":"req-42","totalPrice":13.50}\n'
+    )
 
 
 def test_market_eval_normalizes_no_more_than_select(tmp_path, world_file, capsys,

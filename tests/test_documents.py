@@ -77,7 +77,7 @@ def test_a_repeated_key_is_a_parse_error(text, key):
     """A repeated key is refused, not read as its last value, at any depth."""
     with pytest.raises(ParseError) as excinfo:
         load_document_text(text)
-    assert excinfo.value.message == f"duplicate object key {key!r} (byte offset 0)"
+    assert excinfo.value.message == f"duplicate object key {key!r}"
 
 
 def test_unknown_fields_rejected(base_world):
@@ -118,6 +118,23 @@ def test_world_requires_exactly_one_taxonomy():
     del bare["taxonomy"]
     with pytest.raises(DocumentInvalidError):
         build_world([bare])
+
+
+def _taxonomy_doc() -> dict:
+    return {"schema": "css.taxonomy/1", "classes": taxonomy_doc_classes()}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: load_document_text('[{"schema": "css.world/1"}]'), "document root must be an object"),
+    (lambda: build_world([exec_world_doc(), offer_doc()]),
+     "cannot build a world from schema 'css.offer/1'"),
+    (lambda: build_world([_taxonomy_doc(), _taxonomy_doc()]),
+     "more than one css.taxonomy/1 document given"),
+], ids=["array root", "offer among world documents", "two taxonomies"])
+def test_document_assembly_faults_say_what_is_wrong(build, message):
+    with pytest.raises(DocumentInvalidError) as excinfo:
+        build()
+    assert excinfo.value.message == message
 
 
 def test_product_round_trip(base_world):

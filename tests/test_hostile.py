@@ -102,7 +102,7 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
     for _ in range(count):
         shape = rng.choice([
             "deep", "truncated", "utf8", "unknown kind", "duplicate kind", "long number",
-            "duplicate id",
+            "duplicate id", "not an object",
         ])
         if shape == "deep":
             depth = rng.choice([10, 500, 5000, 100_000])
@@ -126,11 +126,13 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
             first, last = rng.sample(sorted(PAYLOADS), 2)
             whole = _line(last, "c-dup-kind", PAYLOADS[last])
             lines.append(b'{"kind": "' + first.encode() + b'", ' + whole[1:])
-        elif shape == "long number":  # past the 4300-digit int limit of Python 3.10.7 on
+        elif shape == "long number":  # past jsonio.MAX_INT_DIGITS
             lines.append(
                 b'{"kind": "write", "correlationId": "c-long-number", "payload": '
                 b'{"localRuntimeId": "lr-0001", "values": {"depth": ' + b"9" * 5000 + b"}}}"
             )
+        elif shape == "not an object":  # JSON, but no message
+            lines.append(rng.choice([b"[1]", b"7", b'"read"', b"null", b"[]"]))
         else:  # well-formed requests sharing three correlation ids
             lines.append(_request(rng, f"c-dup-{rng.randrange(3)}"))
     return lines

@@ -790,15 +790,42 @@ def test_complete_skill_is_reset_before_use(exec_world):
     assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE
 
 
-def test_execute_without_feasibility_option(exec_world):
-    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
-    connections, cleanups = _loopback_connections(exec_world)
+def unchecked_run_lines(*steps: tuple[str, bool, str, str]) -> list[str]:
+    """The trace lines of steps that each succeed on skill lr-0001 of their
+    primary, byte for byte as a run told to skip every feasibility check
+    wrote them when ``execute_plan`` still had a switch for that.
+    A step is (step id, whether its skill is walked from Stopped first,
+    written values and read outputs as JSON text)."""
+    records = []
+    for step_id, walked, values, outputs in steps:
+        states = '"Resetting"', '"Idle"'
+        records += [(step_id, "stateChange", f'{{"newState":{s}}}') for s in states * walked]
+        records.append((step_id, "paramWrite", f'{{"values":{values}}}'))
+        records += [
+            (step_id, "stateChange", f'{{"newState":"{s}"}}')
+            for s in ("Starting", "Execute", "Completing", "Complete")
+        ]
+        records.append((step_id, "outputRead", f'{{"outputs":{outputs}}}'))
+        records += [(step_id, "stateChange", f'{{"newState":{s}}}') for s in states]
+    return [
+        f'{{"detail":{detail},"kind":"{kind}","localRuntimeId":"lr-0001",'
+        f'"stepId":"{step_id}","timestamp":{t}}}'
+        for t, (step_id, kind, detail) in enumerate(records)
+    ]
+
+
+def test_execute_a_world_that_declares_no_checks():
+    world = _without_feasibility_checks("r-driller-a", "r-driller-b", "r-screwer")
+    connections, cleanups = _loopback_connections(world)
     try:
-        trace = execute_plan(production_plan, connections, use_feasibility=False)
+        trace = execute_plan(plan(world.product("prod-bracket"), world), connections)
     finally:
         for close in cleanups:
             close()
-    assert all(r.kind != "feasibility" for r in trace.records)
+    assert trace_to_lines(trace) == unchecked_run_lines(
+        ("step-drill", True, '{"depth":12}', '{"achievedDepth":12}'),
+        ("step-screw", True, '{"torque":2.5}', '{"achievedTorque":2.5}'),
+    )
 
 
 def _tcp_connections(world):
@@ -854,10 +881,15 @@ def test_trace_lines_are_wire_objects(exec_world):
 
 # --- requests per run -------------------------------------------------------------
 
-def two_holes_world():
+def two_holes_world(checks_declared: bool = True):
     """The bracket world with a product that drills twice, so the primary
-    driller is attempted in two steps of one run."""
+    driller is attempted in two steps of one run; without ``checks_declared``
+    no skill declares a feasibility check."""
     doc = exec_world_doc()
+    if not checks_declared:
+        for resource in doc["resources"]:
+            for skill in resource["skills"]:
+                skill["hasFeasibilityCheck"] = False
     drill = doc["products"][0]["steps"][0]
     doc["products"].append({
         "id": "prod-two-holes",
@@ -904,9 +936,9 @@ def _budget(lrid: str, attempts: int) -> Counter:
     })
 
 
-@pytest.mark.parametrize("use_feasibility", [True, False])
-def test_a_run_lists_each_client_once_and_describes_no_skill(use_feasibility):
-    world = two_holes_world()
+@pytest.mark.parametrize("checks_declared", [True, False])
+def test_a_run_lists_each_client_once_and_describes_no_skill(checks_declared):
+    world = two_holes_world(checks_declared)
     production_plan = plan(world.product("prod-two-holes"), world)
     connections, cleanups = _loopback_connections(
         world, {"r-driller-a": RejectingFeasibility}
@@ -914,24 +946,22 @@ def test_a_run_lists_each_client_once_and_describes_no_skill(use_feasibility):
     lrids = {rid: client.list_skills()[0]["localRuntimeId"] for rid, client in connections.items()}
     sent = {rid: count_requests(client) for rid, client in connections.items()}
     try:
-        trace = execute_plan(production_plan, connections, use_feasibility=use_feasibility)
+        trace = execute_plan(production_plan, connections)
     finally:
         for close in cleanups:
             close()
     assert not any(r.kind == "error" for r in trace.records)
     feasible = [r.detail["feasible"] for r in trace.records if r.kind == "feasibility"]
-    if use_feasibility:
+    if checks_declared:
         assert feasible == [False, True, False, True]
         attempts = {"r-driller-a": 2, "r-driller-b": 2, "r-screwer": 1}
-    else:  # nothing rejects, so the primaries run every step
-        assert feasible == []
+    else:  # nothing is asked, so nothing rejects and the primaries run every step
         attempts = {"r-driller-a": 2, "r-driller-b": 0, "r-screwer": 1}
-        drills = {r.local_runtime_id for r in trace.records if r.step_id.startswith("step-drill")}
-        assert drills == {lrids["r-driller-a"]}
-        assert [r.kind for r in trace.records if r.step_id == "step-drill-1"] == [
-            "stateChange", "stateChange", "paramWrite", *["stateChange"] * 4,
-            "outputRead", "stateChange", "stateChange",
-        ]
+        assert trace_to_lines(trace) == unchecked_run_lines(
+            ("step-drill-1", True, '{"depth":12}', '{"achievedDepth":12}'),
+            ("step-drill-2", False, '{"depth":14}', '{"achievedDepth":14}'),
+            ("step-screw", True, '{"torque":2.5}', '{"achievedTorque":2.5}'),
+        )
     for rid, counter in sent.items():
         wanted = _budget(lrids[rid], attempts[rid])
         assert {key: counter[key] for key in wanted} == wanted, rid
@@ -957,6 +987,69 @@ def test_a_failed_skill_list_is_asked_for_again():
     assert {r.local_runtime_id for r in trace.records if r.step_id == "step-drill-2"} == {lrid}
     assert sent["list_skills", None, None] == 2
     assert sum(n for (kind, _, _), n in sent.items() if kind == "describe") == 0
+
+
+def answer_list_skills_with(client, answer: dict) -> None:
+    """Make every ``list_skills`` request of ``client`` read ``answer``."""
+    invoke = client.invoke
+    client.invoke = lambda kind, payload=None: (
+        answer if kind == "list_skills" else invoke(kind, payload)
+    )
+
+
+_ITEM_FAULT = "is not an object with a string skillId and localRuntimeId"
+
+#: a list_skills answer a server may send that names no usable skill, and its message
+MALFORMED_SKILL_LISTS = {
+    "no skills": ({}, "list_skills answer has no skills list"),
+    "skills not a list": (
+        {"skills": {"skillId": "skill-drill-a"}}, "list_skills answer has no skills list"
+    ),
+    "item not an object": ({"skills": ["lr-0001"]}, f"list_skills answer: skills[0] {_ITEM_FAULT}"),
+    "no skillId": ({"skills": [{"id": "x"}]}, f"list_skills answer: skills[0] {_ITEM_FAULT}"),
+    "localRuntimeId not a string": (
+        {"skills": [
+            {"skillId": "skill-other", "localRuntimeId": "lr-0009"},
+            {"skillId": "skill-drill-a", "localRuntimeId": 1},
+        ]},
+        f"list_skills answer: skills[1] {_ITEM_FAULT}",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "answer, message", MALFORMED_SKILL_LISTS.values(), ids=MALFORMED_SKILL_LISTS
+)
+def test_a_malformed_skill_list_is_one_error_and_fails_over(exec_world, answer, message):
+    connections, cleanups = _loopback_connections(exec_world)
+    answer_list_skills_with(connections["r-driller-a"], answer)
+    try:
+        trace = execute_plan(plan(exec_world.product("prod-bracket"), exec_world), connections)
+    finally:
+        for close in cleanups:
+            close()
+    errors = [(r.step_id, r.local_runtime_id, r.detail) for r in trace.records if r.kind == "error"]
+    assert errors == [("step-drill", "", {"code": "BadResponse", "message": message})]
+    assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+    assert not trace.failed
+
+
+def test_the_first_of_a_repeated_skill_id_is_run():
+    world = two_holes_world()
+    connections, cleanups = _loopback_connections(world)
+    driller = connections["r-driller-a"]
+    (listed,) = driller.list_skills()
+    answer_list_skills_with(driller, {"skills": [listed, {**listed, "localRuntimeId": "lr-9"}]})
+    sent = count_requests(driller)
+    try:
+        trace = execute_plan(plan(world.product("prod-two-holes"), world), connections)
+    finally:
+        for close in cleanups:
+            close()
+    assert not trace.failed
+    drills = {r.local_runtime_id for r in trace.records if r.step_id.startswith("step-drill")}
+    assert drills == {listed["localRuntimeId"]}
+    assert sent["list_skills", None, None] == 1
 
 
 # --- the world, not the host, says which skills have a feasibility check -------

@@ -74,6 +74,20 @@ def test_decode_reports_byte_offset():
     assert excinfo.value.offset == 35
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[1]", "message line must be a single object"),
+    ("7", "message line must be a single object"),
+    ('{"kind": "read", "correlationId": "c", "payload": []}', "payload must be an object"),
+    ('{"kind": "read", "correlationId": "c", "payload": {}, "seq": 1.5}', "seq must be an integer"),
+])
+def test_a_structural_fault_names_no_byte_offset(line, message):
+    """Only the JSON decoder knows where a fault lies; a line that is JSON but
+    no message is refused without claiming an offset."""
+    with pytest.raises(ParseError) as excinfo:
+        decode(line)
+    assert (excinfo.value.message, excinfo.value.offset) == (message, None)
+
+
 def test_decode_rejects_unknown_fields():
     with pytest.raises(ParseError):
         decode('{"kind": "hello", "correlationId": "", "payload": {}, "extra": 1}')
@@ -116,7 +130,7 @@ def test_decode_rejects_a_repeated_kind():
     """A line with two kinds is refused, not answered as the last one."""
     with pytest.raises(ParseError) as excinfo:
         decode('{"kind": "read", "kind": "feasibility", "correlationId": "c", "payload": {}}')
-    assert excinfo.value.message == "duplicate object key 'kind' (byte offset 0)"
+    assert excinfo.value.message == "duplicate object key 'kind'"
 
 
 @pytest.mark.parametrize("seq", ["true", "false"])
