@@ -27,7 +27,6 @@ from .errors import (
     DocumentInvalidError,
     ExpressionSyntaxError,
     ParseError,
-    RemoteError,
     StepFailedNoAlternativeError,
     TimeoutError,
     TypeMismatchError,
@@ -41,7 +40,7 @@ from .market import FULL_QUANTITY_PER_OFFER, evaluate_offers, form_contract, sel
 from .matching import MatchDegree, match_capabilities
 from .model import validate_model
 from .orchestrate import execute_plan, plan, trace_to_lines
-from .protocol import SkillClient, connect_tcp, serve
+from .protocol import FAILED_REQUEST, SkillClient, connect_tcp, serve
 from .values import format_literal, format_timestamp, parse_timestamp
 
 _USAGE_ERRORS = (
@@ -319,7 +318,7 @@ class _Connections(dict):
                 raise ConnectionLostError(f"no endpoint for resource {resource_id!r}")
             client = connect_tcp(self._endpoints[resource_id])
             client.hello()
-        except (ConnectionLostError, RemoteError, TimeoutError) as exc:
+        except FAILED_REQUEST as exc:
             client.connection_lost(exc.message)  # the run closes it with the others
         self[resource_id] = client
         return client

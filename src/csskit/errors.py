@@ -128,13 +128,11 @@ class TimeoutError(CssError):  # noqa: A001 - deliberate, scoped to protocol cal
 
 
 class RemoteError(CssError):
-    """Server-side error relayed to a protocol client."""
-
-    code = "RemoteError"
+    """Server-side error relayed to a protocol client, with the server's code."""
 
     def __init__(self, remote_code: str, message: str):
         super().__init__(f"{remote_code}: {message}")
-        self.remote_code = remote_code
+        self.code = self.remote_code = remote_code
 
 
 class ConnectionLostError(CssError):

@@ -11,17 +11,17 @@ down the ranking up to the first that qualifies, its primary; the others
 are qualified only when execution reaches them.
 
 Execution fails over to the next-ranked candidate that qualifies when a
-feasibility check rejects, a run aborts, or any request fails: an error or
-malformed response (a violated precondition among them), a timeout or a lost
-connection, each recorded as one ``error`` entry; an attempt that times out
-after it subscribed also aborts its skill. A skill found resting in Aborted,
-Stopped or Complete is first walked back to Idle (Clear, then Reset), so one
-failed run does not block the next. A run reads each skill's id, inputs and
-feasibility check from its plan, which the world describes, and asks for a
-check exactly when the world declares one. It reads each client's
-``list_skills`` once into a {skillId: localRuntimeId} index, and a list
-request that fails is asked again by the next attempt. Every attempt still
-subscribes, unsubscribes and reads the state before the walk. The trace
+feasibility check rejects, a run aborts, or any request fails
+(``protocol.FAILED_REQUEST``): an error answer (a violated precondition among
+them), an answer or event without a field the run reads (``BadResponse``), a
+timeout or a lost connection, each recorded as one ``error`` entry with the
+failure's ``code``; an attempt that times out after it subscribed also aborts
+its skill. A skill found resting in Aborted, Stopped or Complete is first
+walked back to Idle (Clear, then Reset), so one failed run does not block the
+next. A run reads each skill's id, inputs and feasibility check from its plan
+and asks for a check exactly when the world declares one. It reads each
+client's ``list_skills`` once into a {skillId: localRuntimeId} index, and a
+list request that fails is asked again by the next attempt. The trace
 records every state change, parameter write, feasibility verdict and output
 read with a logical timestamp, so reruns over identical worlds are
 byte-for-byte reproducible.
@@ -37,11 +37,9 @@ from typing import TYPE_CHECKING
 
 from . import jsonio
 from .errors import (
-    BadResponseError,
     ConnectionLostError,
     ModelInvalidError,
     NoMatchForStepError,
-    RemoteError,
     StepFailedNoAlternativeError,
     TimeoutError,
     TypeMismatchError,
@@ -52,6 +50,7 @@ from .errors import (
 from .expressions import normalize  # noqa: F401 - bench/tracing.py patches this name
 from .matching import MatchDegree, rank_providers
 from .model import bound_input, validate_model, validate_product
+from .protocol import FAILED_REQUEST, SkillClient, checked
 from .values import (
     Literal,
     convert_between_units,
@@ -65,7 +64,6 @@ if TYPE_CHECKING:
     from .model import (
         Capability, ParameterSpec, ProcessStep, Product, SkillDescriptor, WorldModel,
     )
-    from .protocol import SkillClient
 
 
 @dataclass(frozen=True)
@@ -299,10 +297,6 @@ _RECOVERY = {
     "Complete": ("Reset", "Idle"),
 }
 
-#: a request failed: an error or malformed response, no response in time, or a
-#: closed transport
-_FAILED_REQUEST = (RemoteError, BadResponseError, TimeoutError, ConnectionLostError)
-
 
 def _attempt_step(
     entry: PlanEntry, client: SkillClient, trace: list[TraceRecord], skill_indexes: dict
@@ -356,18 +350,17 @@ def _attempt_step(
         record("outputRead", {"outputs": client.read(local_runtime_id)["outputValues"]})
         client.command(local_runtime_id, "Reset")
         return _await_state(client, local_runtime_id, record, "Idle")
-    except _FAILED_REQUEST as exc:
-        code = exc.remote_code if isinstance(exc, RemoteError) else exc.code
-        record("error", {"code": code, "message": exc.message})
+    except FAILED_REQUEST as exc:
+        record("error", {"code": exc.code, "message": exc.message})
         if subscribed and isinstance(exc, TimeoutError):
-            with contextlib.suppress(*_FAILED_REQUEST):
+            with contextlib.suppress(*FAILED_REQUEST):
                 client.command(local_runtime_id, "Abort")
                 _await_state(client, local_runtime_id, record, "Aborted")
         return False
     finally:
         if subscribed:
             # best effort: a failed unsubscribe must not replace the attempt's outcome
-            with contextlib.suppress(*_FAILED_REQUEST):
+            with contextlib.suppress(*FAILED_REQUEST):
                 client.subscribe(local_runtime_id, enable=False)
 
 
@@ -380,7 +373,7 @@ def _await_state(
         event = client.next_event()
         if event.payload.get("localRuntimeId") != local_runtime_id:
             continue
-        new_state = event.payload["newState"]
+        new_state = checked(event.payload, "event", newState=str)["newState"]
         record("stateChange", {"newState": new_state})
         if new_state == target:
             return True

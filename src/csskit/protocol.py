@@ -24,7 +24,9 @@ closes, or ``close()`` ends the client on either transport, every pending and
 later request raises ``ConnectionLostError``, and ``next_event`` returns the
 events received before, then raises it. Each request waits on its own
 ``queue.SimpleQueue``, and events and unmatched responses queue on two more,
-so a round trip builds no locks or conditions of its own.
+so a round trip builds no locks or conditions of its own. Request methods
+raise ``BadResponseError`` for an answer that lacks a field their callers
+read, or holds it with another JSON type (``checked``).
 A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
 TCP server reads such a line in bounded pieces and drops it. A line that is
 not valid UTF-8 also gets one ``ParseError`` and is never executed.
@@ -427,6 +429,23 @@ def _as_address(endpoint) -> tuple[str, int]:
 # client side
 # ---------------------------------------------------------------------------
 
+#: how a request fails: an error or malformed answer, no answer in time, a lost transport
+FAILED_REQUEST = (RemoteError, BadResponseError, TimeoutError, ConnectionLostError)
+
+_JSON_TYPES = {str: "string", bool: "boolean", list: "list", dict: "object"}
+
+
+def checked(answer, what: str, **fields: type) -> dict:
+    """``answer`` if it is an object in which each of ``fields`` has its type,
+    else ``BadResponseError`` naming the first that is missing or of another type."""
+    if not isinstance(answer, dict):
+        raise BadResponseError(f"{what} is not an object")
+    for key, type_ in fields.items():
+        if not isinstance(answer.get(key), type_):
+            raise BadResponseError(f"{what} has no {_JSON_TYPES[type_]} field {key!r}")
+    return answer
+
+
 class SkillClient:
     """Protocol client with blocking request/response and an event queue.
 
@@ -537,26 +556,18 @@ class SkillClient:
         return self.invoke("hello", {"version": PROTOCOL_VERSION})
 
     def list_skills(self) -> list[dict]:
-        """The server's skills, each an object with a string ``skillId`` and
-        ``localRuntimeId``; any other answer raises ``BadResponseError``."""
-        skills = self.invoke("list_skills", {}).get("skills")
-        if not isinstance(skills, list):
-            raise BadResponseError("list_skills answer has no skills list")
-        for i, item in enumerate(skills):
-            if not isinstance(item, dict) or not all(
-                isinstance(item.get(key), str) for key in ("skillId", "localRuntimeId")
-            ):
-                raise BadResponseError(
-                    f"list_skills answer: skills[{i}] is not an object with a string "
-                    "skillId and localRuntimeId"
-                )
-        return skills
+        """The server's skills, each an object with string ``skillId`` and ``localRuntimeId``."""
+        skills = checked(self.invoke("list_skills", {}), "list_skills answer", skills=list)
+        for i, item in enumerate(skills["skills"]):
+            checked(item, f"list_skills answer skills[{i}]", skillId=str, localRuntimeId=str)
+        return skills["skills"]
 
     def describe(self, local_runtime_id: str) -> dict:
         return self.invoke("describe", {"localRuntimeId": local_runtime_id})
 
     def read(self, local_runtime_id: str) -> dict:
-        return self.invoke("read", {"localRuntimeId": local_runtime_id})
+        answer = self.invoke("read", {"localRuntimeId": local_runtime_id})
+        return checked(answer, "read answer", state=str, outputValues=dict)
 
     def write(self, local_runtime_id: str, values: dict) -> dict:
         return self.invoke(
@@ -569,9 +580,8 @@ class SkillClient:
         )
 
     def feasibility(self, local_runtime_id: str, inputs: dict) -> dict:
-        return self.invoke(
-            "feasibility", {"localRuntimeId": local_runtime_id, "inputs": inputs}
-        )
+        answer = self.invoke("feasibility", {"localRuntimeId": local_runtime_id, "inputs": inputs})
+        return checked(answer, "feasibility answer", feasible=bool)
 
     def subscribe(self, local_runtime_id: str, enable: bool = True) -> dict:
         return self.invoke(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 from collections import Counter
@@ -111,6 +112,37 @@ def test_missing_file_exit_three(capsys):
 def test_usage_error_exit_two():
     assert run(["match", "--required", "Drilling"]) == 2
     assert run(["definitely-not-a-command"]) == 2
+
+
+def test_no_subcommand_prints_the_usage_and_exits_two(capsys):
+    assert run([]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: csskit ")
+
+
+def test_serve_on_a_port_in_use_exits_three(world_file, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        code = run(["serve", "--world", world_file, "--resource", "r-driller-a",
+                    "--port", str(port)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot bind ('127.0.0.1', {port}): ")
+
+
+def test_match_prints_enum_sets(world_file, capsys):
+    code = run([
+        "match", "--required", "Drilling and (material in {steel, wood})",
+        "--provided", "Drilling and (material in {aluminium, steel})", "--world", world_file,
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "witness: material = steel",
+        "property material: required={steel, wood} provided={aluminium, steel} "
+        "intersection={steel}",
+    ]
 
 
 def test_validate_clean_world(world_file, capsys):
@@ -439,6 +471,25 @@ def test_run_records_a_malformed_skill_list_and_exits_one(
     ]
 
 
+def test_run_records_a_verdict_without_feasible_and_exits_one(
+    tmp_path, world_file, product_file, capsys, monkeypatch
+):
+    """Every server's feasibility answer lacks ``feasible``: each drill
+    attempt is one BadResponse record, and the run ends with exit code 1."""
+    invoke = protocol.SkillClient.invoke
+
+    def without_feasible(self, kind, payload=None):
+        return {"reason": None} if kind == "feasibility" else invoke(self, kind, payload)
+
+    monkeypatch.setattr(protocol.SkillClient, "invoke", without_feasible)
+    code, text = _run_bracket(tmp_path, world_file, product_file, {})
+    assert code == 1
+    assert capsys.readouterr().err == "error: step step-drill failed on every ranked candidate\n"
+    assert [jsonio.loads(line)["detail"] for line in text.splitlines()] == [
+        {"code": "BadResponse", "message": "feasibility answer has no boolean field 'feasible'"},
+    ] * 2 + [{"code": "StepFailedNoAlternative", "stepId": "step-drill"}]
+
+
 def test_run_refuses_a_primary_without_an_endpoint(tmp_path, world_file, product_file,
                                                   capsys):
     endpoints_file = _write(
@@ -628,6 +679,16 @@ def test_market_rejects_a_document_of_the_wrong_schema(tmp_path, world_file, cap
         f"error: {offer_path}: css.request/1: expected schema 'css.request/1', "
         "found 'css.offer/1'\n"
     )
+
+
+def test_market_refuses_a_delivery_date_that_is_not_a_timestamp(
+    tmp_path, world_file, capsys
+):
+    offer_path = _write(tmp_path, "offer.json", {**offer_doc(), "deliveryDate": "soon"})
+    code = run(["market", "eval", "--request", _write(tmp_path, "request.json", request_doc()),
+                "--offers", offer_path, "--world", world_file, "--now", "2026-08-10T00:00:00Z"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {offer_path}: css.offer/1.deliveryDate: ")
 
 
 def test_market_names_the_offer_file_at_fault(tmp_path, world_file, capsys):

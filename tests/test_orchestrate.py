@@ -773,6 +773,41 @@ def test_timed_out_skills_are_aborted_and_recovered_on_the_next_run(
     assert trace.state_changes("step-drill") == ("Clearing", "Stopped", *SUCCESS_SEQUENCE)
 
 
+def test_a_skill_parked_in_aborting_stays_there(exec_world, monkeypatch):
+    """No css/1 request completes an acting state: a skill that parks in
+    Aborting after its attempt timed out is never recovered, and each later
+    run records WrongState for it and fails over."""
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.2)
+    armed = [True]
+
+    class ParksInExecuteAndAborting(CapabilityEnvelopeBehavior):
+        def parks(self, state, inputs):
+            return armed[0] and state in ("Execute", "Aborting")
+
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    connections, cleanups = _loopback_connections(
+        exec_world, {"r-driller-a": ParksInExecuteAndAborting}
+    )
+    driller = connections["r-driller-a"]
+    lrid = driller.list_skills()[0]["localRuntimeId"]
+    try:
+        traces = [execute_plan(production_plan, connections)]
+        armed[0] = False
+        traces.append(execute_plan(production_plan, connections))
+        state = driller.read(lrid)["state"]
+    finally:
+        for close in cleanups:
+            close()
+    errors = [[r.detail for r in t.records if r.kind == "error"] for t in traces]
+    assert [e["code"] for e in errors[0]] == ["Timeout"]
+    assert errors[1] == [{"code": "WrongState", "state": "Aborting"}]
+    assert [t.state_changes("step-drill") for t in traces] == [
+        ("Resetting", "Idle", "Starting", "Execute", "Aborting", *SUCCESS_SEQUENCE),
+        SUCCESS_SEQUENCE[2:],  # on resource b, left Idle by the first run
+    ]
+    assert state == "Aborting"
+
+
 def test_complete_skill_is_reset_before_use(exec_world):
     production_plan = plan(exec_world.product("prod-bracket"), exec_world)
     connections, cleanups = _loopback_connections(exec_world)
@@ -989,49 +1024,103 @@ def test_a_failed_skill_list_is_asked_for_again():
     assert sum(n for (kind, _, _), n in sent.items() if kind == "describe") == 0
 
 
-def answer_list_skills_with(client, answer: dict) -> None:
-    """Make every ``list_skills`` request of ``client`` read ``answer``."""
+def answer_with(client, kind: str, answer: dict) -> None:
+    """Make every ``kind`` request of ``client`` read ``answer``."""
     invoke = client.invoke
-    client.invoke = lambda kind, payload=None: (
-        answer if kind == "list_skills" else invoke(kind, payload)
+    client.invoke = lambda asked, payload=None: (
+        answer if asked == kind else invoke(asked, payload)
     )
 
 
-_ITEM_FAULT = "is not an object with a string skillId and localRuntimeId"
+_NO_SKILLS = "list_skills answer has no list field 'skills'"
+_NO_STATE = "read answer has no string field 'state'"
 
-#: a list_skills answer a server may send that names no usable skill, and its message
-MALFORMED_SKILL_LISTS = {
-    "no skills": ({}, "list_skills answer has no skills list"),
-    "skills not a list": (
-        {"skills": {"skillId": "skill-drill-a"}}, "list_skills answer has no skills list"
+#: an answer a server may send that a run cannot use, as (request kind,
+#: answer, BadResponse message); an "event" reaches the client before the run
+MALFORMED_ANSWERS = {
+    "no skills": ("list_skills", {}, _NO_SKILLS),
+    "skills not a list": ("list_skills", {"skills": {"skillId": "skill-drill-a"}}, _NO_SKILLS),
+    "item not an object": (
+        "list_skills", {"skills": ["lr-0001"]}, "list_skills answer skills[0] is not an object"
     ),
-    "item not an object": ({"skills": ["lr-0001"]}, f"list_skills answer: skills[0] {_ITEM_FAULT}"),
-    "no skillId": ({"skills": [{"id": "x"}]}, f"list_skills answer: skills[0] {_ITEM_FAULT}"),
+    "no skillId": (
+        "list_skills", {"skills": [{"id": "x"}]},
+        "list_skills answer skills[0] has no string field 'skillId'",
+    ),
     "localRuntimeId not a string": (
+        "list_skills",
         {"skills": [
             {"skillId": "skill-other", "localRuntimeId": "lr-0009"},
             {"skillId": "skill-drill-a", "localRuntimeId": 1},
         ]},
-        f"list_skills answer: skills[1] {_ITEM_FAULT}",
+        "list_skills answer skills[1] has no string field 'localRuntimeId'",
+    ),
+    "no feasible": (
+        "feasibility", {"verdict": True}, "feasibility answer has no boolean field 'feasible'"
+    ),
+    "no state": ("read", {"outputValues": {}}, _NO_STATE),
+    "state not a string": ("read", {"state": ["Idle"], "outputValues": {}}, _NO_STATE),
+    "no outputValues": (
+        "read", {"state": "Stopped"}, "read answer has no object field 'outputValues'"
+    ),
+    "no newState": (
+        "event", {"localRuntimeId": "lr-0001", "previousState": "Stopped"},
+        "event has no string field 'newState'",
     ),
 }
 
+#: a verdict a run read as feasible because the string "no" is truthy
+TRUTHY_VERDICT = (
+    "feasibility", {"feasible": "no", "reason": None, "estimates": {}},
+    "feasibility answer has no boolean field 'feasible'",
+)
+
+
+def event_line(payload: dict) -> str:
+    return protocol.encode(protocol.Message("event", "", payload, seq=1))
+
 
 @pytest.mark.parametrize(
-    "answer, message", MALFORMED_SKILL_LISTS.values(), ids=MALFORMED_SKILL_LISTS
+    "kind, answer, message",
+    [*MALFORMED_ANSWERS.values(), TRUTHY_VERDICT],
+    ids=[*MALFORMED_ANSWERS, "feasible a string"],
 )
-def test_a_malformed_skill_list_is_one_error_and_fails_over(exec_world, answer, message):
+def test_a_malformed_answer_is_one_error_and_fails_over(exec_world, kind, answer, message):
     connections, cleanups = _loopback_connections(exec_world)
-    answer_list_skills_with(connections["r-driller-a"], answer)
+    driller = connections["r-driller-a"]
+    lrid = driller.list_skills()[0]["localRuntimeId"]
+    if kind == "event":
+        driller.feed_line(event_line(answer))
+    else:
+        answer_with(driller, kind, answer)
     try:
         trace = execute_plan(plan(exec_world.product("prod-bracket"), exec_world), connections)
     finally:
         for close in cleanups:
             close()
     errors = [(r.step_id, r.local_runtime_id, r.detail) for r in trace.records if r.kind == "error"]
-    assert errors == [("step-drill", "", {"code": "BadResponse", "message": message})]
+    known = "" if kind == "list_skills" else lrid
+    assert errors == [("step-drill", known, {"code": "BadResponse", "message": message})]
     assert trace.state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
     assert not trace.failed
+
+
+def test_an_event_of_another_skill_is_skipped_unread(exec_world):
+    """An event for a skill the attempt does not run, even one without a
+    ``newState``, is dropped, so the trace is the run's without it."""
+    traces = []
+    for stray in ((), ({"localRuntimeId": "lr-0099"},)):
+        connections, cleanups = _loopback_connections(exec_world)
+        for payload in stray:
+            connections["r-driller-a"].feed_line(event_line(payload))
+        try:
+            production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+            traces.append(trace_to_lines(execute_plan(production_plan, connections)))
+        finally:
+            for close in cleanups:
+                close()
+    assert traces[0] == traces[1]
+    assert '"kind":"error"' not in "\n".join(traces[0])
 
 
 def test_the_first_of_a_repeated_skill_id_is_run():
@@ -1039,7 +1128,7 @@ def test_the_first_of_a_repeated_skill_id_is_run():
     connections, cleanups = _loopback_connections(world)
     driller = connections["r-driller-a"]
     (listed,) = driller.list_skills()
-    answer_list_skills_with(driller, {"skills": [listed, {**listed, "localRuntimeId": "lr-9"}]})
+    answer_with(driller, "list_skills", {"skills": [listed, {**listed, "localRuntimeId": "lr-9"}]})
     sent = count_requests(driller)
     try:
         trace = execute_plan(plan(world.product("prod-two-holes"), world), connections)

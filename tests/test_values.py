@@ -38,6 +38,12 @@ def test_canonicalize_unit_unknown():
         convert_between_units(Fraction(1), "furlong", "m")
 
 
+def test_convert_to_a_unit_outside_the_scale_table():
+    with pytest.raises(UnknownUnitError) as excinfo:
+        convert_between_units(Fraction(1), "m", "furlong")
+    assert excinfo.value.message == "unit 'furlong' is not in the scale table"
+
+
 def test_canonicalize_unit_is_exact_decimal():
     value = _to_base(Decimal("0.1"), "mm")
     assert value == Decimal("0.0001")
