@@ -305,8 +305,9 @@ def _attempt_step(
 
     A failed request ends the attempt with one ``error`` record. An attempt
     that gives up on a timeout after it subscribed then aborts the skill,
-    best effort, so its events are not left for the next run and the next
-    run's walk to Idle recovers it. A subscribed attempt always unsubscribes.
+    best effort, so the next run's walk to Idle recovers it. A subscribed
+    attempt always unsubscribes, then drops the events it left unread: they
+    all arrive before that answer, and the next attempt would record them.
     """
     local_runtime_id = ""
     subscribed = False
@@ -362,6 +363,7 @@ def _attempt_step(
             # best effort: a failed unsubscribe must not replace the attempt's outcome
             with contextlib.suppress(*FAILED_REQUEST):
                 client.subscribe(local_runtime_id, enable=False)
+                client.drop_events()
 
 
 def _await_state(

@@ -23,13 +23,14 @@ event; every wait reads the constant when it starts. Once the transport
 closes, or ``close()`` ends the client on either transport, every pending and
 later request raises ``ConnectionLostError``, and ``next_event`` returns the
 events received before, then raises it. Each request waits on its own
-``queue.SimpleQueue``, and events and unmatched responses queue on two more,
-so a round trip builds no locks or conditions of its own. Request methods
-raise ``BadResponseError`` for an answer that lacks a field their callers
-read, or holds it with another JSON type (``checked``).
-A request line longer than ``MAX_LINE_BYTES`` gets one ``ParseError``; the
-TCP server reads such a line in bounded pieces and drops it. A line that is
-not valid UTF-8 also gets one ``ParseError`` and is never executed.
+``queue.SimpleQueue``, and events queue on one more, so a round trip builds
+no locks or conditions of its own. Request methods raise ``BadResponseError``
+for an answer that lacks a field their callers read, or holds it with another
+JSON type (``checked``).
+Both ends of a TCP connection read lines through ``_lines``, the server up to
+``MAX_LINE_BYTES``, the client up to ``MAX_QUEUED_BYTES``. The server answers a
+longer line, or one that ``decode`` refuses (not valid UTF-8, say), with one
+``ParseError``; the client drops it, and any response no request waits for.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ def encode(msg: Message) -> str:
 
 
 def decode(line: str) -> Message:
+    """The message one line holds; lone surrogates (bytes not UTF-8) refuse it."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError("line is not valid UTF-8") from None
     data = jsonio.loads(line)
     if not isinstance(data, dict):
         raise ParseError("message line must be a single object")
@@ -173,11 +180,6 @@ class ServerSession:
     def _respond(self, line: str) -> str:
         if len(line.encode("utf-8", "surrogatepass")) > MAX_LINE_BYTES:
             return _error_line("", ParseError.code, f"line exceeds {MAX_LINE_BYTES} bytes")
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # lone surrogates: bytes that were not UTF-8
-                return _error_line("", ParseError.code, "line is not valid UTF-8")
         try:
             request = decode(line)
         except ParseError as exc:
@@ -333,15 +335,9 @@ class ProtocolServer:
         try:
             # no Nagle: a lone small line must not wait for the peer's delayed ACK
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reader = conn.makefile("rb")
-            while raw := reader.readline(MAX_LINE_BYTES + 1):
-                line = raw.rstrip(b"\n")
-                over_long = len(line) > MAX_LINE_BYTES
-                while over_long and raw and not raw.endswith(b"\n"):
-                    raw = reader.readline(MAX_LINE_BYTES + 1)  # skip to the line's end
-                # bytes that are not UTF-8 become lone surrogates; the session
-                # answers them, and an over-long line cut at the cap, with ParseError
-                session.handle_line(line.decode("utf-8", "surrogateescape"))
+            # the session answers an over-long line, cut by _lines, with ParseError
+            for line in _lines(conn, MAX_LINE_BYTES):
+                session.handle_line(line)
         except OSError:
             pass
         finally:
@@ -406,6 +402,18 @@ class _Outbound:
         self._conn.close()
 
 
+def _lines(sock: socket.socket, limit: int):
+    """The lines ``sock`` reads until EOF, without their LF; a line over
+    ``limit`` bytes is cut after ``limit + 1`` and its rest skipped unheld.
+    Bytes that are not UTF-8 become lone surrogates, which ``decode`` refuses."""
+    with sock.makefile("rb") as reader:
+        while raw := reader.readline(limit + 1):
+            line = raw.rstrip(b"\n")
+            while len(line) > limit and raw and not raw.endswith(b"\n"):
+                raw = reader.readline(limit + 1)
+            yield line.decode("utf-8", "surrogateescape")
+
+
 def _shutdown(sock: socket.socket) -> None:
     """End both directions of ``sock``, waking every thread blocked on it."""
     with contextlib.suppress(OSError):
@@ -458,28 +466,25 @@ class SkillClient:
         self._corr = itertools.count(1)
         self._pending: dict[str, queue.SimpleQueue] = {}
         self._events: queue.SimpleQueue = queue.SimpleQueue()
-        self._stray: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._lost: str | None = None  # why the client closed or lost its transport
 
     # -- plumbing ---------------------------------------------------------
 
     def feed_line(self, line: str) -> None:
-        """Deliver one raw line from the transport."""
+        """Deliver one raw line from the transport. A line that is no message,
+        and a response that no request waits for, are dropped."""
         try:
             msg = decode(line)
         except ParseError:
             return
         if msg.kind == "event":
             self._events.put(msg)
-            return
-        if msg.kind in ("result", "error"):
+        elif msg.kind in ("result", "error"):
             with self._lock:
                 waiter = self._pending.pop(msg.correlation_id, None)
             if waiter is not None:
                 waiter.put(msg)
-            else:
-                self._stray.put(msg)
 
     def connection_lost(self, reason: str) -> None:
         """The transport closed: fail every pending and every later request, and
@@ -493,16 +498,6 @@ class SkillClient:
         for waiter in waiters:
             waiter.put(None)
         self._events.put(None)
-
-    def send_raw(self, line: str) -> None:
-        """Ship an arbitrary line (for protocol-level tests). Like ``invoke``,
-        it raises ``ConnectionLostError`` once the client is closed or lost."""
-        if self._lost is not None:
-            raise ConnectionLostError(self._lost)
-        try:
-            self._send_line(line)
-        except OSError as exc:
-            raise ConnectionLostError(str(exc)) from exc
 
     def close(self) -> None:
         """End this client on either transport: its connection is lost, so
@@ -546,9 +541,12 @@ class SkillClient:
             raise ConnectionLostError(self._lost)
         return event
 
-    def next_stray(self) -> Message:
-        """Next response that matched no pending request (e.g. ParseError)."""
-        return _next(self._stray, "unmatched response")
+    def drop_events(self) -> None:
+        """Drop the events not yet taken, but not a lost connection's marker."""
+        with contextlib.suppress(queue.Empty):
+            while self._events.get_nowait() is not None:
+                pass
+            self._events.put(None)
 
     # -- conveniences -------------------------------------------------------
 
@@ -630,12 +628,9 @@ def connect_tcp(address) -> SkillClient:
     client = SkillClient(send_line=send_line, on_close=on_close)
 
     def reader() -> None:
-        try:
-            stream = sock.makefile("r", encoding="utf-8", newline="\n")
-            for line in stream:
-                client.feed_line(line.rstrip("\n"))
-        except (OSError, ValueError):
-            pass
+        with contextlib.suppress(OSError):
+            for line in _lines(sock, MAX_QUEUED_BYTES):  # no css/1 server sends longer
+                client.feed_line(line)
         client.connection_lost(f"connection to {addr} closed")
 
     threading.Thread(target=reader, name=f"css-reader-{addr[1]}", daemon=True).start()

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import socket
 from decimal import Decimal
 
 import pytest
 
 from csskit.documents import build_world
 from csskit.model import PropertyDefinition, WorldModel
+from csskit.protocol import ServerSession, decode, serve
 from csskit.taxonomy import Taxonomy, TaxonomyClass
 from csskit.values import convert_between_units, to_fraction
 
@@ -264,3 +266,57 @@ def oracle_is_subclass_of(tax: Taxonomy, a: str, b: str) -> bool:
         seen.add(current.parent)
         current = tax.get(current.parent)
     return b in chain
+
+
+# --- raw lines to a server -------------------------------------------------------
+
+def hello_of(length: int) -> bytes:
+    """A hello request line of exactly ``length`` UTF-8 bytes, without the LF."""
+    line = b'{"kind": "hello", "correlationId": "c-long", "payload": {"pad": ""}}'
+    return line.replace(b'""}', b'"' + b"x" * (length - len(line)) + b'"}')
+
+
+def _answers(lines: list[str]) -> list:
+    """The responses among a connection's output lines, events dropped."""
+    messages = [decode(line) for line in lines]
+    return [msg for msg in messages if msg.kind != "event"]
+
+
+class LoopbackWire:
+    """The in-process transport's server side, with its output kept."""
+
+    def __init__(self, host):
+        self.out: list[str] = []
+        self.session = ServerSession(host, host.name, self.out.append)
+
+    def exchange(self, raw: bytes) -> list:
+        """Send one line; every response it got back."""
+        del self.out[:]
+        self.session.handle_line(raw.decode("utf-8", "surrogateescape"))
+        return _answers(self.out)
+
+    def close(self):
+        self.session.close()
+
+
+class TcpWire:
+    """A raw socket to a TCP server, so any bytes can be sent."""
+
+    def __init__(self, host):
+        self.server = serve(host, ("127.0.0.1", 0))
+        self.sock = socket.create_connection(("127.0.0.1", self.server.port), timeout=5)
+        self.reader = self.sock.makefile("rb")
+
+    def exchange(self, raw: bytes) -> list:
+        """Send one line; the next response. Responses come in request order,
+        so an extra one shifts every later answer and a missing one times out."""
+        self.sock.sendall(raw + b"\n")
+        while True:
+            answers = _answers([self.reader.readline().decode("utf-8").rstrip("\n")])
+            if answers:
+                return answers
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+        self.server.close()

@@ -37,6 +37,13 @@ def test_deleted_names_are_not_exported():
     assert [name for name in DELETED if name in csskit.__all__ or hasattr(csskit, name)] == []
 
 
+def test_the_client_has_no_test_only_paths():
+    """Tests send raw lines through ``conftest``'s wires, not through a client."""
+    from csskit.protocol import SkillClient
+
+    assert [name for name in ("send_raw", "next_stray") if hasattr(SkillClient, name)] == []
+
+
 def test_package_imports_only_the_standard_library():
     """csskit is stdlib-only: every absolute import (``__future__`` among them)
     names a standard module."""

@@ -233,6 +233,7 @@ def test_normalize_fractional_literals_on_integer_property(base_world):
     expr = parse_expression("Drilling and (depth <= 12.5 mm)", base_world)
     fs = normalize(expr, base_world).feasible["depth"]
     assert fs.upper == 12
+    assert fs.contains(12) and not fs.contains(Decimal("11.5"))
     # excluding a non-integer point changes nothing
     expr = parse_expression(
         "Drilling and (depth <= 12 mm) and (depth != 11.5 mm)", base_world
@@ -310,6 +311,16 @@ def test_emptiness_from_bounds_equals_intersection():
         p = _random_feasible_set(rng, datatype)
         assert r.meets(p) == (not r.intersect(p).is_empty), (r, p)
         assert r.meets(p) == p.meets(r)
+
+
+@pytest.mark.parametrize("datatype", ["integer", "real", "enum"])
+def test_the_empty_set_is_a_subset_of_each_set_and_only_empty_sets_of_it(datatype):
+    rng = random.Random(6008)
+    empty = FeasibleSet.empty(datatype)
+    for _ in range(50):
+        other = _random_feasible_set(rng, datatype)
+        assert empty.subset_of(other)
+        assert other.subset_of(empty) == other.is_empty, other
 
 
 def _bound_values(fs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import threading
 
 import pytest
 
@@ -21,10 +22,10 @@ from csskit.documents import build_world
 from csskit.errors import ParseError, StepFailedNoAlternativeError
 from csskit.hosting import CapabilityEnvelopeBehavior, build_resource_host
 from csskit.orchestrate import execute_plan, plan
-from csskit.protocol import ServerSession, connect_loopback, decode, serve
+from csskit.protocol import Message, connect_loopback, connect_tcp, decode, encode
 from csskit.skills import FeasibilityResult, SkillFault
 
-from conftest import exec_world_doc
+from conftest import LoopbackWire, TcpWire, exec_world_doc, hello_of
 from test_protocol import make_host
 
 
@@ -65,12 +66,6 @@ def _request(rng: random.Random, correlation_id: str) -> bytes:
     return _line(kind, correlation_id, payload)
 
 
-def _hello_of(length: int) -> bytes:
-    """A hello line of exactly ``length`` bytes."""
-    line = _line("hello", "c-long", {"pad": ""})
-    return line.replace(b'""}', b'"' + b"x" * (length - len(line)) + b'"}')
-
-
 ENVELOPE = {"kind": "read", "correlationId": "c-type", "payload": PAYLOADS["read"], "seq": 1}
 
 
@@ -98,7 +93,7 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
     """A hello, every wrong-typed field, two lines at and over the length cap,
     then ``count`` seeded picks of the other hostile shapes."""
     lines = [_line("hello", "c-hello", PAYLOADS["hello"]), *wrong_type_lines()]
-    lines += [_hello_of(protocol.MAX_LINE_BYTES), _hello_of(protocol.MAX_LINE_BYTES + 1)]
+    lines += [hello_of(protocol.MAX_LINE_BYTES), hello_of(protocol.MAX_LINE_BYTES + 1)]
     for _ in range(count):
         shape = rng.choice([
             "deep", "truncated", "utf8", "unknown kind", "duplicate kind", "long number",
@@ -149,52 +144,6 @@ def _expected_correlation_id(raw: bytes) -> str:
         return ""
 
 
-def _answers(lines: list[str]) -> list:
-    """The responses among a connection's output lines, events dropped."""
-    messages = [decode(line) for line in lines]
-    return [msg for msg in messages if msg.kind != "event"]
-
-
-class LoopbackWire:
-    """The in-process transport's server side, with its output kept."""
-
-    def __init__(self, host):
-        self.out: list[str] = []
-        self.session = ServerSession(host, host.name, self.out.append)
-
-    def exchange(self, raw: bytes) -> list:
-        """Send one line; every response it got back."""
-        del self.out[:]
-        self.session.handle_line(raw.decode("utf-8", "surrogateescape"))
-        return _answers(self.out)
-
-    def close(self):
-        self.session.close()
-
-
-class TcpWire:
-    """A raw socket to a TCP server, so any bytes can be sent."""
-
-    def __init__(self, host):
-        self.server = serve(host, ("127.0.0.1", 0))
-        self.sock = socket.create_connection(("127.0.0.1", self.server.port), timeout=5)
-        self.reader = self.sock.makefile("rb")
-
-    def exchange(self, raw: bytes) -> list:
-        """Send one line; the next response. Responses come in request order,
-        so an extra one shifts every later answer and a missing one times out."""
-        self.sock.sendall(raw + b"\n")
-        while True:
-            answers = _answers([self.reader.readline().decode("utf-8").rstrip("\n")])
-            if answers:
-                return answers
-
-    def close(self):
-        self.reader.close()
-        self.sock.close()
-        self.server.close()
-
-
 @pytest.mark.parametrize("wire_type", [LoopbackWire, TcpWire])
 def test_every_hostile_line_gets_one_response_and_the_connection_lives(wire_type):
     wire = wire_type(make_host()[0])
@@ -215,6 +164,47 @@ def test_every_hostile_line_gets_one_response_and_the_connection_lives(wire_type
         assert alive.payload["version"] == "css/1"
     finally:
         wire.close()
+
+
+def test_a_client_drops_hostile_server_lines_and_keeps_its_connection(monkeypatch):
+    """A server that sends a hostile line before each answer, the last one a
+    result for the waiting request that is longer than ``MAX_QUEUED_BYTES``:
+    the client drops every such line, gets each request's answer and can
+    still ask more."""
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 5.0)
+    monkeypatch.setattr(protocol, "MAX_QUEUED_BYTES", 1 << 16)
+    hostile = hostile_lines(random.Random(4), 400)
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_each_after_a_hostile_line():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as requests:
+            for n, line in zip(range(len(hostile) + 2), requests):  # until the client closes
+                request = decode(line.decode("utf-8"))
+                answer = encode(Message("result", request.correlation_id, {"n": n}))
+                if n < len(hostile):
+                    before = hostile[n]
+                elif n == len(hostile):
+                    pad = "x" * protocol.MAX_QUEUED_BYTES
+                    before = encode(Message("result", request.correlation_id, {"pad": pad})).encode()
+                else:
+                    before = b""
+                conn.sendall(before + b"\n" + answer.encode() + b"\n")
+
+    server = threading.Thread(target=answer_each_after_a_hostile_line, daemon=True)
+    server.start()
+    client = connect_tcp(("127.0.0.1", listener.getsockname()[1]))
+    try:
+        answers = []
+        for _ in range(len(hostile) + 2):
+            answers.append(client.invoke("hello", {})["n"])
+    finally:
+        client.close()
+        server.join(timeout=5)
+        listener.close()
+    assert not server.is_alive()
+    assert len(hostile) > 400
+    assert answers == list(range(len(hostile) + 2))
 
 
 # --- faulty behaviors -----------------------------------------------------------------

@@ -1123,6 +1123,27 @@ def test_an_event_of_another_skill_is_skipped_unread(exec_world):
     assert '"kind":"error"' not in "\n".join(traces[0])
 
 
+def test_events_an_attempt_left_unread_are_not_recorded_by_the_next_run(exec_world):
+    """A malformed event ends r-driller-a's attempt before it reads the events
+    of its Reset; they are dropped once the attempt unsubscribes, so the next
+    run records only the state changes it caused."""
+    connections, cleanups = _loopback_connections(exec_world)
+    driller = connections["r-driller-a"]
+    lrid = driller.list_skills()[0]["localRuntimeId"]
+    driller.feed_line(event_line({"localRuntimeId": lrid}))
+    production_plan = plan(exec_world.product("prod-bracket"), exec_world)
+    try:
+        traces = [execute_plan(production_plan, connections) for _ in range(2)]
+    finally:
+        for close in cleanups:
+            close()
+    errors = [[r.detail["code"] for r in t.records if r.kind == "error"] for t in traces]
+    assert errors == [["BadResponse"], []]
+    assert traces[0].state_changes("step-drill") == SUCCESS_SEQUENCE  # on resource b
+    assert traces[1].state_changes("step-drill") == SUCCESS_SEQUENCE[2:]  # a, left Idle
+    assert {r.local_runtime_id for r in traces[1].records if r.step_id == "step-drill"} == {lrid}
+
+
 def test_the_first_of_a_repeated_skill_id_is_run():
     world = two_holes_world()
     connections, cleanups = _loopback_connections(world)

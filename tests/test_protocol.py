@@ -25,6 +25,7 @@ from csskit.protocol import (
 )
 from csskit.skills import FeasibilityResult, SkillHost
 
+from conftest import LoopbackWire, TcpWire, hello_of
 from test_jsonio import _decoded, _random_string, _random_value
 from test_skills import DrillBehavior, drill_descriptor
 
@@ -38,7 +39,7 @@ def make_host(name="r-drill") -> tuple[SkillHost, str]:
 
 
 def assert_silent(wait, monkeypatch) -> None:
-    """``wait`` (a client's next_event or next_stray) times out within 0.05 s."""
+    """``wait`` (a client's next_event) times out within 0.05 s."""
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "DEFAULT_TIMEOUT", 0.05)
         with pytest.raises(TimeoutError):
@@ -180,37 +181,46 @@ def test_requests_before_hello_are_rejected():
     client.close()
 
 
-def test_malformed_line_yields_parse_error_and_connection_survives(monkeypatch):
+#: a well-formed hello, which each test below sends last to show its connection lives
+ALIVE = encode(Message("hello", "c-alive", {"version": "css/1"})).encode()
+
+
+def _assert_alive(wire) -> None:
+    """Over TCP an extra answer to an earlier line would come first and fail this."""
+    (alive,) = wire.exchange(ALIVE)
+    assert (alive.kind, alive.correlation_id) == ("result", "c-alive")
+    assert alive.payload["version"] == "css/1"
+
+
+@contextlib.contextmanager
+def _wire(transport: str, host: SkillHost):
+    """A raw-line connection to ``host`` over ``transport``, closed afterwards."""
+    wire = (LoopbackWire if transport == "loopback" else TcpWire)(host)
+    try:
+        yield wire
+    finally:
+        wire.close()
+
+
+def test_malformed_line_yields_parse_error_and_connection_survives():
     host, _ = make_host()
-    client = connect_loopback(host)
-    client.hello()
-    client.send_raw("this is not a message")
-    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
-    stray = client.next_stray()
-    assert stray.kind == "error"
-    assert stray.correlation_id == ""
-    assert stray.payload["code"] == "ParseError"
-    assert client.list_skills()  # still usable
-    client.close()
+    with _wire("loopback", host) as wire:
+        wire.exchange(ALIVE)
+        (answer,) = wire.exchange(b"this is not a message")
+        assert answer.kind == "error"
+        assert answer.correlation_id == ""
+        assert answer.payload["code"] == "ParseError"
+        (listed,) = wire.exchange(encode(Message("list_skills", "c-list", {})).encode())
+        assert listed.payload["skills"]  # still usable
 
 
-def test_deeply_nested_line_yields_one_parse_error(monkeypatch):
+def test_deeply_nested_line_yields_one_parse_error():
     host, _ = make_host()
-    client = connect_loopback(host)
-    client.send_raw("[" * 100000)
-    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1)
-    stray = client.next_stray()
-    assert stray.kind == "error"
-    assert stray.payload["code"] == "ParseError"
-    assert_silent(client.next_stray, monkeypatch)
-    assert client.hello()["version"] == "css/1"
-    client.close()
-
-
-def _hello_line(length: int) -> str:
-    """A hello request of exactly ``length`` UTF-8 bytes."""
-    line = '{"correlationId": "c-long", "kind": "hello", "payload": {"pad": ""}}'
-    return line.replace('""}', '"' + "x" * (length - len(line)) + '"}')
+    with _wire("loopback", host) as wire:
+        (answer,) = wire.exchange(b"[" * 100000)
+        assert answer.kind == "error"
+        assert answer.payload["code"] == "ParseError"
+        _assert_alive(wire)
 
 
 @contextlib.contextmanager
@@ -228,44 +238,26 @@ def _connected(transport: str, host: SkillHost):
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
-def test_over_long_line_yields_one_parse_error(transport, monkeypatch):
+def test_over_long_line_yields_one_parse_error(transport):
     host, _ = make_host()
-    with _connected(transport, host) as client:
-        client.send_raw(_hello_line(protocol.MAX_LINE_BYTES))
-        at_cap = client.next_stray()
+    with _wire(transport, host) as wire:
+        (at_cap,) = wire.exchange(hello_of(protocol.MAX_LINE_BYTES))
         assert (at_cap.kind, at_cap.correlation_id) == ("result", "c-long")
-        client.send_raw(_hello_line(protocol.MAX_LINE_BYTES + 1))
-        over = client.next_stray()
+        (over,) = wire.exchange(hello_of(protocol.MAX_LINE_BYTES + 1))
         assert (over.kind, over.correlation_id) == ("error", "")
         assert over.payload["code"] == "ParseError"
-        assert_silent(client.next_stray, monkeypatch)
-        assert client.hello()["version"] == "css/1"
+        _assert_alive(wire)
 
 
-def test_invalid_utf8_line_yields_one_parse_error_over_tcp(monkeypatch):
-    client_socks: list[socket.socket] = []
-    create_connection = socket.create_connection
-
-    def spy_connect(*args, **kwargs):
-        client_socks.append(create_connection(*args, **kwargs))
-        return client_socks[-1]
-
-    monkeypatch.setattr(protocol.socket, "create_connection", spy_connect)
+def test_invalid_utf8_line_yields_one_parse_error_over_tcp():
     host, _ = make_host()
-    server = serve(host, ("127.0.0.1", 0))
-    client = connect_tcp(("127.0.0.1", server.port))
-    try:
-        client_socks[0].sendall(
-            b'{"correlationId": "c-bad", "kind": "hello", "payload": {"clientName": "\xff"}}\n'
+    with _wire("tcp", host) as wire:
+        (answer,) = wire.exchange(
+            b'{"correlationId": "c-bad", "kind": "hello", "payload": {"clientName": "\xff"}}'
         )
-        stray = client.next_stray()
-        assert (stray.kind, stray.correlation_id) == ("error", "")
-        assert stray.payload["code"] == "ParseError"
-        assert_silent(client.next_stray, monkeypatch)
-        assert client.hello()["version"] == "css/1"
-    finally:
-        client.close()
-        server.close()
+        assert (answer.kind, answer.correlation_id) == ("error", "")
+        assert answer.payload == {"code": "ParseError", "message": "line is not valid UTF-8"}
+        _assert_alive(wire)
 
 
 def test_unencodable_result_is_an_internal_error_for_its_request(monkeypatch):
@@ -478,6 +470,32 @@ def test_tcp_peer_disconnect_fails_requests_at_once(monkeypatch):
     assert not peer.is_alive()
 
 
+def test_a_request_pending_when_its_connection_drops_fails_at_once():
+    """A peer that reads a request and then closes fails that request, which
+    is waiting for its answer, at once."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def read_one_request_then_close():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as requests:
+            requests.readline()
+
+    peer = threading.Thread(target=read_one_request_then_close, daemon=True)
+    peer.start()
+    client = connect_tcp(("127.0.0.1", listener.getsockname()[1]))
+    try:
+        started = time.monotonic()
+        with pytest.raises(ConnectionLostError, match="closed"):
+            client.hello()
+        assert time.monotonic() - started < protocol.DEFAULT_TIMEOUT / 5
+        assert client._pending == {}
+    finally:
+        client.close()
+        peer.join(timeout=2)
+        listener.close()
+    assert not peer.is_alive()
+
+
 def test_a_subscriber_that_stops_reading_cannot_stall_the_host(monkeypatch):
     """A subscriber that never reads is cut off once its output backs up, and
     meanwhile every other client is served at full speed."""
@@ -625,16 +643,28 @@ def test_connection_loss_ends_the_event_stream_after_delivered_events(monkeypatc
         assert time.monotonic() - started < 0.5
 
 
+def test_dropped_events_leave_the_connection_lost_marker(monkeypatch):
+    client = SkillClient(send_line=lambda line: None)
+    for seq in (1, 2):
+        client.feed_line(encode(Message("event", "", {"newState": "Idle"}, seq=seq)))
+    client.drop_events()
+    assert_silent(client.next_event, monkeypatch)
+    client.feed_line(encode(Message("event", "", {"newState": "Idle"}, seq=3)))
+    client.connection_lost("unplugged (injected)")
+    client.drop_events()
+    with pytest.raises(ConnectionLostError, match="unplugged"):
+        client.next_event()
+
+
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
 def test_an_escaped_lone_surrogate_correlation_id_is_answered(transport):
     """JSON can escape a lone surrogate that UTF-8 cannot carry; the response
     escapes it again instead of failing to encode."""
     host, _ = make_host()
-    with _connected(transport, host) as client:
-        client.send_raw('{"correlationId": "\\ud800", "kind": "hello", "payload": {}}')
-        answer = client.next_stray()
+    with _wire(transport, host) as wire:
+        (answer,) = wire.exchange(b'{"correlationId": "\\ud800", "kind": "hello", "payload": {}}')
         assert (answer.kind, answer.correlation_id) == ("result", "\ud800")
-        assert client.hello()["version"] == "css/1"
+        _assert_alive(wire)
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
@@ -645,10 +675,6 @@ def test_a_closed_client_no_longer_commands_its_host(transport):
         client.close()
         with pytest.raises(ConnectionLostError):
             client.command(lrid, "Reset")
-        with pytest.raises(ConnectionLostError):
-            client.send_raw(encode(Message(
-                "command", "c-raw", {"localRuntimeId": lrid, "command": "Reset"}
-            )))
         assert host.read_skill(lrid).state == "Stopped"
 
 

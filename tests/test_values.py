@@ -70,6 +70,22 @@ def test_to_fraction_rejects_booleans():
         to_fraction(True)
 
 
+@pytest.mark.parametrize("value, fraction", [
+    (7, Fraction(7)),
+    (Decimal("2.5"), Fraction(5, 2)),
+    (Fraction(1, 3), Fraction(1, 3)),
+    (0.1, Fraction(1, 10)),  # the float's shortest repr, not its binary value
+])
+def test_to_fraction_is_exact(value, fraction):
+    assert to_fraction(value) == fraction
+
+
+@pytest.mark.parametrize("value", ["12", None, [1]])
+def test_to_fraction_rejects_a_non_number(value):
+    with pytest.raises(TypeMismatchError, match="not a numeric value"):
+        to_fraction(value)
+
+
 def test_literal_matches():
     assert literal_matches("integer", 5)
     assert not literal_matches("integer", True)
@@ -79,6 +95,7 @@ def test_literal_matches():
     assert literal_matches("enum", "steel")
     assert literal_matches("boolean", False)
     assert not literal_matches("boolean", 0)
+    assert not literal_matches("timestamp", "2026-08-08T12:30:00Z")  # no such datatype
 
 
 def test_timestamp_round_trip():
