@@ -479,7 +479,11 @@ def endpoints_from_doc(doc: dict) -> dict[str, str]:
         )
     for resource_id, endpoint in endpoints.items():
         host, _, port = endpoint.rpartition(":")
-        if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        # the length first: from Python 3.11 on, int() refuses a longer run of digits
+        if not (
+            host and len(port) <= jsonio.MAX_INT_DIGITS and port.isascii() and port.isdigit()
+            and int(port) <= 65535
+        ):
             raise DocumentInvalidError(
                 f"{SCHEMA_ENDPOINTS}.endpoints[{resource_id}]: "
                 "expected host:port with a port from 0 to 65535"

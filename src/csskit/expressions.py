@@ -26,6 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import jsonio
 from .errors import (
     CssError,
     ExpressionSyntaxError,
@@ -110,10 +111,41 @@ class FeasibleSet:
         upper_closed: bool,
         excluded=frozenset(),
     ) -> FeasibleSet:
+        """The one canonical form of a numeric interval (``None``: no bound).
+        Integer bounds become closed whole numbers walked inward past excluded
+        points; an excluded closed real bound becomes open, and any datatype
+        but ``"integer"`` is stored as ``"real"``. Only excluded points strictly
+        inside are kept; a set with no value is the empty set."""
         if datatype == "integer":
-            return _canonical_integer(lower, lower_closed, upper, upper_closed, excluded)
-        return _canonical_real(
-            lower, lower_closed, upper, upper_closed, frozenset(map(Fraction, excluded))
+            points = {int(x) for x in excluded if x == int(x)}
+            if lower is not None:
+                lower = math.ceil(lower) if lower_closed else math.floor(lower) + 1
+                while lower in points:
+                    lower += 1
+            if upper is not None:
+                upper = math.floor(upper) if upper_closed else math.ceil(upper) - 1
+                while upper in points:
+                    upper -= 1
+            lower_closed = upper_closed = True
+        else:
+            datatype = "real"
+            points = set(map(Fraction, excluded))
+            if lower_closed and lower in points:
+                lower_closed = False
+            if upper_closed and upper in points:
+                upper_closed = False
+        lower_closed = lower is not None and lower_closed
+        upper_closed = upper is not None and upper_closed
+        if lower is not None and upper is not None and (
+            lower > upper or (lower == upper and not (lower_closed and upper_closed))
+        ):
+            return FeasibleSet.empty(datatype)
+        interior = frozenset(
+            x for x in points if (lower is None or x > lower) and (upper is None or x < upper)
+        )
+        return FeasibleSet(
+            kind="interval", datatype=datatype, lower=lower, lower_closed=lower_closed,
+            upper=upper, upper_closed=upper_closed, excluded=interior,
         )
 
     # -- queries --------------------------------------------------------
@@ -244,71 +276,6 @@ class FeasibleSet:
         while candidate in self.excluded:
             candidate += step
         return candidate
-
-
-def _canonical_integer(lower, lower_closed, upper, upper_closed, excluded) -> FeasibleSet:
-    if lower is not None:
-        lower = math.floor(lower) + 1 if not lower_closed else math.ceil(lower)
-    if upper is not None:
-        upper = math.ceil(upper) - 1 if not upper_closed else math.floor(upper)
-    points = {int(x) for x in excluded if x == int(x)}
-    # cascade endpoint exclusions into the bounds
-    changed = True
-    while changed:
-        changed = False
-        if lower is not None and lower in points:
-            points.discard(lower)
-            lower += 1
-            changed = True
-        if upper is not None and upper in points:
-            points.discard(upper)
-            upper -= 1
-            changed = True
-    if lower is not None and upper is not None and lower > upper:
-        return FeasibleSet.empty("integer")
-    interior = frozenset(
-        x
-        for x in points
-        if (lower is None or x > lower) and (upper is None or x < upper)
-    )
-    return FeasibleSet(
-        kind="interval",
-        datatype="integer",
-        lower=lower,
-        lower_closed=lower is not None,
-        upper=upper,
-        upper_closed=upper is not None,
-        excluded=interior,
-    )
-
-
-def _canonical_real(lower, lower_closed, upper, upper_closed, excluded) -> FeasibleSet:
-    points = set(excluded)
-    if lower is not None and lower_closed and lower in points:
-        points.discard(lower)
-        lower_closed = False
-    if upper is not None and upper_closed and upper in points:
-        points.discard(upper)
-        upper_closed = False
-    if lower is not None and upper is not None:
-        if lower > upper:
-            return FeasibleSet.empty("real")
-        if lower == upper and not (lower_closed and upper_closed):
-            return FeasibleSet.empty("real")
-    interior = frozenset(
-        x
-        for x in points
-        if (lower is None or x > lower) and (upper is None or x < upper)
-    )
-    return FeasibleSet(
-        kind="interval",
-        datatype="real",
-        lower=lower,
-        lower_closed=lower is not None and lower_closed,
-        upper=upper,
-        upper_closed=upper is not None and upper_closed,
-        excluded=interior,
-    )
 
 
 def _max_lower(a, b):
@@ -462,7 +429,11 @@ class _Parser:
         """Decode one literal token, then check it against the property."""
         token = self.advance()
         if token.kind == "number":
-            value = Decimal(token.text) if "." in token.text else int(token.text)
+            read = jsonio.parse_decimal if "." in token.text else jsonio.parse_int
+            try:
+                value = read(token.text)
+            except ValueError as exc:  # more digits than jsonio.MAX_INT_DIGITS
+                raise ExpressionSyntaxError(str(exc), token.pos) from None
         elif token.kind == "ident":
             truth = prop.datatype == "boolean" and token.text in ("true", "false")
             value = token.text == "true" if truth else token.text

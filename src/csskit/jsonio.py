@@ -4,16 +4,18 @@ Numbers are kept exact: Decimal values are emitted as plain decimal literals
 and every fractional literal is decoded back into Decimal, so a value like
 4.50 survives a round trip digit for digit. Keys are always sorted, which
 makes encoded output byte-stable for identical inputs. ``loads`` refuses what
-a strict JSON tree cannot hold: a repeated key, NaN or an infinity, and an
-integer literal of more than ``MAX_INT_DIGITS`` digits.
+a strict JSON tree cannot hold: a repeated key, NaN or an infinity, a number
+literal of more than ``MAX_INT_DIGITS`` digits, and a decimal whose exponent
+is beyond ``MAX_INT_DIGITS`` in magnitude.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .errors import ParseError
@@ -62,16 +64,32 @@ def loads(text: str):
         raise ParseError(str(exc)) from exc
 
 
-#: most digits of an integer literal ``loads`` reads; the same on every
-#: supported Python, whatever its own limit for converting text to int
+#: most digits of a number literal read from outside, and the largest
+#: magnitude of a decimal's exponent; the same on every supported Python,
+#: whatever its own limit for converting text to int
 MAX_INT_DIGITS = 4300
 
 
-def _parse_int(text: str) -> int:
+def parse_int(text: str) -> int:
+    """An integer literal of at most ``MAX_INT_DIGITS`` digits."""
     digits = len(text.lstrip("-"))
     if digits > MAX_INT_DIGITS:
         raise ValueError(f"integer literal has {digits} digits, more than {MAX_INT_DIGITS}")
     return int(text)
+
+
+def parse_decimal(text: str) -> Decimal:
+    """A fractional or exponent literal of at most ``MAX_INT_DIGITS`` digits
+    and an exponent at most that in magnitude, so that no exact conversion
+    (``Fraction``) has to build an integer of unbounded size."""
+    digits = len(text.lower().partition("e")[0].lstrip("-").replace(".", ""))
+    if digits > MAX_INT_DIGITS:
+        raise ValueError(f"decimal literal has {digits} digits, more than {MAX_INT_DIGITS}")
+    with contextlib.suppress(InvalidOperation):  # an exponent too large for Decimal itself
+        value = Decimal(text)
+        if abs(value.adjusted()) <= MAX_INT_DIGITS:
+            return value
+    raise ValueError(f"decimal literal has an exponent beyond {MAX_INT_DIGITS} in magnitude")
 
 
 def _reject_constant(name: str):
@@ -89,7 +107,7 @@ def _reject_repeated_keys(pairs: list) -> dict:
 
 #: one decoder for every line; json.loads with arguments would build one per call
 _DECODER = json.JSONDecoder(
-    parse_float=Decimal, parse_int=_parse_int, parse_constant=_reject_constant,
+    parse_float=parse_decimal, parse_int=parse_int, parse_constant=_reject_constant,
     object_pairs_hook=_reject_repeated_keys,
 )
 

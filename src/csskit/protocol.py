@@ -298,9 +298,13 @@ class ProtocolServer:
         self.host = host
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind(address)
-            self._sock.listen()
+            try:
+                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                self._sock.bind(address)
+                self._sock.listen()
+            except OSError:
+                self._sock.close()
+                raise
         except OSError as exc:
             raise BindFailureError(f"cannot bind {address}: {exc}") from exc
         self.address = self._sock.getsockname()

@@ -66,6 +66,20 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_module_parses_at_the_oldest_supported_python():
+    """No module uses syntax newer than ``requires-python`` allows, such as
+    ``except*`` (3.11) or a ``type`` statement (3.12)."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    oldest = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    refused = []
+    for path in sorted(Path(csskit.__file__).parent.glob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=oldest)
+        except SyntaxError as exc:
+            refused.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    assert refused == []
+
+
 def _module_level_imports(tree):
     """Import statements of a module body and of its top-level ``if`` blocks
     (``if TYPE_CHECKING:``); imports inside functions or classes are left out."""

@@ -184,6 +184,21 @@ def test_validate_broken_world_lists_issue(tmp_path, capsys):
     assert "cap-missing" in out
 
 
+@pytest.mark.parametrize(
+    "kind, literal",
+    [("integer", "7" * 5000), ("decimal", "0." + "5" * 4999)],
+    ids=["integer", "decimal"],
+)
+def test_validate_refuses_a_number_of_too_many_digits(tmp_path, capsys, kind, literal):
+    doc = exec_world_doc()
+    doc["resources"][2]["capabilities"][0]["expression"] = f"Screwing and (torque <= {literal})"
+    assert run(["validate", _write(tmp_path, "long-number.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: css.world/1.resources[2].capabilities[0].expression: "
+        f"at position 24: {kind} literal has 5000 digits, more than 4300\n"
+    )
+
+
 def test_plan_command(world_file, product_file, capsys):
     code = run([
         "plan", "--product", product_file, "--world", world_file,
@@ -709,7 +724,11 @@ def test_market_names_the_offer_file_at_fault(tmp_path, world_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "endpoint", ["localhost", "127.0.0.1:", "127.0.0.1:7x", "127.0.0.1:65536", ":7007"]
+    "endpoint",
+    [
+        "localhost", "127.0.0.1:", "127.0.0.1:7x", "127.0.0.1:65536", ":7007",
+        pytest.param("127.0.0.1:" + "7" * 5000, id="port-of-5000-digits"),
+    ],
 )
 def test_run_rejects_an_endpoint_that_is_not_host_port(
     tmp_path, world_file, product_file, capsys, endpoint

@@ -237,7 +237,13 @@ def test_endpoints_doc_accepts_host_port(endpoint):
     assert endpoints_from_doc(doc) == {"r": endpoint}
 
 
-@pytest.mark.parametrize("endpoint", ["h", "h:", ":1", "h:7x", "h:-1", "h:+1", "h:65536"])
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "h", "h:", ":1", "h:7x", "h:-1", "h:+1", "h:65536",
+        pytest.param("h:" + "7" * 5000, id="h:port-of-5000-digits"),
+    ],
+)
 def test_endpoints_doc_rejects_what_is_not_host_port(endpoint):
     doc = {"schema": "css.endpoints/1", "endpoints": {"r": "h:1", "r2": endpoint}}
     with pytest.raises(DocumentInvalidError) as excinfo:

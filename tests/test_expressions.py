@@ -214,6 +214,25 @@ def test_normalize_real_degenerate_excluded_point_is_empty(base_world):
     assert normalize(expr, base_world).feasible["torque"].is_empty
 
 
+def test_normalize_integer_strict_and_closed_bound_at_one_value(base_world):
+    expr = parse_expression("Drilling and (depth <= 5) and (depth < 5)", base_world)
+    fs = normalize(expr, base_world).feasible["depth"]
+    assert format_feasible_set(fs) == "[0, 4]"
+
+
+def test_normalize_real_excluded_open_bound_keeps_no_excluded_point(base_world):
+    expr = parse_expression("Screwing and (torque > 2) and (torque != 2)", base_world)
+    fs = normalize(expr, base_world).feasible["torque"]
+    assert format_feasible_set(fs) == "(2, 10]"
+    assert fs.excluded == frozenset()
+
+
+def test_normalize_excluding_an_open_bound_changes_nothing(base_world):
+    plain = parse_expression("Screwing and (torque < 5)", base_world)
+    excluded = parse_expression("Screwing and (torque < 5) and (torque != 5)", base_world)
+    assert normalize(plain, base_world) == normalize(excluded, base_world)
+
+
 def test_normalize_enum_and_boolean(base_world):
     expr = parse_expression(
         "Drilling and (material in {steel, wood}) and (material != wood) "

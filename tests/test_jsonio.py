@@ -96,6 +96,16 @@ def test_dumps_rejects_what_json_cannot_carry(value):
         ("[-Infinity]", "non-finite number -Infinity is not allowed"),
         ("﻿{}", "Unexpected UTF-8 BOM (decode using utf-8-sig) (byte offset 0)"),
         ('{"ü": 1', "Expecting ',' delimiter (byte offset 8)"),
+        ("[1E+4301]", "decimal literal has an exponent beyond 4300 in magnitude"),
+        ("[-1.0e-4301]", "decimal literal has an exponent beyond 4300 in magnitude"),
+        (
+            "[1E999999999999999999999999999]",
+            "decimal literal has an exponent beyond 4300 in magnitude",
+        ),
+        pytest.param(
+            "[0." + "5" * 4300 + "]", "decimal literal has 4301 digits, more than 4300",
+            id="decimal-of-4301-digits",
+        ),
     ],
 )
 def test_loads_rejections_are_parse_errors(text, message):
@@ -108,6 +118,15 @@ def test_loads_rejections_are_parse_errors(text, message):
 def test_an_integer_of_max_int_digits_is_read(sign):
     literal = sign + "7" * jsonio.MAX_INT_DIGITS
     assert jsonio.loads(f"[{literal}]") == [int(literal)]
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1E+4300", "-9.9e-4300", "0.5E-4299", "1." + "7" * (jsonio.MAX_INT_DIGITS - 1)],
+    ids=["1E+4300", "-9.9e-4300", "0.5E-4299", "decimal-of-4300-digits"],
+)
+def test_a_decimal_at_the_bounds_is_read(literal):
+    assert jsonio.loads(f"[{literal}]") == [Decimal(literal)]
 
 
 @pytest.mark.parametrize("sign", ["", "-"])

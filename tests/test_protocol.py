@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import random
 import socket
 import sys
 import threading
 import time
+import warnings
 from decimal import Decimal
 
 import pytest
 
 from csskit import jsonio, protocol
-from csskit.errors import ConnectionLostError, ParseError, RemoteError, TimeoutError
+from csskit.errors import (
+    BindFailureError, ConnectionLostError, ParseError, RemoteError, TimeoutError,
+)
 from csskit.protocol import (
     Message,
     ProtocolServer,
@@ -132,6 +136,18 @@ def test_decode_rejects_a_repeated_kind():
     with pytest.raises(ParseError) as excinfo:
         decode('{"kind": "read", "kind": "feasibility", "correlationId": "c", "payload": {}}')
     assert excinfo.value.message == "duplicate object key 'kind'"
+
+
+def test_decode_refuses_a_decimal_too_large_to_convert_exactly():
+    """Read whole, 1E+100000000 would stall the process that converts it to
+    a Fraction (10**100000000)."""
+    line = (
+        '{"kind": "feasibility", "correlationId": "c-000001", "payload": '
+        '{"localRuntimeId": "lr-0001", "inputs": {"torque": 1E+100000000}}}'
+    )
+    with pytest.raises(ParseError) as excinfo:
+        decode(line)
+    assert excinfo.value.message == "decimal literal has an exponent beyond 4300 in magnitude"
 
 
 @pytest.mark.parametrize("seq", ["true", "false"])
@@ -385,6 +401,20 @@ def test_unsupported_version_rejected():
 
 
 # --- TCP transport ------------------------------------------------------------------
+
+def test_a_failed_bind_closes_the_listening_socket():
+    host, _ = make_host()
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        gc.collect()  # what earlier tests left is not this test's to report
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BindFailureError):
+                ProtocolServer(host, taken.getsockname())
+            gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
 
 def test_tcp_two_clients_command_different_skills(monkeypatch):
     host = SkillHost("r-multi")
