@@ -8,6 +8,7 @@ no feasible offer combination, step failure), 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -141,11 +142,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _say(line, file=None) -> None:
-    """Print one output line as text that encodes to valid UTF-8: a dict as
-    its ``jsonio.dumps_utf8`` line, a text line with each lone surrogate
-    escaped as ``dumps_utf8`` escapes it."""
+    """Print one output line through ``jsonio.dumps_utf8``, the one UTF-8
+    writer: a dict as its line, a text line with each lone surrogate escaped
+    as that writer escapes it (``jsonio.escape_surrogates``)."""
     text = jsonio.dumps_utf8(line) if isinstance(line, dict) else jsonio.escape_surrogates(line)
     print(text, file=file)
+
+
+def _say_to(path, line) -> None:
+    """``_say`` of ``line`` into a new file at ``path``, or to stdout without one."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as handle:
+        _say(line, file=handle)
+
+
+def _literals(values: dict, sep: str) -> str:
+    """``key<sep>literal`` of each item in key order, joined by ", "."""
+    return ", ".join(f"{k}{sep}{format_literal(v)}" for k, v in sorted(values.items()))
 
 
 def _read(path, reader, *args):
@@ -179,65 +191,44 @@ def _cmd_match(args) -> int:
     required = parse_expression(args.required, world)
     provided = parse_expression(args.provided, world)
     result = match_capabilities(required, provided, world)
-    witness = result.witness  # derived from per_property on each read
-
-    if args.format == "lines":
-        _say(
-            {
-                "degree": result.degree.value,
-                "witness": witness,
-                "perProperty": {
-                    property_id: {
-                        "required": format_feasible_set(comparison.required),
-                        "provided": format_feasible_set(comparison.provided),
-                        "intersection": format_feasible_set(comparison.intersection),
-                    }
-                    for property_id, comparison in sorted(result.per_property.items())
-                },
+    record = {
+        "degree": result.degree.value,
+        "witness": result.witness,  # derived from per_property on each read
+        "perProperty": {
+            property_id: {
+                side: format_feasible_set(getattr(comparison, side))
+                for side in ("required", "provided", "intersection")
             }
-        )
+            for property_id, comparison in sorted(result.per_property.items())
+        },
+    }
+    if args.format == "lines":
+        _say(record)
     else:
-        _say(f"degree: {result.degree.value}")
-        if witness is not None:
-            rendered = ", ".join(
-                f"{k} = {format_literal(v)}" for k, v in sorted(witness.items())
-            )
-            _say(f"witness: {rendered if rendered else '(unconstrained)'}")
-        for property_id, comparison in sorted(result.per_property.items()):
-            _say(
-                f"property {property_id}: "
-                f"required={format_feasible_set(comparison.required)} "
-                f"provided={format_feasible_set(comparison.provided)} "
-                f"intersection={format_feasible_set(comparison.intersection)}"
-            )
-    return 1 if result.degree is MatchDegree.DISJOINT else 0
+        _say(f"degree: {record['degree']}")
+        if record["witness"] is not None:
+            _say(f"witness: {_literals(record['witness'], ' = ') or '(unconstrained)'}")
+        for property_id, sets in record["perProperty"].items():
+            _say(f"property {property_id}: " + " ".join(f"{k}={v}" for k, v in sets.items()))
+    return 1 if record["degree"] == MatchDegree.DISJOINT.value else 0
 
 
 def _cmd_plan(args) -> int:
     world = _load_world(args.world)
     product = _read(args.product, product_from_doc, world)
-    production_plan = plan(product, world)
-    for entry in production_plan.entries:
-        if args.format == "lines":
-            _say(
-                {
-                    "stepId": entry.step_id,
-                    "resourceId": entry.resource_id,
-                    "capabilityId": entry.capability_id,
-                    "skillId": entry.skill_id,
-                    "degree": entry.match_degree.value,
-                    "parameters": entry.parameter_assignment,
-                }
-            )
-        else:
-            rendered = ", ".join(
-                f"{k}={format_literal(v)}"
-                for k, v in sorted(entry.parameter_assignment.items())
-            )
-            _say(
-                f"{entry.step_id}: {entry.resource_id}/{entry.skill_id} "
-                f"({entry.match_degree.value}) {rendered}"
-            )
+    for entry in plan(product, world).entries:
+        record = {
+            "stepId": entry.step_id,
+            "resourceId": entry.resource_id,
+            "capabilityId": entry.capability_id,
+            "skillId": entry.skill_id,
+            "degree": entry.match_degree.value,
+            "parameters": entry.parameter_assignment,
+        }
+        _say(record if args.format == "lines" else (
+            f"{record['stepId']}: {record['resourceId']}/{record['skillId']} "
+            f"({record['degree']}) {_literals(record['parameters'], '=')}"
+        ))
     return 0
 
 
@@ -288,12 +279,7 @@ def _cmd_run(args) -> int:
             trace = exc.trace
             _say(f"error: {exc.message}", file=sys.stderr)
             code = 1
-        lines = "\n".join(trace_to_lines(trace))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(lines + "\n")
-        else:
-            _say(lines)
+        _say_to(args.out, "\n".join(trace_to_lines(trace)))
         return code
     finally:
         for client in connections.values():
@@ -367,20 +353,16 @@ def _cmd_market_accept(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
     award = select_offers(request, offers, now, world)
     contract = form_contract(award, accepted_at=now)
-    rendered = jsonio.dumps_utf8(
+    _say_to(
+        args.out,
         {
             "contractId": contract.contract_id,
             "requestId": contract.request_id,
             "acceptedOfferIds": list(contract.accepted_offer_ids),
             "totalPrice": contract.total_price,
             "formedAt": format_timestamp(contract.formed_at),
-        }
+        },
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-    else:
-        _say(rendered)
     return 0
 
 

@@ -65,7 +65,8 @@ def load_document_file(path: str | Path) -> dict:
 
 
 def document_to_text(doc: dict) -> str:
-    return jsonio.dumps(doc) + "\n"
+    """``doc`` as one line of ``jsonio.dumps_utf8``, the one UTF-8 writer, and an LF."""
+    return jsonio.dumps_utf8(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

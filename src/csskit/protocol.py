@@ -1,14 +1,14 @@
 """Line-delimited skill interface over TCP and in-process transports.
 
 Wire format: one UTF-8 JSON object per LF-terminated line with the fields
-``kind``, ``correlationId``, ``payload`` and (events only) ``seq``. Every
-request receives exactly one ``result`` or ``error`` with the request's
-correlationId. Connections handshake with ``hello`` (protocol version
-"css/1"); state-change events flow only after a ``subscribe`` request and
-carry a per-connection gap-free ``seq``. Every line either end writes is valid
-UTF-8: ``encode`` writes each lone surrogate in a string as its ``\\uXXXX``
-escape, so a high surrogate directly followed by a low one reads back as one
-astral character.
+``kind``, ``correlationId``, ``payload`` and (events only) ``seq``. Every line
+a server reads gets exactly one ``result`` or ``error``, with the request's
+correlationId (for a refused line, see below). Connections handshake with
+``hello`` (protocol version "css/1"); state-change events flow only after a
+``subscribe`` request and carry a per-connection gap-free ``seq``. Every line
+either end writes is valid UTF-8: ``encode`` writes each lone surrogate in a
+string as its ``\\uXXXX`` escape, so a high surrogate directly followed by a
+low one reads back as one astral character.
 
 Responses leave in request order; an event that a request caused may leave
 before that request's response. A session never waits for its peer: each TCP
@@ -29,14 +29,15 @@ for an answer that lacks a field their callers read, or holds it with another
 JSON type (``checked``).
 Both ends of a TCP connection read lines through ``_lines``, the server up to
 ``MAX_LINE_BYTES``, the client up to ``MAX_QUEUED_BYTES``. The server answers a
-longer line, or one that ``decode`` refuses (not valid UTF-8, say), with one
-``ParseError``; the client drops it, and any response no request waits for.
+longer line, or one ``decode`` refuses, with one ``ParseError`` under the id
+``_refused_line_id`` reads; the client drops any response no request waits for.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import queue
 import socket
 import threading
@@ -138,6 +139,29 @@ def _error_line(correlation_id: str, code: str, message: str) -> str:
     return encode(Message("error", correlation_id, {"code": code, "message": message}))
 
 
+def _unread(number_text: str) -> None:
+    return None
+
+
+#: reads a line's JSON with each number unread (None) and each object as a tuple of its pairs
+_ID_READER = json.JSONDecoder(
+    parse_int=_unread, parse_float=_unread, parse_constant=_unread, object_pairs_hook=tuple
+)
+
+
+def _refused_line_id(line: str) -> str:
+    """The correlationId that answers a line ``decode`` refuses: the line's own
+    when it is valid UTF-8 and a JSON object holding exactly one string
+    ``correlationId``, else "". No number is converted, whatever its size."""
+    with contextlib.suppress(ValueError, RecursionError):  # UnicodeError is a ValueError
+        line.encode("utf-8")
+        pairs = _ID_READER.decode(line)
+        ids = [v for k, v in pairs if k == "correlationId"] if isinstance(pairs, tuple) else []
+        if len(ids) == 1 and isinstance(ids[0], str):
+            return ids[0]
+    return ""
+
+
 class ServerSession:
     """Per-connection request dispatch plus subscription event fan-out.
 
@@ -183,7 +207,7 @@ class ServerSession:
         try:
             request = decode(line)
         except ParseError as exc:
-            return _error_line("", exc.code, exc.message)
+            return _error_line(_refused_line_id(line), exc.code, exc.message)
         try:
             if request.kind not in REQUEST_KINDS:
                 raise _BadRequest(f"{request.kind} is not a request kind")
@@ -297,18 +321,10 @@ class ProtocolServer:
         address = _as_address(endpoint)
         self.host = host
         try:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                self._sock.bind(address)
-                self._sock.listen()
-            except OSError:
-                self._sock.close()
-                raise
+            self._sock = socket.create_server(address)  # closes the socket if it fails
         except OSError as exc:
             raise BindFailureError(f"cannot bind {address}: {exc}") from exc
-        self.address = self._sock.getsockname()
-        self.port = self.address[1]
+        self.port = self._sock.getsockname()[1]
         self._closing = False
         self._conns: set[socket.socket] = set()
         self._conns_lock = threading.Lock()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import socket
 import subprocess
@@ -828,3 +829,155 @@ def test_market_prints_a_lone_surrogate_as_its_escape(tmp_path, world_file, comm
            "select": lambda objs: objs[0]["selectedOfferIds"],
            "accept": lambda objs: objs[0]["acceptedOfferIds"]}[command]
     assert sorted(ids([jsonio.loads(line) for line in text.splitlines()])) == ["off-8", "\ud800"]
+
+
+# --- every output, byte for byte --------------------------------------------------------
+
+#: (required, provided) -> exit code, text output, lines output
+MATCH_OUTPUTS = {
+    ("Drilling and (depth >= 10 mm) and (depth <= 20 mm)", "Drilling and (depth <= 15 mm)"): (
+        0,
+        "degree: INTERSECT\n"
+        "witness: depth = 12\n"
+        "property depth: required=[10, 20] provided=[0, 15] intersection=[10, 15]\n",
+        '{"degree":"INTERSECT","perProperty":{"depth":{"intersection":"[10, 15]",'
+        '"provided":"[0, 15]","required":"[10, 20]"}},"witness":{"depth":12}}\n',
+    ),
+    ("Drilling and (depth <= 15 mm)", "Drilling and (depth <= 25 mm)"): (
+        0,
+        "degree: PLUGIN\n"
+        "witness: depth = 7\n"
+        "property depth: required=[0, 15] provided=[0, 25] intersection=[0, 15]\n",
+        '{"degree":"PLUGIN","perProperty":{"depth":{"intersection":"[0, 15]",'
+        '"provided":"[0, 25]","required":"[0, 15]"}},"witness":{"depth":7}}\n',
+    ),
+    ("Drilling and (depth <= 15 mm)", "Drilling and (depth <= 15 mm)"): (
+        0,
+        "degree: EXACT\n"
+        "witness: depth = 7\n"
+        "property depth: required=[0, 15] provided=[0, 15] intersection=[0, 15]\n",
+        '{"degree":"EXACT","perProperty":{"depth":{"intersection":"[0, 15]",'
+        '"provided":"[0, 15]","required":"[0, 15]"}},"witness":{"depth":7}}\n',
+    ),
+    ("Drilling", "Drilling"): (
+        0,
+        "degree: EXACT\nwitness: (unconstrained)\n",
+        '{"degree":"EXACT","perProperty":{},"witness":{}}\n',
+    ),
+    ("Drilling and (material in {steel, wood})",
+     "Drilling and (material in {aluminium, steel})"): (
+        0,
+        "degree: INTERSECT\n"
+        "witness: material = steel\n"
+        "property material: required={steel, wood} provided={aluminium, steel} "
+        "intersection={steel}\n",
+        '{"degree":"INTERSECT","perProperty":{"material":{"intersection":"{steel}",'
+        '"provided":"{aluminium, steel}","required":"{steel, wood}"}},'
+        '"witness":{"material":"steel"}}\n',
+    ),
+    ("Screwing and (torque > 2.5) and (coolant = true)", "Screwing and (torque <= 5)"): (
+        0,
+        "degree: INTERSECT\n"
+        "witness: coolant = true, torque = 3.75\n"
+        "property coolant: required={true} provided={false, true} intersection={true}\n"
+        "property torque: required=(2.5, 10] provided=[0, 5] intersection=(2.5, 5]\n",
+        '{"degree":"INTERSECT","perProperty":{"coolant":{"intersection":"{true}",'
+        '"provided":"{false, true}","required":"{true}"},"torque":{"intersection":"(2.5, 5]",'
+        '"provided":"[0, 5]","required":"(2.5, 10]"}},'
+        '"witness":{"coolant":true,"torque":3.75}}\n',
+    ),
+    ("Drilling and (depth >= 20 mm)", "Drilling and (depth <= 15 mm)"): (
+        1,
+        "degree: DISJOINT\n"
+        "property depth: required=[20, 100] provided=[0, 15] intersection=EMPTY\n",
+        '{"degree":"DISJOINT","perProperty":{"depth":{"intersection":"EMPTY",'
+        '"provided":"[0, 15]","required":"[20, 100]"}},"witness":null}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("required, provided", sorted(MATCH_OUTPUTS))
+def test_match_output_byte_for_byte(world_file, capsys, required, provided):
+    code, text, lines = MATCH_OUTPUTS[required, provided]
+    for form, expected in (("text", text), ("lines", lines)):
+        assert run(["match", "--required", required, "--provided", provided,
+                    "--world", world_file, "--format", form]) == code
+        assert capsys.readouterr() == (expected, "")
+
+
+#: product id -> text output, lines output
+PLAN_OUTPUTS = {
+    "prod-bracket": (
+        "step-drill: r-driller-a/skill-drill-a (PLUGIN) depth=12\n"
+        "step-screw: r-screwer/skill-screw (PLUGIN) torque=2.5\n",
+        '{"capabilityId":"cap-drill-a","degree":"PLUGIN","parameters":{"depth":12},'
+        '"resourceId":"r-driller-a","skillId":"skill-drill-a","stepId":"step-drill"}\n'
+        '{"capabilityId":"cap-screw","degree":"PLUGIN","parameters":{"torque":2.5},'
+        '"resourceId":"r-screwer","skillId":"skill-screw","stepId":"step-screw"}\n',
+    ),
+}
+
+
+def test_plan_output_byte_for_byte(tmp_path, world_file, capsys):
+    products = exec_world_doc()["products"]
+    assert sorted(p["id"] for p in products) == sorted(PLAN_OUTPUTS)
+    for product in products:
+        product_file = _write(tmp_path, "product.json", {"schema": "css.product/1", **product})
+        for form, expected in zip(("text", "lines"), PLAN_OUTPUTS[product["id"]]):
+            assert run(["plan", "--product", product_file, "--world", world_file,
+                        "--format", form]) == 0
+            assert capsys.readouterr() == (expected, "")
+
+
+def test_run_writes_the_same_bytes_to_stdout_and_out(tmp_path, world_file, product_file,
+                                                     capsys):
+    """Each run gets servers of its own, so both start from the same skill states."""
+    world = build_world([exec_world_doc()])
+    out_file = tmp_path / "trace.lines"
+
+    def run_on_new_servers(*out):
+        servers, endpoints_file = _serve_for_run(
+            tmp_path, world, {r.id: None for r in world.resources}
+        )
+        try:
+            return run(["run", "--product", product_file, "--world", world_file,
+                        "--endpoints", endpoints_file, *out])
+        finally:
+            for server in servers:
+                server.close()
+
+    assert run_on_new_servers() == 0
+    printed = capsys.readouterr()
+    assert run_on_new_servers("--out", str(out_file)) == 0
+    assert capsys.readouterr() == ("", "")
+    assert printed.err == ""
+    written = out_file.read_bytes()
+    assert printed.out.encode("utf-8") == written
+    assert len(written.splitlines()) == 21
+    assert written.splitlines()[8] == (
+        b'{"detail":{"outputs":{"achievedDepth":12}},"kind":"outputRead",'
+        b'"localRuntimeId":"lr-0001","stepId":"step-drill","timestamp":8}'
+    )
+    assert hashlib.sha256(written).hexdigest() == (
+        "6d5410c26b50a5b2878ecb7fe21d2085f353b31737b6a0e6b1ac343d2bf2f513"
+    )
+
+
+def test_market_accept_writes_the_same_bytes_to_stdout_and_out(tmp_path, world_file, capsys):
+    offer = offer_doc()
+    offer.update(coveredCapKeys=["cap-drill", "cap-screw"],
+                 providedCapabilities={"cap-drill": "Drilling", "cap-screw": "Screwing"})
+    argv = ["market", "accept", "--request", _write(tmp_path, "request.json", request_doc()),
+            "--offers", _write(tmp_path, "offer.json", offer), "--world", world_file,
+            "--now", "2026-08-10T00:00:00Z"]
+    out_file = tmp_path / "contract.json"
+    assert run(argv) == 0
+    printed = capsys.readouterr()
+    assert run([*argv, "--out", str(out_file)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert printed == (
+        '{"acceptedOfferIds":["off-7"],"contractId":"contract-req-42",'
+        '"formedAt":"2026-08-10T00:00:00Z","requestId":"req-42","totalPrice":13.50}\n',
+        "",
+    )
+    assert out_file.read_bytes() == printed.out.encode("utf-8")

@@ -10,6 +10,7 @@ from conftest import exec_world_doc, taxonomy_doc_classes
 from csskit import jsonio
 from csskit.documents import (
     build_world,
+    document_to_text,
     endpoints_from_doc,
     load_document_text,
     offer_from_doc,
@@ -646,3 +647,17 @@ def test_golden_document_messages(case):
     with pytest.raises(DocumentInvalidError) as excinfo:
         load([doc] if load is build_world else doc)
     assert excinfo.value.message == message
+
+
+def test_document_to_text_writes_a_lone_surrogate_as_its_escape():
+    doc = {**offer_doc(), "offerId": "\ud800"}
+    text = document_to_text(doc)
+    text.encode("utf-8")  # a raw lone surrogate would raise UnicodeEncodeError
+    assert '"offerId":"\\ud800",' in text
+    assert load_document_text(text) == doc
+
+
+def test_document_to_text_of_a_document_without_a_lone_surrogate_is_its_json_line():
+    doc = exec_world_doc()
+    doc["properties"][0]["id"] = "dépth \U0001f529"
+    assert document_to_text(doc) == jsonio.dumps(doc) + "\n"

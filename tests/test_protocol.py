@@ -254,6 +254,51 @@ def _connected(transport: str, host: SkillHost):
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_request_refused_for_a_number_fails_at_once(transport):
+    """``encode`` writes a number the server refuses to read. The server's
+    ParseError carries the request's correlationId, so the request fails at
+    once instead of waiting out ``DEFAULT_TIMEOUT``."""
+    host, lrid = make_host()
+    with _connected(transport, host) as client:
+        client.hello()
+        started = time.monotonic()
+        with pytest.raises(RemoteError) as excinfo:
+            client.feasibility(lrid, {"depth": Decimal("1E+4301")})
+        assert time.monotonic() - started < protocol.DEFAULT_TIMEOUT / 5
+    assert excinfo.value.remote_code == "ParseError"
+
+
+#: a line the server refuses -> the correlationId its ParseError carries
+REFUSED_LINES = {
+    b'{"kind": "read", "correlationId": "c-field", "payload": {}, "extra": 1}': "c-field",
+    b'{"kind": "read", "correlationId": "c-list", "payload": []}': "c-list",
+    b'{"kind": "read", "correlationId": "c-big", "payload": {"x": 1E+4301}}': "c-big",
+    b'{"kind": "read", "correlationId": "c-long", "payload": {"x": ' + b"9" * 5000 + b"}}":
+        "c-long",
+    b'{"kind": "read", "kind": "write", "correlationId": "c-kind", "payload": {}}': "c-kind",
+    b'{"kind": "read", "correlationId": "c-a", "correlationId": "c-a", "payload": {}}': "",
+    b'{"kind": "read", "correlationId": 7, "payload": {}}': "",
+    b'{"kind": "read", "payload": {"correlationId": "c-inner"}, "extra": 1}': "",
+    b'[{"kind": "read", "correlationId": "c-array", "payload": {}}]': "",
+    b'{"kind": "read", "correlationId": "c-cut", "payload": {': "",
+    b'{"kind": "read", "correlationId": "c-deep", "payload": {"x": '
+    + b"[" * 100_000 + b"]" * 100_000 + b"}}": "",
+    b'{"kind": "read", "correlationId": "c-\xff", "payload": {}, "extra": 1}': "",
+}
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_refused_line_is_answered_under_its_own_readable_correlation_id(transport):
+    host, _ = make_host()
+    with _wire(transport, host) as wire:
+        for line, correlation_id in REFUSED_LINES.items():
+            (answer,) = wire.exchange(line)
+            assert (answer.kind, answer.correlation_id) == ("error", correlation_id), line[:80]
+            assert answer.payload["code"] == "ParseError"
+        _assert_alive(wire)
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
 def test_over_long_line_yields_one_parse_error(transport):
     host, _ = make_host()
     with _wire(transport, host) as wire:
