@@ -53,7 +53,7 @@ _USAGE_ERRORS = (
     TypeMismatchError,
     UnitMismatchError,
 )
-_IO_ERRORS = (BindFailureError, ConnectionLostError, TimeoutError)
+_IO_ERRORS = (BindFailureError, ConnectionLostError, TimeoutError, OSError)
 
 
 def main(argv=None) -> int:
@@ -71,18 +71,9 @@ def run(argv) -> int:
         return 2
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        _say(f"error: {exc.message}", file=sys.stderr)
-        return 2
-    except _IO_ERRORS as exc:
-        _say(f"error: {exc.message}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CssError, OSError) as exc:  # a CssError's str is its message
         _say(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CssError as exc:
-        _say(f"error: {exc.message}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 3 if isinstance(exc, _IO_ERRORS) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,49 +311,38 @@ def _load_market_inputs(args):
 
 def _cmd_market_eval(args) -> int:
     world, request, offers, _ = _load_market_inputs(args)
-    for offer, admissibility in zip(offers, evaluate_offers(request, offers, world)):
-        _say(
-            {
-                "offerId": offer.offer_id,
-                "admissible": admissibility.admissible,
-                "violations": [
-                    {"criterion": v.criterion, "detail": v.detail}
-                    for v in admissibility.violations
-                ],
-            }
-        )
+    for offer, verdict in zip(offers, evaluate_offers(request, offers, world)):
+        violations = [{"criterion": v.criterion, "detail": v.detail} for v in verdict.violations]
+        _say({"offerId": offer.offer_id, "admissible": verdict.admissible,
+              "violations": violations})
     return 0
 
 
 def _cmd_market_select(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
     award = select_offers(request, offers, now, world)
-    _say(
-        {
-            "requestId": award.request_id,
-            "selectedOfferIds": list(award.offer_ids()),
-            "totalCost": award.total_cost,
-            "strategy": award.strategy,
-            "quantityAllocation": FULL_QUANTITY_PER_OFFER,
-        }
-    )
+    record = {
+        "requestId": award.request_id,
+        "selectedOfferIds": list(award.offer_ids()),
+        "totalCost": award.total_cost,
+        "strategy": award.strategy,
+        "quantityAllocation": FULL_QUANTITY_PER_OFFER,
+    }
+    _say(record)
     return 0
 
 
 def _cmd_market_accept(args) -> int:
     world, request, offers, now = _load_market_inputs(args)
-    award = select_offers(request, offers, now, world)
-    contract = form_contract(award, accepted_at=now)
-    _say_to(
-        args.out,
-        {
-            "contractId": contract.contract_id,
-            "requestId": contract.request_id,
-            "acceptedOfferIds": list(contract.accepted_offer_ids),
-            "totalPrice": contract.total_price,
-            "formedAt": format_timestamp(contract.formed_at),
-        },
-    )
+    contract = form_contract(select_offers(request, offers, now, world), accepted_at=now)
+    record = {
+        "contractId": contract.contract_id,
+        "requestId": contract.request_id,
+        "acceptedOfferIds": list(contract.accepted_offer_ids),
+        "totalPrice": contract.total_price,
+        "formedAt": format_timestamp(contract.formed_at),
+    }
+    _say_to(args.out, record)
     return 0
 
 

@@ -112,6 +112,30 @@ _DECODER = json.JSONDecoder(
 )
 
 
+def _unread(number_text: str) -> None:
+    return None
+
+
+#: reads JSON with each number unread (None) and each object as a tuple of its pairs
+_PAIRS_DECODER = json.JSONDecoder(
+    parse_int=_unread, parse_float=_unread, parse_constant=_unread, object_pairs_hook=tuple
+)
+
+
+def pairs_without_numbers(text: str) -> tuple:
+    """The (key, value) pairs of the JSON object ``text`` holds, read without
+    converting any number, whatever its size: each number reads as None and
+    each nested object as a tuple of its pairs. Raises ValueError when
+    ``text`` holds no JSON object or nests too deep."""
+    try:
+        pairs = _PAIRS_DECODER.decode(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nests too deep") from exc
+    if not isinstance(pairs, tuple):
+        raise ValueError("not a JSON object")
+    return pairs
+
+
 def _emit(value, out: list[str]) -> None:
     if value is None or value is True or value is False:
         out.append("null" if value is None else ("true" if value else "false"))

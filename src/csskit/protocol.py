@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import queue
 import socket
 import threading
@@ -139,24 +138,13 @@ def _error_line(correlation_id: str, code: str, message: str) -> str:
     return encode(Message("error", correlation_id, {"code": code, "message": message}))
 
 
-def _unread(number_text: str) -> None:
-    return None
-
-
-#: reads a line's JSON with each number unread (None) and each object as a tuple of its pairs
-_ID_READER = json.JSONDecoder(
-    parse_int=_unread, parse_float=_unread, parse_constant=_unread, object_pairs_hook=tuple
-)
-
-
 def _refused_line_id(line: str) -> str:
     """The correlationId that answers a line ``decode`` refuses: the line's own
     when it is valid UTF-8 and a JSON object holding exactly one string
     ``correlationId``, else "". No number is converted, whatever its size."""
-    with contextlib.suppress(ValueError, RecursionError):  # UnicodeError is a ValueError
+    with contextlib.suppress(ValueError):  # UnicodeError is a ValueError
         line.encode("utf-8")
-        pairs = _ID_READER.decode(line)
-        ids = [v for k, v in pairs if k == "correlationId"] if isinstance(pairs, tuple) else []
+        ids = [v for k, v in jsonio.pairs_without_numbers(line) if k == "correlationId"]
         if len(ids) == 1 and isinstance(ids[0], str):
             return ids[0]
     return ""

@@ -205,6 +205,19 @@ def test_only_jsonio_writes_json_without_escaping_lone_surrogates():
     assert callers == []
 
 
+def test_only_jsonio_reads_or_writes_json_with_the_json_module():
+    """How JSON text is read (numbers, constants, repeated keys) and written
+    is decided in ``jsonio`` alone; no other module imports ``json``."""
+    importers = []
+    for path in sorted(Path(csskit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [
+                node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+            if path.stem != "jsonio" and any(n.split(".")[0] == "json" for n in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
 def _module_level_imports(tree):
     """Import statements of a module body and of its top-level ``if`` blocks
     (``if TYPE_CHECKING:``); imports inside functions or classes are left out."""

@@ -19,7 +19,7 @@ import pytest
 
 from csskit import protocol
 from csskit.documents import build_world
-from csskit.errors import StepFailedNoAlternativeError
+from csskit.errors import ParseError, StepFailedNoAlternativeError
 from csskit.hosting import CapabilityEnvelopeBehavior, build_resource_host
 from csskit.orchestrate import execute_plan, plan
 from csskit.protocol import Message, connect_loopback, connect_tcp, decode, encode
@@ -133,20 +133,43 @@ def hostile_lines(rng: random.Random, count: int) -> list[bytes]:
     return lines
 
 
-def _expected_correlation_id(raw: bytes) -> str:
-    """The correlationId a response to ``raw`` carries: the line's own when the
-    line is within the cap, valid UTF-8 and a JSON object holding exactly one
-    string correlationId, whatever its numbers hold, else "". Read here with
-    the standard json module, each number as a float, and not with decode."""
+#: every kind a message may have: each request kind, and the three a server sends
+KINDS = (*PAYLOADS, "result", "error", "event")
+
+
+def _pairs(raw: bytes) -> list | None:
+    """The top-level (key, value) pairs of ``raw`` when it is within the cap,
+    valid UTF-8 and a JSON object, else None. Read here with the standard json
+    module, each number as a float, and not with decode."""
     if len(raw) > protocol.MAX_LINE_BYTES:
-        return ""
+        return None
     try:
         obj = json.loads(raw.decode("utf-8"), object_pairs_hook=lambda pairs: ("{}", pairs),
                          parse_int=float, parse_float=float, parse_constant=float)
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        return ""
-    ids = [v for k, v in obj[1] if k == "correlationId"] if isinstance(obj, tuple) else []
+        return None
+    return obj[1] if isinstance(obj, tuple) else None
+
+
+def _expected_correlation_id(raw: bytes) -> str:
+    """The correlationId a response to ``raw`` carries: the line's own when
+    ``raw`` is a JSON object (see ``_pairs``) holding exactly one string
+    correlationId, whatever its numbers hold, else ""."""
+    ids = [v for k, v in _pairs(raw) or () if k == "correlationId"]
     return ids[0] if len(ids) == 1 and isinstance(ids[0], str) else ""
+
+
+def _refused(raw: bytes) -> bool:
+    """Whether ``raw`` is no message: no JSON object (see ``_pairs``), of a kind
+    no message has, or refused by decode for another fault."""
+    pairs = _pairs(raw)
+    if pairs is None or any(k == "kind" and v not in KINDS for k, v in pairs):
+        return True
+    try:
+        decode(raw.decode("utf-8"))
+    except ParseError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("wire_type", [LoopbackWire, TcpWire])
@@ -160,9 +183,10 @@ def test_every_hostile_line_gets_one_response_and_the_connection_lives(wire_type
             expected = _expected_correlation_id(raw)
             assert [a.correlation_id for a in answers] == [expected], raw[:200]
             assert answers[0].kind in ("result", "error")
-            # a line that is no message is answered with ParseError
-            if raw in not_messages or not expected:
-                assert answers[0].payload["code"] == "ParseError", raw[:200]
+            # a line that is no message, and only such a line, is answered with ParseError
+            refused = _refused(raw)
+            assert refused or raw not in not_messages, raw[:200]
+            assert (answers[0].payload.get("code") == "ParseError") == refused, raw[:200]
         (alive,) = wire.exchange(_line("hello", "c-alive", PAYLOADS["hello"]))
         assert (alive.kind, alive.correlation_id) == ("result", "c-alive")
         assert alive.payload["version"] == "css/1"

@@ -138,3 +138,16 @@ def test_a_longer_integer_is_refused_in_the_readers_own_words(sign):
         jsonio.loads('{"depth": ' + sign + "7" * digits + "}")
     assert excinfo.value.message == f"integer literal has {digits} digits, more than 4300"
     assert excinfo.value.offset is None
+
+
+def test_pairs_without_numbers_reads_an_object_and_converts_no_number():
+    text = '{"a": 1E+100000000, "b": [NaN, {"c": ' + "9" * 5000 + '}], "a": "x"}'
+    assert jsonio.pairs_without_numbers(text) == (
+        ("a", None), ("b", [None, (("c", None),)]), ("a", "x")
+    )
+
+
+@pytest.mark.parametrize("text", ["[1]", "7", '"a"', "null", "{", "[" * 100_000 + "]" * 100_000])
+def test_pairs_without_numbers_refuses_what_is_no_object(text):
+    with pytest.raises(ValueError):
+        jsonio.pairs_without_numbers(text)

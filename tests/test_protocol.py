@@ -73,6 +73,12 @@ def test_decode_missing_kind_is_parse_error():
         decode('{"correlationId": "c-1", "payload": {}}')
 
 
+@pytest.mark.parametrize("kind", ['"bye"', '""', '"HELLO"', "7"])
+def test_decode_refuses_an_unknown_kind(kind):
+    with pytest.raises(ParseError, match="message kind is missing or unknown"):
+        decode('{"kind": ' + kind + ', "correlationId": "c-1", "payload": {}}')
+
+
 def test_decode_reports_byte_offset():
     with pytest.raises(ParseError) as excinfo:
         decode('{"kind": "hello", "correlationId": }')
@@ -276,6 +282,7 @@ REFUSED_LINES = {
     b'{"kind": "read", "correlationId": "c-long", "payload": {"x": ' + b"9" * 5000 + b"}}":
         "c-long",
     b'{"kind": "read", "kind": "write", "correlationId": "c-kind", "payload": {}}': "c-kind",
+    b'{"kind": "bye", "correlationId": "c-bye", "payload": {}}': "c-bye",
     b'{"kind": "read", "correlationId": "c-a", "correlationId": "c-a", "payload": {}}': "",
     b'{"kind": "read", "correlationId": 7, "payload": {}}': "",
     b'{"kind": "read", "payload": {"correlationId": "c-inner"}, "extra": 1}': "",
